@@ -202,7 +202,7 @@ def cmd_pressure(config: dict, seed: int):
         "pressure": est.value,
         "levels": est.levels,
         "n_start": est.n_start,
-        "aitken_gap": est.gap,
+        "ratio_gap": est.gap,
         "truncation": est.truncation,
         "memory": est.memory,
     }

@@ -12,7 +12,7 @@ matrix on admissible m-words.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -29,20 +29,6 @@ from .errors import (
 from .rng import task_rng
 
 Word = tuple
-
-
-@dataclass(frozen=True)
-class Alphabet:
-    """Truncation window into the countable alphabet {0, 1, 2, ...}."""
-
-    truncation: int
-
-    def __post_init__(self):
-        if self.truncation < 1:
-            raise ConfigError("alphabet truncation must be >= 1")
-
-    def letters(self) -> range:
-        return range(self.truncation)
 
 
 class IncidenceMatrix:
@@ -89,66 +75,6 @@ class IncidenceMatrix:
                 for b in range(N):
                     out[a, b] = self._pred(a, b)
         return out
-
-    def find_witnesses(self, N: int, max_len: int = 8) -> dict:
-        """Connecting word gamma with a+gamma+b admissible, for every letter pair.
-
-        Raises NotIrreducibleError when some pair has no connector of length
-        <= max_len within the truncation.
-        """
-        adj = self.submatrix(N)
-        # BFS shortest paths from each source letter.
-        witnesses: dict[tuple[int, int], tuple] = {}
-        missing = []
-        for a in range(N):
-            parent = {a: None}
-            frontier = [a]
-            depth = 0
-            reached_at = {}
-            while frontier and depth <= max_len:
-                nxt = []
-                for u in frontier:
-                    for v in np.flatnonzero(adj[u]):
-                        v = int(v)
-                        if v not in parent:
-                            parent[v] = u
-                            nxt.append(v)
-                            reached_at[v] = depth + 1
-                frontier = nxt
-                depth += 1
-            for b in range(N):
-                if adj[a, b]:
-                    witnesses[(a, b)] = ()
-                    continue
-                if b == a:
-                    # the BFS never revisits its source, so close the loop
-                    # through the nearest reached predecessor of a
-                    preds = [v for v in reached_at if adj[v, a]]
-                    if not preds:
-                        missing.append((a, b))
-                        continue
-                    v = min(preds, key=reached_at.get)
-                    path = [v]
-                    while path[-1] != a:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    witnesses[(a, b)] = tuple(path[1:])
-                    continue
-                if b in reached_at:
-                    # unwind the path a -> ... -> b; the connector is the interior
-                    path = [b]
-                    while path[-1] != a:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    witnesses[(a, b)] = tuple(path[1:-1])
-                else:
-                    missing.append((a, b))
-        if missing:
-            raise NotIrreducibleError(
-                f"no connecting word of length <= {max_len} for pairs {missing[:8]}"
-                + ("..." if len(missing) > 8 else "")
-            )
-        return witnesses
 
 
 def is_admissible(word: Sequence[int], A: IncidenceMatrix) -> bool:
@@ -371,27 +297,73 @@ def summability_report(
 # state machinery: admissible m-words as the vertices of a weighted digraph
 
 
+def _blocks(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For blocks of the given sizes laid end to end: each block's start and
+    each item's offset inside its block."""
+    starts = np.cumsum(counts) - counts
+    return starts, np.arange(int(counts.sum())) - np.repeat(starts, counts)
+
+
 def _state_graph(psi: Potential, A: IncidenceMatrix, N: int, state_cap: int):
-    """States (admissible m-words), their psi values, and the transition CSR."""
+    """States (admissible m-words), their psi values, and the transition CSR.
+
+    States come in lexicographic order. Level k holds the admissible k-words
+    whose last letter can still take m-k steps, so no level outgrows the last
+    one and the state cap is checked as each level is built. Each word also
+    carries the index of its suffix w[1:] one level down, or -1 when the
+    suffix is not kept there: the suffix of p + e is the child e of the
+    suffix of p. The successors u[1:] + e of a state u are the children of
+    its suffix in the last level, one contiguous column block.
+    """
     m = psi.memory
-    states = enumerate_cylinders(m, N, A, cap=state_cap)
-    index = {w: i for i, w in enumerate(states)}
-    psi_vals = np.array([psi.value(w) for w in states], dtype=float)
-    rows, cols = [], []
-    for i, u in enumerate(states):
-        suffix = u[1:]
-        last = u[-1]
-        for e in range(N):
-            if A.is_full or A.allows(last, e):
-                j = index.get(suffix + (e,))
-                if j is not None:
-                    rows.append(i)
-                    cols.append(j)
-    S = len(states)
-    adj = sp.csr_matrix(
-        (np.ones(len(rows)), (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
-        shape=(S, S),
-    )
+    if m == 1 and N > state_cap:
+        # every letter is a state; fail before evaluating the N^2 incidence
+        raise BudgetError(f"more than {state_cap} admissible 1-words at truncation {N}")
+    src, dst = np.nonzero(A.submatrix(N))  # letter edges, sorted by (src, dst)
+    deg = np.bincount(src, minlength=N)
+    # live[j]: letters that start a path of j more steps
+    live = [np.ones(N, dtype=bool)]
+    for _ in range(m - 1):
+        nxt = np.zeros(N, dtype=bool)
+        nxt[src[live[-1][dst]]] = True
+        live.append(nxt)
+
+    words = np.flatnonzero(live[m - 1])[:, None]
+    for k in range(1, m):
+        # children of the k-words: letters that can still take m-k-1 steps
+        keep = live[m - 1 - k][dst]
+        kept = np.flatnonzero(keep)
+        kptr = np.concatenate(([0], np.cumsum(np.bincount(src[kept], minlength=N))))
+        last = words[:, -1]
+        counts = kptr[last + 1] - kptr[last]
+        if counts.sum() > state_cap:
+            raise BudgetError(f"more than {state_cap} admissible {m}-words at truncation {N}")
+        starts, offsets = _blocks(counts)
+        edge = kept[np.repeat(kptr[last], counts) + offsets]
+        e = dst[edge]
+        if k == 1:
+            suffix = (np.cumsum(live[m - 1]) - 1)[e]
+        else:
+            suffix = prev_starts[np.repeat(sig, counts)] + prev_rank[edge]
+        # a suffix ending in a letter that cannot take m-k steps is not kept
+        # one level down; -1 keeps the lookups of its children in range
+        suffix[~live[m - k][e]] = -1
+        words = np.column_stack((np.repeat(words, counts, axis=0), e))
+        sig, prev_starts = suffix, starts
+        prev_rank = np.cumsum(keep) - keep - kptr[src]  # rank among the source's kept edges
+
+    S = len(words)
+    if m == 1:
+        indptr, indices = np.concatenate(([0], np.cumsum(deg))), dst
+    else:
+        counts = deg[words[:, -1]]
+        _, offsets = _blocks(counts)
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        indices = starts[np.repeat(sig, counts)] + offsets
+    adj = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(S, S))
+    states = list(map(tuple, words.tolist()))
+    index = dict(zip(states, range(S)))
+    psi_vals = np.fromiter(map(psi.value, states), dtype=float, count=S)
     return states, index, psi_vals, adj
 
 
@@ -405,7 +377,13 @@ def _segment_max(values: np.ndarray, indptr: np.ndarray, S: int) -> np.ndarray:
 
 @dataclass
 class PressureEstimate:
-    """Per-level values (1/n) log Lambda_n for n = memory..n_max plus extrapolation."""
+    """Per-level values (1/n) log Lambda_n for n = memory..n_max.
+
+    value is the ratio estimate log Lambda_n - log Lambda_{n-1} at n = n_max
+    (the last level itself when n_max equals the memory); gap is its distance
+    from the ratio estimate one level earlier, with the first level standing in
+    for the ratio at n = memory.
+    """
 
     levels: list[float]
     n_start: int
@@ -422,14 +400,6 @@ class PressureEstimate:
         return self.levels[n - self.n_start]
 
 
-def _aitken(levels: Sequence[float]) -> float:
-    a0, a1, a2 = levels[-3], levels[-2], levels[-1]
-    denom = (a2 - a1) - (a1 - a0)
-    if abs(denom) < 1e-14 * max(1.0, abs(a2)):
-        return a2
-    return a2 - (a2 - a1) ** 2 / denom
-
-
 def pressure(
     psi: Potential,
     A: IncidenceMatrix,
@@ -442,9 +412,10 @@ def pressure(
 
     The sup over a cylinder is exact for locally constant psi: the last m-1
     Birkhoff terms are maximized over admissible extensions by dynamic
-    programming. Per-level values are (1/n) log Lambda_n; the returned value
-    is the last level plus an Aitken delta-squared correction from the final
-    three levels. All accumulation is scaled/log-space.
+    programming. Per-level values are (1/n) log Lambda_n, which converge like
+    C/n; the returned value is the ratio estimate log Lambda_n -
+    log Lambda_{n-1}, which converges geometrically for a mixing graph. All
+    accumulation is scaled/log-space.
     """
     m = psi.memory
     if n_max < m:
@@ -480,7 +451,7 @@ def pressure(
         raise ConvergenceError("every state is a dead end at this truncation")
     tail_w = np.exp(tail - tail_top)
 
-    levels = []
+    log_lams = []
     for n in range(m, n_max + 1):
         if n > m:
             vec = adj_t @ vec
@@ -493,11 +464,12 @@ def pressure(
         lam = float(vec @ tail_w)
         if lam <= 0.0:
             raise ConvergenceError(f"no extendable cylinders at level n={n}")
-        levels.append((shift + tail_top + math.log(lam)) / n)
+        log_lams.append(shift + tail_top + math.log(lam))
 
-    value = _aitken(levels) if len(levels) >= 3 else levels[-1]
-    gap = abs(levels[-1] - levels[-2]) if len(levels) >= 2 else 0.0
-    return PressureEstimate(levels, m, value, N, m, gap)
+    levels = [lg / n for n, lg in zip(range(m, n_max + 1), log_lams)]
+    estimates = [levels[0], *np.diff(log_lams).tolist()]
+    gap = abs(estimates[-1] - estimates[-2]) if len(estimates) >= 2 else 0.0
+    return PressureEstimate(levels, m, estimates[-1], N, m, gap)
 
 
 @dataclass

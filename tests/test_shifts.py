@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from thermoform.errors import ConfigError
+from thermoform import shifts
+from thermoform.errors import BudgetError, ConfigError
 from thermoform.shifts import (
     IncidenceMatrix,
     Potential,
@@ -66,23 +68,6 @@ def test_forbidden_pairs_matrix():
     sub = A.submatrix(3)
     assert sub.shape == (3, 3)
     assert sub[0, 2] == 0 and sub[1, 2] == 1
-
-
-def test_find_witnesses_connects_every_pair():
-    A = IncidenceMatrix.golden_mean()
-    w = A.find_witnesses(2)
-    assert w[(1, 1)] == (0,)
-    for (a, b), gamma in w.items():
-        assert is_admissible((a,) + gamma + (b,), A)
-
-
-def test_find_witnesses_raises_on_dead_letter():
-    from thermoform.errors import NotIrreducibleError
-
-    # letter 1 has no outgoing edges at all
-    A = IncidenceMatrix.from_forbidden_pairs([(1, 0), (1, 1)])
-    with pytest.raises(NotIrreducibleError):
-        A.find_witnesses(2)
 
 
 def test_cylinder_counts_follow_transfer_matrix():
@@ -149,6 +134,78 @@ def test_summability_flags_slow_tails():
     assert rep.last_relative_increment > 1e-3
 
 
+# --- m-word state graph
+
+
+def _loop_state_graph(psi, A, N, state_cap):
+    """Reference builder: one predicate call per candidate transition."""
+    m = psi.memory
+    states = enumerate_cylinders(m, N, A, cap=state_cap)
+    index = {w: i for i, w in enumerate(states)}
+    psi_vals = np.array([psi.value(w) for w in states], dtype=float)
+    rows, cols = [], []
+    for i, u in enumerate(states):
+        suffix = u[1:]
+        last = u[-1]
+        for e in range(N):
+            if A.is_full or A.allows(last, e):
+                j = index.get(suffix + (e,))
+                if j is not None:
+                    rows.append(i)
+                    cols.append(j)
+    S = len(states)
+    adj = sp.csr_matrix(
+        (np.ones(len(rows)), (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
+        shape=(S, S),
+    )
+    return states, index, psi_vals, adj
+
+
+def _incidence(kind, N):
+    if kind == "full":
+        return IncidenceMatrix.full()
+    if kind == "golden":
+        return IncidenceMatrix.golden_mean()
+    if kind == "half":
+        rng = np.random.default_rng(12)
+        return IncidenceMatrix.from_forbidden_pairs(np.argwhere(rng.random((N, N)) < 0.5).tolist())
+    if kind == "dead-end":
+        # letter N-1 has no successor; on top of that, half of the pairs are
+        # forbidden, so words die at several depths before reaching length m
+        rng = np.random.default_rng(29)
+        forbidden = np.argwhere(rng.random((N, N)) < 0.5).tolist()
+        return IncidenceMatrix.from_forbidden_pairs(forbidden + [(N - 1, b) for b in range(N)])
+    return IncidenceMatrix(lambda a, b: False, name="empty")
+
+
+STATE_GRAPH_GRID = [
+    (kind, N, m)
+    for kind, N in [("full", 5), ("golden", 5), ("half", 12), ("dead-end", 5), ("empty", 5)]
+    for m in range(1, 5)
+] + [(kind, 2, 10) for kind in ["full", "golden", "dead-end", "empty"]]
+
+
+@pytest.mark.parametrize("kind,N,m", STATE_GRAPH_GRID)
+def test_state_graph_matches_loop_builder(kind, N, m):
+    A = _incidence(kind, N)
+    psi = Potential(lambda w: sum(0.1 * (k + 1) * e - 0.05 * e * e for k, e in enumerate(w)),
+                    memory=m)
+    ref = _loop_state_graph(psi, A, N, 10**6)
+    got = shifts._state_graph(psi, A, N, 10**6)
+    assert got[0] == ref[0]
+    assert got[1] == ref[1]
+    assert got[2].dtype == ref[2].dtype and np.array_equal(got[2], ref[2])
+    assert got[3].shape == ref[3].shape
+    for part in ("indptr", "indices", "data"):
+        a, b = getattr(got[3], part), getattr(ref[3], part)
+        assert a.dtype == b.dtype and np.array_equal(a, b), part
+    S = len(ref[0])
+    if S:
+        for build in (_loop_state_graph, shifts._state_graph):
+            with pytest.raises(BudgetError):
+                build(psi, A, N, S - 1)
+
+
 # --- pressure
 
 
@@ -169,7 +226,7 @@ def test_pressure_full_shift_memory1_table():
 def test_pressure_golden_mean_approaches_log_phi():
     est = pressure(Potential.constant(0.0), IncidenceMatrix.golden_mean(), 2,
                    n_max=14)
-    assert est.value == pytest.approx(math.log(PHI), abs=2e-2)
+    assert est.value == pytest.approx(math.log(PHI), abs=1e-5)
     # tail-sup levels decrease toward the limit from above
     diffs = np.diff(est.levels)
     assert (diffs <= 1e-12).all()
@@ -177,12 +234,27 @@ def test_pressure_golden_mean_approaches_log_phi():
 
 
 def test_pressure_state_cap_guard():
-    from thermoform.errors import BudgetError
-
     # the full-shift memory-1 fast path never builds states, so block one pair
-    A = IncidenceMatrix.from_forbidden_pairs([(0, 0)])
+    calls = []
+
+    def pred(a, b):
+        calls.append((a, b))
+        return (a, b) != (0, 0)
+
     with pytest.raises(BudgetError):
-        pressure(Potential.constant(0.0), A, 500, n_max=2, state_cap=100)
+        pressure(Potential.constant(0.0), IncidenceMatrix(pred), 500, n_max=2, state_cap=100)
+    # 500 one-letter states exceed the cap before the 500^2 incidence is read
+    assert calls == []
+
+
+def test_pressure_near_decoupled_memory2_matches_dense():
+    # levels (1/n) log Lambda_n sit near log(2)/n here; the ratio estimate
+    # must not inherit that C/n error
+    table = np.where(np.eye(2, dtype=bool), 0.0, -15.0)
+    ref = math.log(np.abs(np.linalg.eigvals(np.exp(table))).max())
+    est = pressure(Potential.memory2(table), IncidenceMatrix.full(), 2)
+    assert est.value == pytest.approx(ref, abs=1e-12)
+    assert est.gap < 1e-12
 
 
 # --- transfer eigendata
@@ -206,7 +278,7 @@ def test_eigendata_agrees_with_level_pressure():
     A = IncidenceMatrix.from_forbidden_pairs([(2, 2)])
     eig = rpf_eigendata(psi, A, 3)
     est = pressure(psi, A, 3, n_max=12)
-    assert est.value == pytest.approx(eig.log_rho, abs=2e-2)
+    assert est.value == pytest.approx(eig.log_rho, abs=1e-6)
     assert est.levels[-1] >= eig.log_rho - 1e-12
 
 
