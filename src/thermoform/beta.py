@@ -426,16 +426,12 @@ def gls_natural_extension(partition, x: float, y: float) -> tuple[float, float]:
     return min(max(x_new, 0.0), math.nextafter(1.0, 0.0)), y_new
 
 
-def identity_check(beta, sample_size: int = 10_000, seed: int = 0) -> float:
-    """Max gap between the partition skew product and the step-iterated tower
-    return map over seeded samples of the ground floor.
+def _max_gap(gap, sample_size: int, seed: int) -> float:
+    """Largest gap(x, y) over sample_size seeded uniform points of the square.
 
-    Points whose digit runs pass within 1e-9 of a carry are redrawn; they sit
-    on cell boundaries where neither route is defined. Accepts a prebuilt
-    BetaSystem to run under a caller-imposed digit budget.
+    A point where gap raises BoundaryPointError is redrawn; past
+    50 * sample_size + 1000 redraws the run fails.
     """
-    bs = beta if isinstance(beta, BetaSystem) else BetaSystem(beta)
-    part = GlsPartition(bs)
     rng = task_rng(seed)
     worst = 0.0
     accepted = 0
@@ -446,18 +442,34 @@ def identity_check(beta, sample_size: int = 10_000, seed: int = 0) -> float:
         x = float(rng.random())
         y = float(rng.random())
         try:
-            xa, ya = gls_natural_extension(part, x, y)
-            steps = first_return_time(bs, x, y)
-            p = ExtensionPoint(x, y, 0)
-            for _ in range(steps):
-                p = natural_extension_step(bs, p)
+            dev = gap(x, y)
         except BoundaryPointError:
             rejected += 1
             continue
-        dev = max(abs(xa - p.x), abs(ya - p.y))
         worst = max(worst, dev)
         accepted += 1
     return worst
+
+
+def identity_check(beta, sample_size: int = 10_000, seed: int = 0) -> float:
+    """Max gap between the partition skew product and the step-iterated tower
+    return map over seeded samples of the ground floor.
+
+    Points whose digit runs pass within 1e-9 of a carry are redrawn; they sit
+    on cell boundaries where neither route is defined. Accepts a prebuilt
+    BetaSystem to run under a caller-imposed digit budget.
+    """
+    bs = beta if isinstance(beta, BetaSystem) else BetaSystem(beta)
+    part = GlsPartition(bs)
+
+    def gap(x: float, y: float) -> float:
+        xa, ya = gls_natural_extension(part, x, y)
+        p = ExtensionPoint(x, y, 0)
+        for _ in range(first_return_time(bs, x, y)):
+            p = natural_extension_step(bs, p)
+        return max(abs(xa - p.x), abs(ya - p.y))
+
+    return _max_gap(gap, sample_size, seed)
 
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -481,25 +493,13 @@ def golden_conjugacy_deviation(sample_size: int = 4096, seed: int = 0) -> float:
     """Max gap of Psi(S(x,y)) vs T_W(Psi(x,y)) with Psi(x,y) = (x, y/beta)."""
     bs = BetaSystem(GOLDEN)
     part = GlsPartition(bs)
-    rng = task_rng(seed)
-    worst = 0.0
-    accepted = 0
-    rejected = 0
-    while accepted < sample_size:
-        if rejected > 50 * sample_size + 1000:
-            raise ConvergenceError("too many boundary-adjacent samples rejected")
-        x = float(rng.random())
-        y = float(rng.random())
-        try:
-            sx, sy = gls_natural_extension(part, x, y)
-        except BoundaryPointError:
-            rejected += 1
-            continue
+
+    def gap(x: float, y: float) -> float:
+        sx, sy = gls_natural_extension(part, x, y)
         wx, wy = golden_w_map(x, y / bs.beta)
-        dev = max(abs(sx - wx), abs(sy / bs.beta - wy))
-        worst = max(worst, dev)
-        accepted += 1
-    return worst
+        return max(abs(sx - wx), abs(sy / bs.beta - wy))
+
+    return _max_gap(gap, sample_size, seed)
 
 
 def analyze(beta: float, depth: int = 64, *, identity_samples: int = 2000,

@@ -29,6 +29,7 @@ from .errors import ConfigError, ConvergenceError
 from .gdms import Gdms, geometric_potential
 from .rng import task_rng
 from .shifts import (
+    ChainSampler,
     GibbsMarkovMeasure,
     IncidenceMatrix,
     Potential,
@@ -94,37 +95,22 @@ def beta_orbit(beta: float) -> MapOrbit:
     return MapOrbit(lambda x: (b * x) % 1.0, lambda x: np.full(x.shape, math.log(b)))
 
 
-def _flat_cum(kernel) -> tuple[np.ndarray, int]:
-    # Rows of the cumulative kernel shifted by their row index: a single
-    # searchsorted then serves every walker regardless of its current state.
-    P = np.asarray(kernel.toarray(), dtype=float)
-    S = P.shape[0]
-    cum = np.cumsum(P, axis=1)
-    cum[:, -1] = 1.0
-    return (np.arange(S)[:, None] + cum).ravel(), S
-
-
 class ChainOrbit:
     """Stationary Markov chain walker reading a per-state observable."""
 
     def __init__(self, mu: GibbsMarkovMeasure, observable):
-        self.flat, self.S = _flat_cum(mu.kernel)
         self.obs = np.asarray(observable, dtype=float)
-        if self.obs.shape != (self.S,):
+        if self.obs.shape != (mu.n_states,):
             raise ConfigError(
-                f"observable has shape {self.obs.shape}, chain has {self.S} states"
+                f"observable has shape {self.obs.shape}, chain has {mu.n_states} states"
             )
-        pic = np.cumsum(mu.pi)
-        pic[-1] = 1.0
-        self._pic = pic
+        self.chain = mu.forward
 
     def start(self, rng, n: int) -> np.ndarray:
-        return np.searchsorted(self._pic, rng.random(n))
+        return self.chain.start(rng, n)
 
     def step(self, s, rng):
-        vals = self.obs[s]
-        idx = np.searchsorted(self.flat, s + rng.random(s.size))
-        return idx - s * self.S, vals
+        return self.chain.step(s, rng.random(s.size)), self.obs[s]
 
 
 def gls_return_observable(mu: GibbsMarkovMeasure, partition: GlsPartition) -> np.ndarray:
@@ -375,12 +361,11 @@ def gauss_acim_cloud(n: int, seed: int = 0) -> np.ndarray:
     return np.exp2(u) - 1.0
 
 
-def _walk(flat: np.ndarray, S: int, s0: np.ndarray, depth: int, rng) -> np.ndarray:
+def _walk(chain: ChainSampler, s0: np.ndarray, depth: int, rng) -> np.ndarray:
     out = np.empty((s0.size, depth), dtype=np.int64)
     s = s0
     for j in range(depth):
-        idx = np.searchsorted(flat, s + rng.random(s.size))
-        s = idx - s * S
+        s = chain.step(s, rng.random(s.size))
         out[:, j] = s
     return out
 
@@ -427,9 +412,8 @@ def fiber_cloud(
     if depth is None:
         depth = _fold_depth(part.beta)
     rng = task_rng(seed)
-    flat_rev, S = _flat_cum(mu.reversed_kernel())
     s0 = np.full(n, int(np.argmax(mu.pi)), dtype=np.int64)
-    past = _walk(flat_rev, S, s0, depth, rng)
+    past = _walk(mu.backward, s0, depth, rng)
     return _affine_fold(letter_of[past], lefts, lengths)
 
 
@@ -451,13 +435,9 @@ def joint_cloud(
     if depth is None:
         depth = _fold_depth(part.beta)
     rng = task_rng(seed)
-    flat_fwd, S = _flat_cum(mu.kernel)
-    flat_rev, _ = _flat_cum(mu.reversed_kernel())
-    pic = np.cumsum(mu.pi)
-    pic[-1] = 1.0
-    s0 = np.searchsorted(pic, rng.random(n))
-    fwd = _walk(flat_fwd, S, s0, depth, rng)
-    bwd = _walk(flat_rev, S, s0, depth, rng)
+    s0 = mu.forward.start(rng, n)
+    fwd = _walk(mu.forward, s0, depth, rng)
+    bwd = _walk(mu.backward, s0, depth, rng)
     x_letters = np.column_stack([s0, fwd])  # present outermost
     xs = _affine_fold(letter_of[x_letters], lefts, lengths)
     ys = _affine_fold(letter_of[bwd], lefts, lengths)

@@ -50,12 +50,6 @@ class Branch:
         xs = np.linspace(iv[0], iv[1], grid)
         return float(max(abs(self.deriv(float(x))) for x in xs))
 
-    def check_monotone(self, iv: Interval, grid: int = 129) -> bool:
-        xs = np.linspace(iv[0], iv[1], grid)
-        ys = [self.fn(float(x)) for x in xs]
-        d = np.diff(ys)
-        return bool(np.all(d > 0) or np.all(d < 0))
-
 
 class Gdms:
     """Edges indexed 0,1,2,...; labels are user-facing names (ints or tuples).
@@ -454,34 +448,38 @@ def backward_cf() -> ParabolicSystem:
     return ParabolicSystem(base, {2: (1.0, 1.0)})
 
 
+def _mp_branch(label, alpha: float, offset: float, lo: float, hi: float,
+               dom: int = 0, img: int = 0) -> Branch:
+    """Inverse of x -> x + x^(1+alpha) - offset on [lo, hi], by root finding."""
+    a1 = 1.0 + alpha
+
+    def fn(y: float) -> float:
+        target = min(max(y + offset, lo + lo**a1), hi + hi**a1)
+        if target <= lo + lo**a1:
+            return lo
+        if target >= hi + hi**a1:
+            return hi
+        return float(brentq(lambda x: x + x**a1 - target, lo, hi,
+                            xtol=1e-15, rtol=4 * np.finfo(float).eps))
+
+    def deriv(y: float) -> float:
+        x = fn(y)
+        return 1.0 / (1.0 + a1 * x**alpha)
+
+    def inv(x: float) -> float:
+        return x + x**a1 - offset
+
+    return Branch(label, dom, img, fn, deriv, inv, kind="mp-branch",
+                  params={"alpha": alpha, "offset": offset, "bracket": [lo, hi]})
+
+
 def manneville_pomeau(alpha: float) -> ParabolicSystem:
     """Two inverse branches of x + x^(1+alpha) mod 1; branch 0 is neutral at 0."""
     if alpha <= 0:
         raise ConfigError("alpha must be positive")
     a1 = 1.0 + alpha
     x_star = float(brentq(lambda x: x + x**a1 - 1.0, 0.0, 1.0))
-
-    def make(label: int, offset: float, lo: float, hi: float) -> Branch:
-        def fn(y: float) -> float:
-            target = min(max(y + offset, lo + lo**a1), hi + hi**a1)
-            if target <= lo + lo**a1:
-                return lo
-            if target >= hi + hi**a1:
-                return hi
-            return float(brentq(lambda x: x + x**a1 - target, lo, hi,
-                                xtol=1e-15, rtol=4 * np.finfo(float).eps))
-
-        def deriv(y: float) -> float:
-            x = fn(y)
-            return 1.0 / (1.0 + a1 * x**alpha)
-
-        def inv(x: float) -> float:
-            return x + x**a1 - offset
-
-        return Branch(label, 0, 0, fn, deriv, inv, kind="mp-branch",
-                      params={"alpha": alpha, "offset": offset, "bracket": [lo, hi]})
-
-    branches = [make(0, 0.0, 0.0, x_star), make(1, 1.0, x_star, 1.0)]
+    branches = [_mp_branch(0, alpha, 0.0, 0.0, x_star), _mp_branch(1, alpha, 1.0, x_star, 1.0)]
 
     def locate(x: float):
         if x <= 0.0 or x >= 1.0:
@@ -695,9 +693,6 @@ class JumpSystem(Gdms):
             inv if has_inv else None, kind="jump-run",
             params={"i": i, "j": j, "n": n},
         )
-
-    def word_of(self, label: tuple) -> tuple:
-        return label
 
 
 def jump_transform(P: ParabolicSystem, n_cap: int = 1024, *, check: bool = True) -> JumpSystem:
@@ -935,27 +930,9 @@ def _branch_from_config(e: dict) -> Branch:
         return _moebius_branch(label, float(p["a"]), float(p["b"]),
                                float(p["c"]), float(p["d"]), dom, img)
     if kind == "mp-branch":
-        alpha = float(p["alpha"])
-        offset = float(p.get("offset", 0.0))
         lo, hi = p["bracket"]
-        a1 = 1.0 + alpha
-
-        def fn(y: float, lo=float(lo), hi=float(hi)) -> float:
-            target = min(max(y + offset, lo + lo**a1), hi + hi**a1)
-            if target <= lo + lo**a1:
-                return lo
-            if target >= hi + hi**a1:
-                return hi
-            return float(brentq(lambda x: x + x**a1 - target, lo, hi,
-                                xtol=1e-15, rtol=4 * np.finfo(float).eps))
-
-        def deriv(y: float) -> float:
-            x = fn(y)
-            return 1.0 / (1.0 + a1 * x**alpha)
-
-        return Branch(label, dom, img, fn, deriv,
-                      inv=lambda x: x + x**a1 - offset,
-                      kind="mp-branch", params=dict(p))
+        return _mp_branch(label, float(p["alpha"]), float(p.get("offset", 0.0)),
+                          float(lo), float(hi), dom, img)
     raise ConfigError(f"unknown branch kind {kind!r}")
 
 

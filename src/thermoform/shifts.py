@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -574,10 +575,52 @@ def rpf_eigendata(
     )
 
 
+class ChainSampler:
+    """Draws of a Markov chain from its CSR stochastic kernel.
+
+    Each row's cumulative sums over its positive entries, in column order, are
+    stored in one flat array shifted by 2*row, with the row's last entry
+    pinned to exactly 1.0, so a row sum that rounding left short of 1 cannot
+    send a draw past it. A uniform u in [0, 1) moves state s to the first
+    entry of row s whose cumulative sum reaches u: one searchsorted of 2*s + u
+    over every row at once. Row s owns the band [2s, 2s + 1], which a rounded
+    2s + u never leaves. Start states come from the stationary cdf, pinned the
+    same way.
+    """
+
+    def __init__(self, kernel: sp.csr_matrix, pi: np.ndarray):
+        K = kernel.sorted_indices()  # a copy, columns ascending in each row
+        K.eliminate_zeros()
+        deg = np.diff(K.indptr)
+        if not deg.all():
+            raise ConvergenceError("a state has no transition; chain not irreducible")
+        # per-row cumsums in place, adding terms in the order np.cumsum does
+        cum, first = K.data, K.indptr[:-1]
+        for k in range(1, int(deg.max())):
+            at = first[deg > k] + k
+            cum[at] += cum[at - 1]
+        cum[K.indptr[1:] - 1] = 1.0
+        cum += np.repeat(2 * np.arange(K.shape[0]), deg)
+        self.flat = cum
+        self.indices = K.indices.astype(np.intp)  # intp: walkers index with it every step
+        pic = np.cumsum(pi)
+        pic[-1] = 1.0
+        self._pic = pic
+
+    def start(self, rng, n: int) -> np.ndarray:
+        """n states drawn from the stationary law."""
+        return np.searchsorted(self._pic, rng.random(n))
+
+    def step(self, s, u):
+        """Next states from states s given uniforms u in [0, 1)."""
+        return self.indices[np.searchsorted(self.flat, 2 * s + u)]
+
+
 class GibbsMarkovMeasure:
     """Stationary Markov chain on m-word states realizing the Gibbs state.
 
     kernel p(u -> w) = M[u,w] h(w) / (rho h(u)), stationary pi(u) = nu(u) h(u).
+    forward and backward sample the chain and its time reversal.
     """
 
     def __init__(self, eig: EigenData):
@@ -593,53 +636,26 @@ class GibbsMarkovMeasure:
         data = M.data * eig.h[M.indices] / (eig.rho_scaled * eig.h[rows])
         self.kernel = sp.csr_matrix((data, M.indices.copy(), M.indptr.copy()), shape=(S, S))
         self.pi = eig.nu * eig.h
-        self._row_dicts: list[dict | None] = [None] * S
-        self._cum_rows: list | None = None
-        self._rev: sp.csr_matrix | None = None
-        self._rev_cum: list | None = None
 
     @property
     def n_states(self) -> int:
         return len(self.states)
 
-    def _row(self, i: int) -> dict:
-        d = self._row_dicts[i]
-        if d is None:
-            lo, hi = self.kernel.indptr[i], self.kernel.indptr[i + 1]
-            d = dict(zip(self.kernel.indices[lo:hi].tolist(), self.kernel.data[lo:hi].tolist()))
-            self._row_dicts[i] = d
-        return d
-
-    def _cum(self):
-        if self._cum_rows is None:
-            rows = []
-            for i in range(self.n_states):
-                lo, hi = self.kernel.indptr[i], self.kernel.indptr[i + 1]
-                cols = self.kernel.indices[lo:hi]
-                cum = np.cumsum(self.kernel.data[lo:hi])
-                rows.append((cols, cum))
-            self._cum_rows = rows
-        return self._cum_rows
-
     def reversed_kernel(self) -> sp.csr_matrix:
         """Time reversal: p_rev(w -> u) = pi(u) p(u -> w) / pi(w)."""
-        if self._rev is None:
-            KT = self.kernel.T.tocsr()
-            S = self.n_states
-            rows = np.repeat(np.arange(S), np.diff(KT.indptr))
-            data = KT.data * self.pi[KT.indices] / self.pi[rows]
-            self._rev = sp.csr_matrix((data, KT.indices.copy(), KT.indptr.copy()), shape=(S, S))
-        return self._rev
+        KT = self.kernel.T.tocsr()
+        S = self.n_states
+        rows = np.repeat(np.arange(S), np.diff(KT.indptr))
+        data = KT.data * self.pi[KT.indices] / self.pi[rows]
+        return sp.csr_matrix((data, KT.indices, KT.indptr), shape=(S, S))
 
-    def _rev_cum_rows(self):
-        if self._rev_cum is None:
-            R = self.reversed_kernel()
-            rows = []
-            for i in range(self.n_states):
-                lo, hi = R.indptr[i], R.indptr[i + 1]
-                rows.append((R.indices[lo:hi], np.cumsum(R.data[lo:hi])))
-            self._rev_cum = rows
-        return self._rev_cum
+    @cached_property
+    def forward(self) -> ChainSampler:
+        return ChainSampler(self.kernel, self.pi)
+
+    @cached_property
+    def backward(self) -> ChainSampler:
+        return ChainSampler(self.reversed_kernel(), self.pi)
 
 
 def gibbs_measure(
@@ -680,8 +696,11 @@ def cylinder_log_measure(mu: GibbsMarkovMeasure, word: Sequence[int]) -> float:
     if path is None:
         return -math.inf
     acc = math.log(mu.pi[path[0]]) if mu.pi[path[0]] > 0 else -math.inf
+    K = mu.kernel
     for a, b in zip(path[:-1], path[1:]):
-        p = mu._row(a).get(b, 0.0)
+        lo, hi = K.indptr[a], K.indptr[a + 1]
+        hit = np.flatnonzero(K.indices[lo:hi] == b)
+        p = K.data[lo + hit[0]] if hit.size else 0.0
         if p <= 0.0:
             return -math.inf
         acc += math.log(p)
@@ -699,14 +718,11 @@ def sample_forward(mu: GibbsMarkovMeasure, length: int, seed: int = 0) -> Word:
     if length < m:
         raise WordLengthError(f"forward samples need length >= memory {m}")
     rng = task_rng(seed)
-    cum_pi = np.cumsum(mu.pi)
-    i = int(np.searchsorted(cum_pi, rng.random() * cum_pi[-1]))
+    chain = mu.forward
+    i = chain.start(rng, 1)[0]
     word = list(mu.states[i])
-    rows = mu._cum()
-    while len(word) < length:
-        cols, cum = rows[i]
-        j = int(np.searchsorted(cum, rng.random() * cum[-1]))
-        i = int(cols[j])
+    for u in rng.random(length - m):
+        i = chain.step(i, u)
         word.append(mu.states[i][-1])
     return tuple(word)
 
@@ -722,15 +738,11 @@ def sample_past(
     if start is None:
         raise WordLengthError("future prefix is not admissible at this truncation")
     rng = task_rng(seed)
-    rows = mu._rev_cum_rows()
+    chain = mu.backward
     out: list[int] = []
     i = start
-    for _ in range(length):
-        cols, cum = rows[i]
-        if len(cols) == 0:
-            raise ConvergenceError("state has no predecessors; chain not irreducible")
-        j = int(np.searchsorted(cum, rng.random() * cum[-1]))
-        i = int(cols[j])
+    for u in rng.random(length):
+        i = chain.step(i, u)
         out.append(mu.states[i][0])
     out.reverse()
     return tuple(out)
@@ -738,13 +750,13 @@ def sample_past(
 
 def _greedy_extension(mu: GibbsMarkovMeasure, word: Sequence[int], extra: int) -> Word:
     """Extend by the most probable next letter; deterministic and admissible."""
-    m = mu.memory
-    path = _state_path(mu, word)
-    i = path[-1]
+    K = mu.kernel
+    i = _state_path(mu, word)[-1]
     out = list(word)
     for _ in range(extra):
-        row = mu._row(i)
-        j = max(row, key=lambda c: (row[c], -c))
+        lo, hi = K.indptr[i], K.indptr[i + 1]
+        cols, vals = K.indices[lo:hi], K.data[lo:hi]
+        j = int(cols[vals == vals.max()].min())  # ties go to the smallest state
         out.append(mu.states[j][-1])
         i = j
     return tuple(out)
@@ -865,10 +877,10 @@ def _mu_incidence(mu: GibbsMarkovMeasure) -> IncidenceMatrix:
     """Letter-level incidence induced by the chain's admissible states."""
     m = mu.memory
     if m == 1:
-        pairs = set()
-        for i in range(mu.n_states):
-            for j in mu._row(i):
-                pairs.add((mu.states[i][0], mu.states[j][0]))
+        K = mu.kernel
+        letter = np.array([st[0] for st in mu.states])
+        rows = np.repeat(np.arange(mu.n_states), np.diff(K.indptr))
+        pairs = set(zip(letter[rows].tolist(), letter[K.indices].tolist()))
         return IncidenceMatrix(lambda a, b: (a, b) in pairs, name="from-chain")
     # candidate words only; inadmissible ones are filtered downstream when
     # cylinder_log_measure returns -inf

