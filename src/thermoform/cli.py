@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
 import os
 import sys
@@ -430,6 +431,12 @@ COMMANDS = {
     "beta": cmd_beta,
     "dimension": cmd_dimension,
 }
+HANDLER_MODULE = {
+    "pressure": "shifts",
+    "gibbs": "shifts",
+    "beta": "beta",
+    "dimension": "dimension",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +507,9 @@ def run(args) -> dict:
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"config: {exc.message}") from None
 
+    # the handlers import their module lazily; load it first so wall_time_s
+    # measures the command and not the numpy/scipy import
+    importlib.import_module(f"{__package__}.{HANDLER_MODULE[args.command]}")
     t0 = time.perf_counter()
     results, diagnostics, cloud = COMMANDS[args.command](config, args.seed)
     if args.emit_cloud:

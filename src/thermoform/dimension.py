@@ -29,7 +29,7 @@ from .errors import ConfigError, ConvergenceError
 from .gdms import Gdms, geometric_potential
 from .rng import task_rng
 from .shifts import (
-    ChainSampler,
+    WALK_BLOCK,
     GibbsMarkovMeasure,
     IncidenceMatrix,
     Potential,
@@ -79,10 +79,22 @@ class MapOrbit:
         x = self._start(rng, n) if self._start is not None else rng.random(n)
         return np.clip(x, self.eps, 1.0 - self.eps)
 
-    def step(self, x, rng):
-        vals = self.log_deriv(x)
-        x = self.fn(x)
-        return np.clip(x, self.eps, 1.0 - self.eps), vals
+    def advance(self, x, rng, out) -> np.ndarray:
+        """Iterate len(out) times from x; out[t] gets log|T'| at the t-th point.
+
+        The orbit fills one buffer a row per step, clamped in place (equal to
+        np.clip on finite values, and cheaper on short rows); the
+        log-derivative then runs once over the whole block.
+        """
+        b = out.shape[0]
+        xs = np.empty((b + 1, x.size))
+        xs[0] = x
+        lo, hi = self.eps, 1.0 - self.eps
+        for t in range(b):
+            nxt = xs[t + 1]
+            np.minimum(np.maximum(self.fn(xs[t]), lo, out=nxt), hi, out=nxt)
+        out[...] = self.log_deriv(xs[:b])
+        return xs[b]
 
 
 def gauss_orbit() -> MapOrbit:
@@ -109,8 +121,12 @@ class ChainOrbit:
     def start(self, rng, n: int) -> np.ndarray:
         return self.chain.start(rng, n)
 
-    def step(self, s, rng):
-        return self.chain.step(s, rng.random(s.size)), self.obs[s]
+    def advance(self, s, rng, out) -> np.ndarray:
+        """Walk len(out) steps from s; out[t] gets the observable before step t+1."""
+        path = self.chain.walk(s, rng, out.shape[0])
+        np.take(self.obs, s, out=out[0])
+        np.take(self.obs, path[:-1], out=out[1:])
+        return path[-1]
 
 
 def gls_return_observable(mu: GibbsMarkovMeasure, partition: GlsPartition) -> np.ndarray:
@@ -132,18 +148,26 @@ def lyapunov_birkhoff(
 
     The value is the mean of the per-orbit averages and the standard error is
     taken across orbits, so correlations along a single orbit do not bias the
-    reported uncertainty.
+    reported uncertainty. The driver (MapOrbit or ChainOrbit) advances all
+    orbits a block of steps at a time.
     """
     if n_steps < 1 or n_orbits < 1:
         raise ConfigError("need at least one step and one orbit")
     rng = task_rng(seed)
     state = driver.start(rng, n_orbits)
-    for _ in range(burn_in):
-        state, _ = driver.step(state, rng)
+    block = max(1, WALK_BLOCK // n_orbits)
+    # row 0 carries the running sum and rows 1.. a block of observables; time
+    # runs down each contiguous column, so accumulate adds one step at a time
+    # in order and the sum equals a per-step acc += vals bit for bit
+    buf = np.empty((n_orbits, block + 1)).T
+    for done in range(0, burn_in, block):
+        state = driver.advance(state, rng, buf[1 : 1 + min(block, burn_in - done)])
     acc = np.zeros(n_orbits)
-    for _ in range(n_steps):
-        state, vals = driver.step(state, rng)
-        acc += vals
+    for done in range(0, n_steps, block):
+        rows = buf[: 1 + min(block, n_steps - done)]
+        rows[0] = acc
+        state = driver.advance(state, rng, rows[1:])
+        acc = np.add.accumulate(rows, axis=0, out=rows)[-1].copy()
     per_orbit = acc / n_steps
     value = float(per_orbit.mean())
     stderr = float(per_orbit.std(ddof=1) / math.sqrt(n_orbits)) if n_orbits > 1 else 0.0
@@ -361,15 +385,6 @@ def gauss_acim_cloud(n: int, seed: int = 0) -> np.ndarray:
     return np.exp2(u) - 1.0
 
 
-def _walk(chain: ChainSampler, s0: np.ndarray, depth: int, rng) -> np.ndarray:
-    out = np.empty((s0.size, depth), dtype=np.int64)
-    s = s0
-    for j in range(depth):
-        s = chain.step(s, rng.random(s.size))
-        out[:, j] = s
-    return out
-
-
 def _affine_fold(letters: np.ndarray, lefts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Apply the cells' y-contractions with column 0 outermost."""
     y = np.full(letters.shape[0], 0.5)
@@ -413,8 +428,8 @@ def fiber_cloud(
         depth = _fold_depth(part.beta)
     rng = task_rng(seed)
     s0 = np.full(n, int(np.argmax(mu.pi)), dtype=np.int64)
-    past = _walk(mu.backward, s0, depth, rng)
-    return _affine_fold(letter_of[past], lefts, lengths)
+    past = mu.backward.walk(s0, rng, depth)
+    return _affine_fold(letter_of[past].T, lefts, lengths)
 
 
 def joint_cloud(
@@ -436,11 +451,11 @@ def joint_cloud(
         depth = _fold_depth(part.beta)
     rng = task_rng(seed)
     s0 = mu.forward.start(rng, n)
-    fwd = _walk(mu.forward, s0, depth, rng)
-    bwd = _walk(mu.backward, s0, depth, rng)
-    x_letters = np.column_stack([s0, fwd])  # present outermost
-    xs = _affine_fold(letter_of[x_letters], lefts, lengths)
-    ys = _affine_fold(letter_of[bwd], lefts, lengths)
+    fwd = mu.forward.walk(s0, rng, depth)
+    bwd = mu.backward.walk(s0, rng, depth)
+    x_letters = np.vstack([s0, fwd])  # present outermost
+    xs = _affine_fold(letter_of[x_letters].T, lefts, lengths)
+    ys = _affine_fold(letter_of[bwd].T, lefts, lengths)
     return np.column_stack([xs, ys])
 
 

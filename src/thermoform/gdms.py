@@ -954,7 +954,12 @@ def system_from_config(cfg: dict) -> Gdms:
         name = cfg["builtin"]
         if name not in _BUILTINS:
             raise ConfigError(f"unknown builtin system {name!r}")
-        S = _BUILTINS[name](cfg)
+        try:
+            S = _BUILTINS[name](cfg)
+        except KeyError as missing:
+            raise ConfigError(f"builtin system {name!r} needs {missing}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"builtin system {name!r}: {exc}") from None
         if "jump" in cfg:
             if not isinstance(S, ParabolicSystem):
                 raise ConfigError(f"builtin {name!r} has no parabolic structure to jump")
@@ -962,10 +967,11 @@ def system_from_config(cfg: dict) -> Gdms:
         return S
     try:
         vertices = [tuple(iv) for iv in cfg["vertices"]]
-        edge_cfgs = cfg["edges"]
+        branches = [_branch_from_config(e) for e in cfg["edges"]]
     except KeyError as missing:
         raise ConfigError(f"system config lacks {missing}") from None
-    branches = [_branch_from_config(e) for e in edge_cfgs]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"system config: {exc}") from None
     labels = [br.label for br in branches]
     if len(set(labels)) != len(labels):
         raise ConfigError("duplicate edge labels")

@@ -146,7 +146,10 @@ class Potential:
         key = tuple(word[: self.memory])
         v = self._cache.get(key)
         if v is None:
-            v = float(self._fn(key))
+            try:
+                v = float(self._fn(key))
+            except (KeyError, IndexError):
+                raise ConfigError(f"{self.label} potential has no value for {key}") from None
             self._cache[key] = v
         return v
 
@@ -202,39 +205,69 @@ class Potential:
 
     @staticmethod
     def from_config(cfg: dict) -> "Potential":
-        """Build from the declarative JSON form used by the CLI."""
+        """Build from the declarative JSON form used by the CLI.
+
+        Table values must be numbers with |psi| <= PSI_MAX. A letter or pair
+        that the truncated shift reads but the table lacks raises ConfigError
+        when it is first read, so pairs a forbidden transition never reaches
+        may stay out.
+        """
         try:
             kind = cfg["type"]
         except (KeyError, TypeError):
             raise ConfigError("potential config needs a 'type' field")
-        if kind == "constant":
-            return Potential.constant(float(cfg["value"]))
-        if kind == "memory1-table":
-            if "table" in cfg:
-                return Potential.memory1({int(k): v for k, v in cfg["table"].items()})
-            return Potential.memory1(cfg["values"])
-        if kind == "memory2-table":
-            if "table" in cfg:
-                tbl = {}
-                for key, v in cfg["table"].items():
-                    a, b = key.split(",")
-                    tbl[(int(a), int(b))] = float(v)
-                return Potential.memory2(tbl)
-            return Potential.memory2(cfg["values"])
-        if kind == "geometric":
-            from . import gdms as _gdms
+        try:
+            if kind == "constant":
+                return Potential.constant(float(_psi_table(cfg["value"], 0)))
+            if kind == "memory1-table":
+                if "table" in cfg:
+                    keys = [int(k) for k in cfg["table"]]
+                    vals = _psi_table(list(cfg["table"].values()), 1)
+                    return Potential.memory1(dict(zip(keys, vals.tolist())))
+                return Potential.memory1(_psi_table(cfg["values"], 1).tolist())
+            if kind == "memory2-table":
+                if "table" in cfg:
+                    keys = [tuple(int(c) for c in key.split(",")) for key in cfg["table"]]
+                    if any(len(k) != 2 for k in keys):
+                        raise ConfigError("memory2 table keys must read 'a,b'")
+                    vals = _psi_table(list(cfg["table"].values()), 1)
+                    return Potential.memory2(dict(zip(keys, vals.tolist())))
+                return Potential.memory2(_psi_table(cfg["values"], 2))
+            if kind == "geometric":
+                from . import gdms as _gdms
 
-            system = _gdms.system_from_config(cfg["system"])
-            theta = Potential.from_config(cfg["theta"]) if "theta" in cfg else None
-            return _gdms.geometric_potential(
-                system,
-                t=float(cfg.get("t", 1.0)),
-                q=float(cfg.get("q", 0.0)),
-                theta=theta,
-                p_theta=float(cfg.get("p_theta", 0.0)),
-                memory=int(cfg.get("memory", 1)),
-            )
+                system = _gdms.system_from_config(cfg["system"])
+                theta = Potential.from_config(cfg["theta"]) if "theta" in cfg else None
+                return _gdms.geometric_potential(
+                    system,
+                    t=float(cfg.get("t", 1.0)),
+                    q=float(cfg.get("q", 0.0)),
+                    theta=theta,
+                    p_theta=float(cfg.get("p_theta", 0.0)),
+                    memory=int(cfg.get("memory", 1)),
+                )
+        except KeyError as missing:
+            raise ConfigError(f"{kind} potential config lacks {missing}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{kind} potential config: {exc}") from None
         raise ConfigError(f"unknown potential type {kind!r}")
+
+
+# exp(psi) and exp(-psi) both stay normal floats below this
+PSI_MAX = 700.0
+
+
+def _psi_table(values, ndim: int) -> np.ndarray:
+    """A potential table from a config: ndim axes of numbers within +-PSI_MAX."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError("potential tables must hold numbers") from None
+    if arr.ndim != ndim:
+        raise ConfigError(f"potential table has {arr.ndim} axes, expected {ndim}")
+    if not (np.abs(arr) <= PSI_MAX).all():  # NaN fails this too
+        raise ConfigError(f"potential values must be finite with |psi| <= {PSI_MAX:g}")
+    return arr
 
 
 def birkhoff_sum(psi: Potential, word: Sequence[int], n: int) -> float:
@@ -575,6 +608,19 @@ def rpf_eigendata(
     )
 
 
+# doubles per uniform block drawn by ChainSampler.walk (8 bytes each); time per
+# step was flat from 2**15 to 2**18, and smaller blocks keep less heap resident
+WALK_BLOCK = 2**15
+# Largest states x walkers at which ChainSampler.walk speculates. Speculation
+# multiplies the work per step by the number of states and saves interpreter
+# steps, so it pays only on tiny chains. Measured per step, serial ->
+# speculative (2 vCPUs, numpy 2.4), at states x walkers = 64: 32 walkers on
+# 2 states 4.7 -> 3.3 us, 16 on 4 states 4.5 -> 3.3 us, one walker on 64
+# states 3.7 -> 2.3 us; at 96: 5.2 -> 4.9, 4.7 -> 4.7, 3.8 -> 3.6 us (even);
+# at 128: 5.8 -> 6.4, 3.4 -> 4.2 us (a loss).
+SPECULATE_WIDTH = 64
+
+
 class ChainSampler:
     """Draws of a Markov chain from its CSR stochastic kernel.
 
@@ -584,8 +630,10 @@ class ChainSampler:
     send a draw past it. A uniform u in [0, 1) moves state s to the first
     entry of row s whose cumulative sum reaches u: one searchsorted of 2*s + u
     over every row at once. Row s owns the band [2s, 2s + 1], which a rounded
-    2s + u never leaves. Start states come from the stationary cdf, pinned the
-    same way.
+    2s + u never leaves. Walkers carry 2*s as a float, the exact double that
+    2*s + u adds to, and target2 holds twice each entry's column, so a step is
+    a search and a gather. Start states come from the stationary cdf, pinned
+    the same way.
     """
 
     def __init__(self, kernel: sp.csr_matrix, pi: np.ndarray):
@@ -602,7 +650,7 @@ class ChainSampler:
         cum[K.indptr[1:] - 1] = 1.0
         cum += np.repeat(2 * np.arange(K.shape[0]), deg)
         self.flat = cum
-        self.indices = K.indices.astype(np.intp)  # intp: walkers index with it every step
+        self.target2 = 2.0 * K.indices
         pic = np.cumsum(pi)
         pic[-1] = 1.0
         self._pic = pic
@@ -611,9 +659,59 @@ class ChainSampler:
         """n states drawn from the stationary law."""
         return np.searchsorted(self._pic, rng.random(n))
 
-    def step(self, s, u):
-        """Next states from states s given uniforms u in [0, 1)."""
-        return self.indices[np.searchsorted(self.flat, 2 * s + u)]
+    def _step2(self, y, u):
+        """Doubled next states from doubled states y given uniforms u in [0, 1)."""
+        return self.target2[self.flat.searchsorted(y + u)]
+
+    def walk(self, s, rng, n_steps: int) -> np.ndarray:
+        """States after each of n_steps steps from the W states s, one row per step.
+
+        Uniforms are drawn as rng.random((b, W)) blocks of at most WALK_BLOCK
+        doubles, the same stream as one rng.random(W) per step, and each step
+        is the same search, so the path equals the serial walk bit for bit. On
+        a small chain a block of b steps is cut into C chunks of length L:
+        chunks 0..C-2 first run from every state at once and keep only their
+        ends, which stitch into each chunk's true start; then all C chunks run
+        together from those starts. That costs about 2L + C vectorized steps
+        instead of b. Speculation multiplies the work per step by the number
+        of states, so past SPECULATE_WIDTH states x walkers C stays 1 and the
+        second loop alone is the serial walk.
+        """
+        s = np.asarray(s, dtype=np.intp)
+        W = s.size
+        out = np.empty((n_steps, W), dtype=np.intp)
+        n_states = self._pic.size
+        cols = np.arange(W)
+        rows = max(1, WALK_BLOCK // W)
+        y = 2.0 * s[None]  # one row per chunk: its doubled state
+        for t0 in range(0, n_steps, rows):
+            u = rng.random((min(rows, n_steps - t0), W))
+            b = u.shape[0]
+            C = 1 if n_states * W > SPECULATE_WIDTH else math.isqrt(2 * b)
+            L = -(-b // C)
+            C = -(-b // L)
+            short = b - (C - 1) * L  # length of the last chunk; the others are full
+            if C > 1:
+                ends = np.broadcast_to(2.0 * np.arange(n_states)[:, None], (C - 1, n_states, W))
+                head = u[: (C - 1) * L].reshape(C - 1, L, 1, W)
+                for j in range(L):
+                    ends = self._step2(ends, head[:, j])
+                ends = ends.astype(np.intp) >> 1
+                starts = [s]
+                for c in range(C - 1):
+                    starts.append(ends[c, starts[-1], cols])
+                y = 2.0 * np.stack(starts)
+            block = out[t0 : t0 + b]
+            for j in range(L):
+                if j < short:
+                    y = self._step2(y, u[j::L])
+                    block[j::L] = y
+                else:  # the last chunk is done and y[-1] keeps its end
+                    y[:-1] = self._step2(y[:-1], u[j::L])
+                    block[j::L] = y[:-1]
+            block >>= 1
+            s, y = block[-1], y[-1:]
+        return out
 
 
 class GibbsMarkovMeasure:
@@ -719,12 +817,9 @@ def sample_forward(mu: GibbsMarkovMeasure, length: int, seed: int = 0) -> Word:
         raise WordLengthError(f"forward samples need length >= memory {m}")
     rng = task_rng(seed)
     chain = mu.forward
-    i = chain.start(rng, 1)[0]
-    word = list(mu.states[i])
-    for u in rng.random(length - m):
-        i = chain.step(i, u)
-        word.append(mu.states[i][-1])
-    return tuple(word)
+    i = chain.start(rng, 1)
+    path = chain.walk(i, rng, length - m)[:, 0]
+    return tuple(mu.states[i[0]]) + tuple(mu.states[j][-1] for j in path)
 
 
 def sample_past(
@@ -738,14 +833,8 @@ def sample_past(
     if start is None:
         raise WordLengthError("future prefix is not admissible at this truncation")
     rng = task_rng(seed)
-    chain = mu.backward
-    out: list[int] = []
-    i = start
-    for u in rng.random(length):
-        i = chain.step(i, u)
-        out.append(mu.states[i][0])
-    out.reverse()
-    return tuple(out)
+    path = mu.backward.walk(np.array([start]), rng, length)[::-1, 0]
+    return tuple(mu.states[j][0] for j in path)
 
 
 def _greedy_extension(mu: GibbsMarkovMeasure, word: Sequence[int], extra: int) -> Word:

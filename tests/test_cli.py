@@ -148,6 +148,37 @@ def test_schema_violation_exits_3(tmp_path):
     assert "bogus_knob" in proc.stderr
 
 
+BAD_POTENTIAL_CONFIGS = {
+    "memory1_table_short": {"psi": {"type": "memory1-table", "values": [-1.0, -2.0]},
+                            "n_letters": 4},
+    "memory2_table_missing_pair": {"psi": {"type": "memory2-table",
+                                           "table": {"0,0": -1, "0,1": -1, "1,0": -2}},
+                                   "n_letters": 2},
+    "memory2_values_too_small": {"psi": {"type": "memory2-table",
+                                         "values": [[-1, -1], [-2, -2]]},
+                                 "n_letters": 3},
+    "constant_without_value": {"psi": {"type": "constant"}, "n_letters": 3},
+    "manneville_pomeau_without_alpha": {
+        "psi": {"type": "geometric", "system": {"builtin": "manneville_pomeau"}},
+        "n_letters": 4},
+    "psi_1e308": {"psi": {"type": "constant", "value": 1e308}, "n_letters": 3},
+    "psi_nan": {"psi": {"type": "memory1-table", "values": [-1.0, float("nan")]},
+                "n_letters": 2},
+}
+
+
+@pytest.mark.parametrize("command", ["pressure", "gibbs"])
+@pytest.mark.parametrize("case", sorted(BAD_POTENTIAL_CONFIGS))
+def test_bad_potential_config_exits_3(tmp_path, capsys, case, command):
+    from thermoform import cli
+
+    cfg = write_config(tmp_path, BAD_POTENTIAL_CONFIGS[case])
+    assert cli.main([command, "--config", cfg, "--stable"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err
+
+
 def test_numeric_failure_exits_2(tmp_path):
     cfg = write_config(tmp_path, {
         "temperature": {

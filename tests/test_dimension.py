@@ -34,7 +34,7 @@ from thermoform.dimension import (
 from thermoform.errors import ConfigError, ConvergenceError
 from thermoform.gdms import affine_system, gauss_cf
 from thermoform.rng import task_rng
-from thermoform.shifts import Potential
+from thermoform.shifts import WALK_BLOCK, Potential, sample_forward, sample_past
 
 PHI = (1 + math.sqrt(5)) / 2
 W2 = 1 / (1 + PHI**2)
@@ -239,22 +239,23 @@ class _ConstantRng:
     def __init__(self, u):
         self.u = u
 
-    def random(self, n):
-        return np.full(n, self.u)
+    def random(self, shape):
+        return np.full(shape, self.u)
 
 
 @pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)])
 @pytest.mark.parametrize("chain", ["golden", "memory2"])
 def test_chain_step_lands_on_kernel_nonzero(chain, u):
-    # golden row 1 sums to 1 - 1.7e-15: a draw above that must still go to 0
+    # golden row 1 sums to 1 - 1.7e-15: a draw above that must still go to 0;
+    # 40 steps from every golden state take the speculative chunked walk
     if chain == "golden":
         mu, _ = induced_cell_chain(PHI, incidence="golden")
     else:
         mu, _ = _memory2_chain(4)
     s = np.arange(mu.n_states)
-    nxt, _ = ChainOrbit(mu, np.zeros(mu.n_states)).step(s, _ConstantRng(u))
-    assert ((nxt >= 0) & (nxt < mu.n_states)).all()
-    assert (mu.kernel.toarray()[s, nxt] > 0).all()
+    path = np.vstack([s, mu.forward.walk(s, _ConstantRng(u), 40)])
+    assert ((path >= 0) & (path < mu.n_states)).all()
+    assert (mu.kernel.toarray()[path[:-1], path[1:]] > 0).all()
 
 
 def test_chain_orbit_matches_dense_reference(chain400):
@@ -264,10 +265,7 @@ def test_chain_orbit_matches_dense_reference(chain400):
     orbit = ChainOrbit(mu, np.zeros(mu.n_states))
     rng = task_rng(21)
     s = orbit.start(rng, walkers)
-    got = np.empty((walkers, steps), dtype=np.int64)
-    for t in range(steps):
-        s, _ = orbit.step(s, rng)
-        got[:, t] = s
+    got = orbit.chain.walk(s, rng, steps).T
     ref_rng = task_rng(21)
     ref = _dense_walk(mu.kernel, _dense_start(mu, ref_rng, walkers), steps, ref_rng)
     assert np.array_equal(got, ref)
@@ -313,6 +311,169 @@ def test_chain_orbit_memory_grows_with_transitions():
         tracemalloc.stop()
     assert mu.n_states == 3600
     assert peak < 10 * 2**20
+
+
+# --- block-stepped walks against the per-step loop
+
+
+def _step(sampler, s, u):
+    # the sampler's rule one step at a time: s goes to the first transition of
+    # row s whose cumulative sum reaches u
+    return sampler.target2[np.searchsorted(sampler.flat, 2 * s + u)].astype(np.intp) // 2
+
+
+def _per_step_birkhoff(driver, n_steps, n_orbits, seed, burn_in=0):
+    # the per-step Birkhoff loop that block stepping replaced, kept as the
+    # reference: one rng.random(W) per chain step, np.clip per map step
+    rng = task_rng(seed)
+    state = driver.start(rng, n_orbits)
+
+    def step(x):
+        if isinstance(driver, ChainOrbit):
+            return _step(driver.chain, x, rng.random(x.size)), driver.obs[x]
+        vals = driver.log_deriv(x)
+        return np.clip(driver.fn(x), driver.eps, 1.0 - driver.eps), vals
+
+    for _ in range(burn_in):
+        state, _ = step(state)
+    acc = np.zeros(n_orbits)
+    for _ in range(n_steps):
+        state, vals = step(state)
+        acc += vals
+    per_orbit = acc / n_steps
+    stderr = float(per_orbit.std(ddof=1) / math.sqrt(n_orbits)) if n_orbits > 1 else 0.0
+    return float(per_orbit.mean()), stderr
+
+
+def _driver(name, chain400):
+    if name == "gauss":
+        return gauss_orbit()
+    if name == "beta":
+        return beta_orbit(1.8)
+    if name == "golden":
+        mu, part = induced_cell_chain(PHI, incidence="golden")
+    else:
+        mu, part = chain400
+    return ChainOrbit(mu, gls_return_observable(mu, part))
+
+
+BLOCK = WALK_BLOCK // 32  # Birkhoff block length at 32 walkers
+
+
+@pytest.mark.parametrize("n_steps", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 77])
+@pytest.mark.parametrize("driver", ["golden", "chain400", "gauss", "beta"])
+def test_birkhoff_blocks_match_per_step_loop(driver, n_steps, chain400):
+    est = lyapunov_birkhoff(_driver(driver, chain400), n_steps, 32, seed=11)
+    ref = _per_step_birkhoff(_driver(driver, chain400), n_steps, 32, 11)
+    assert (est.value, est.stderr) == ref
+
+
+@pytest.mark.parametrize("n_orbits,burn_in", [(32, 5), (32, BLOCK + 3), (1, 0), (1, 7), (3, 2)])
+@pytest.mark.parametrize("driver", ["golden", "chain400", "gauss", "beta"])
+def test_birkhoff_burn_in_and_one_orbit_match_per_step_loop(driver, n_orbits, burn_in,
+                                                            chain400):
+    # one orbit makes each Birkhoff column a contiguous 1-D sum, which a
+    # pairwise reduction would round differently; accumulate must not
+    n_steps = 3000
+    est = lyapunov_birkhoff(_driver(driver, chain400), n_steps, n_orbits, seed=5,
+                            burn_in=burn_in)
+    ref = _per_step_birkhoff(_driver(driver, chain400), n_steps, n_orbits, 5, burn_in)
+    assert (est.value, est.stderr) == ref
+
+
+@pytest.mark.parametrize("walkers", [1, 3, 32, 100])
+@pytest.mark.parametrize("chain", ["golden", "memory2"])
+def test_walk_matches_step_loop(chain, walkers):
+    # speculation runs up to SPECULATE_WIDTH states x walkers: golden up to
+    # 32 walkers, the 16-state chain up to 4; wider walks are serial. Two
+    # full blocks (ending in a short chunk at 3 and 32 walkers) are followed
+    # by a one-step block, which walks serially from the carried state.
+    if chain == "golden":
+        mu, _ = induced_cell_chain(PHI, incidence="golden")
+    else:
+        mu, _ = _memory2_chain(4)
+    sampler = mu.forward
+    steps = 2 * (WALK_BLOCK // walkers) + 1
+    rng = task_rng(8)
+    got = sampler.walk(sampler.start(rng, walkers), rng, steps)
+    rng = task_rng(8)
+    s = sampler.start(rng, walkers)
+    ref = np.empty((steps, walkers), dtype=np.intp)
+    for t in range(steps):
+        s = ref[t] = _step(sampler, s, rng.random(walkers))
+    assert np.array_equal(got, ref)
+
+
+def _per_step_forward(mu, length, seed):
+    rng = task_rng(seed)
+    i = mu.forward.start(rng, 1)[0]
+    word = list(mu.states[i])
+    for u in rng.random(length - mu.memory):
+        i = _step(mu.forward, i, u)
+        word.append(mu.states[i][-1])
+    return tuple(word)
+
+
+def _per_step_past(mu, future, length, seed):
+    rng = task_rng(seed)
+    out, i = [], mu.index[tuple(future[: mu.memory])]
+    for u in rng.random(length):
+        i = _step(mu.backward, i, u)
+        out.append(mu.states[i][0])
+    return tuple(reversed(out))
+
+
+def _per_step_walk(sampler, s0, depth, rng):
+    out = np.empty((s0.size, depth), dtype=np.int64)
+    s = s0
+    for j in range(depth):
+        s = out[:, j] = _step(sampler, s, rng.random(s.size))
+    return out
+
+
+@pytest.mark.parametrize("chain", ["golden", "memory2", "full60"])
+def test_words_and_clouds_match_per_step_loops(chain, chain400):
+    if chain == "golden":
+        mu, part = induced_cell_chain(PHI, incidence="golden")
+    elif chain == "memory2":
+        mu, part = chain400
+    else:  # 60 states, speculated on for the single walker of a word
+        mu, part = induced_cell_chain(1.8, Potential.memory1(np.linspace(-1, 0, 60)), 60)
+    for length in (mu.memory, mu.memory + 1, 5000):
+        assert sample_forward(mu, length, seed=3) == _per_step_forward(mu, length, 3)
+    future = mu.states[-1]
+    for length in (0, 1, 5000):
+        assert sample_past(mu, future, length, seed=4) == _per_step_past(mu, future, length, 4)
+    n, seed = 3000, 6
+    letter_of = np.array([st[0] for st in mu.states])
+    lefts, lengths = _cell_tables(part, int(letter_of.max()) + 1)
+    depth = _fold_depth(part.beta)
+    rng = task_rng(seed)
+    s0 = np.full(n, int(np.argmax(mu.pi)), dtype=np.int64)
+    ref = _affine_fold(letter_of[_per_step_walk(mu.backward, s0, depth, rng)], lefts, lengths)
+    assert np.array_equal(fiber_cloud(mu, part, n, None, seed), ref)
+    rng = task_rng(seed)
+    s0 = mu.forward.start(rng, n)
+    fwd = _per_step_walk(mu.forward, s0, depth, rng)
+    bwd = _per_step_walk(mu.backward, s0, depth, rng)
+    ref = np.column_stack([
+        _affine_fold(letter_of[np.column_stack([s0, fwd])], lefts, lengths),
+        _affine_fold(letter_of[bwd], lefts, lengths),
+    ])
+    assert np.array_equal(joint_cloud(mu, part, n, None, seed), ref)
+
+
+def test_birkhoff_block_buffers_stay_small():
+    mu, part = induced_cell_chain(PHI, incidence="golden")
+    orbit = ChainOrbit(mu, gls_return_observable(mu, part))
+    tracemalloc.start()
+    try:
+        lyapunov_birkhoff(orbit, n_steps=100_000, n_orbits=32, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a few (WALK_BLOCK / 32, 32) blocks at a time, ~1.1 MB; the steps never add up
+    assert peak < 2 * 2**20
 
 
 def test_conditional_check_golden():
