@@ -19,13 +19,23 @@ import time
 from . import __version__
 from .errors import ConfigError, ThermoformError
 
+# "full", "golden", or {"forbidden_pairs": [[a, b], ...]}: IncidenceMatrix.from_config
+INCIDENCE_SCHEMA = {"oneOf": [
+    {"enum": ["full", "golden"]},
+    {"type": "object",
+     "properties": {"forbidden_pairs": {"type": "array", "items": {
+         "type": "array", "items": {"type": "integer", "minimum": 0},
+         "minItems": 2, "maxItems": 2}}},
+     "required": ["forbidden_pairs"], "additionalProperties": False},
+]}
+
 SCHEMAS = {
     "pressure": {
         "type": "object",
         "properties": {
             "psi": {"type": "object"},
             "n_letters": {"type": "integer", "minimum": 1},
-            "incidence": {},
+            "incidence": INCIDENCE_SCHEMA,
             "n_max": {"type": "integer", "minimum": 1},
             "state_cap": {"type": "integer", "minimum": 1},
             "truncation_sweep": {
@@ -43,7 +53,7 @@ SCHEMAS = {
         "properties": {
             "psi": {"type": "object"},
             "n_letters": {"type": "integer", "minimum": 1},
-            "incidence": {},
+            "incidence": INCIDENCE_SCHEMA,
             "max_states": {"type": "integer", "minimum": 1},
             "cylinders": {
                 "type": "array",
@@ -78,7 +88,7 @@ SCHEMAS = {
         "properties": {
             "beta": {"type": "number", "exclusiveMinimum": 1.0},
             "psi": {"type": "object"},
-            "incidence": {},
+            "incidence": INCIDENCE_SCHEMA,
             "n_cells": {"type": "integer", "minimum": 1},
             "lyapunov": {
                 "type": "object",
@@ -172,20 +182,6 @@ def _to_jsonable(obj):
     return obj
 
 
-def _incidence_from(cfg):
-    from .shifts import IncidenceMatrix
-
-    if cfg is None or cfg == "full":
-        return IncidenceMatrix.full()
-    if cfg == "golden":
-        return IncidenceMatrix.golden_mean()
-    if isinstance(cfg, dict) and "forbidden_pairs" in cfg:
-        return IncidenceMatrix.from_forbidden_pairs(
-            [tuple(p) for p in cfg["forbidden_pairs"]]
-        )
-    raise ConfigError(f"unrecognized incidence spec {cfg!r}")
-
-
 # ---------------------------------------------------------------------------
 # command handlers: each returns (results, diagnostics, cloud-or-None)
 
@@ -194,7 +190,7 @@ def cmd_pressure(config: dict, seed: int):
     from . import shifts
 
     psi = shifts.Potential.from_config(config["psi"])
-    A = _incidence_from(config.get("incidence"))
+    A = shifts.IncidenceMatrix.from_config(config.get("incidence"))
     N = int(config["n_letters"])
     n_max = int(config.setdefault("n_max", 12))
     state_cap = int(config.setdefault("state_cap", 200_000))
@@ -217,7 +213,7 @@ def cmd_pressure(config: dict, seed: int):
             "verdict": rep.verdict,
         }
     if config.setdefault("eigendata", True):
-        eig = shifts.rpf_eigendata(psi, A, N)
+        eig = shifts.rpf_eigendata(psi, A, N, state_cap=state_cap)
         results["eigen"] = {
             "log_rho": eig.log_rho,
             "residual": eig.residual,
@@ -240,7 +236,7 @@ def cmd_gibbs(config: dict, seed: int):
     from . import shifts
 
     psi = shifts.Potential.from_config(config["psi"])
-    A = _incidence_from(config.get("incidence"))
+    A = shifts.IncidenceMatrix.from_config(config.get("incidence"))
     N = int(config["n_letters"])
     mu = shifts.gibbs_measure(psi, A, N)
     results = {
@@ -458,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--depth", type=int, default=64)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--stable", action="store_true",
                        help="omit wall time for byte-identical reports")
         p.add_argument("--emit-cloud", dest="emit_cloud", metavar="PATH.CSV")
@@ -466,11 +461,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cap_threads(n: int):
-    # Set before numpy loads; the handlers import it lazily for this reason.
+def _cap_threads():
+    # One thread unless set; before numpy loads, so the handlers import it lazily.
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, str(max(1, n)))
+        os.environ.setdefault(var, "1")
 
 
 def _load_config(args) -> dict:
@@ -521,7 +516,6 @@ def run(args) -> dict:
         "command": args.command,
         "version": __version__,
         "seed": args.seed,
-        "threads": args.threads,
         "config": config,
         "results": results,
         "diagnostics": diagnostics,
@@ -533,7 +527,7 @@ def run(args) -> dict:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _cap_threads(args.threads)
+    _cap_threads()
     try:
         if args.command == "beta" and args.mode == "analyze" and args.config is None:
             # inline form prints the bare analysis, no report envelope

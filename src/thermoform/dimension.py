@@ -35,6 +35,7 @@ from .shifts import (
     Potential,
     entropy_from_pressure,
     gibbs_measure,
+    pressure,
     rpf_eigendata,
 )
 
@@ -467,13 +468,14 @@ def induced_cell_chain(
     beta: float,
     psi: Potential | None = None,
     n_cells: int | None = None,
-    incidence: IncidenceMatrix | str | None = None,
+    incidence: IncidenceMatrix | str | dict | None = None,
 ) -> tuple[GibbsMarkovMeasure, GlsPartition]:
     """Gibbs chain over the cell alphabet of the induced map.
 
-    psi defaults to the zero potential; incidence defaults to the full shift
-    (the cells genuinely form one), with "golden" selecting the two-letter
-    no-11 rule used throughout the worked examples.
+    psi defaults to the zero potential. incidence is anything
+    IncidenceMatrix.from_config reads; it defaults to the full shift (the
+    cells genuinely form one), with "golden" selecting the two-letter no-11
+    rule used throughout the worked examples.
     """
     part = GlsPartition(BetaSystem(beta))
     total = part.total_cells
@@ -483,15 +485,7 @@ def induced_cell_chain(
         raise ConfigError(f"n_cells={n_cells} but the partition has {total} cells")
     if psi is None:
         psi = Potential.constant(0.0)
-    if incidence is None or incidence == "full":
-        A = IncidenceMatrix.full()
-    elif incidence == "golden":
-        A = IncidenceMatrix.golden_mean()
-    elif isinstance(incidence, IncidenceMatrix):
-        A = incidence
-    else:
-        raise ConfigError(f"unknown incidence {incidence!r}")
-    mu = gibbs_measure(psi, A, n_cells)
+    mu = gibbs_measure(psi, IncidenceMatrix.from_config(incidence), n_cells)
     return mu, part
 
 
@@ -502,7 +496,7 @@ def conditional_dimension_check(
     seed: int = 0,
     *,
     n_cells: int | None = None,
-    incidence: IncidenceMatrix | str | None = None,
+    incidence: IncidenceMatrix | str | dict | None = None,
     depth: int | None = None,
     j_range: tuple[int, int] | None = None,
     n_centers: int = 64,
@@ -538,7 +532,7 @@ def global_dimension_check(
     seed: int = 0,
     *,
     n_cells: int | None = None,
-    incidence: IncidenceMatrix | str | None = None,
+    incidence: IncidenceMatrix | str | dict | None = None,
     depth: int | None = None,
     j_range_2d: tuple[int, int] | None = None,
     j_range_1d: tuple[int, int] | None = None,
@@ -609,8 +603,7 @@ def _pressure_value(
     psi = geometric_potential(system, t=t, q=q, theta=theta, p_theta=p_theta, memory=memory)
     A = system.shift_view(N)
     if A.is_full and memory == 1:
-        vals = np.array([psi.value((e,)) for e in range(N)])
-        return float(logsumexp(vals))
+        return pressure(psi, A, N, n_max=1).value  # the full-shift closed form
     return rpf_eigendata(psi, A, N).log_rho
 
 

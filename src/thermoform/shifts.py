@@ -66,8 +66,24 @@ class IncidenceMatrix:
 
     @staticmethod
     def from_forbidden_pairs(pairs: Iterable[Sequence[int]], name: str = "forbidden-pairs") -> "IncidenceMatrix":
-        forb = frozenset((int(a), int(b)) for a, b in pairs)
+        try:
+            forb = frozenset((int(a), int(b)) for a, b in pairs)
+        except (TypeError, ValueError):
+            raise ConfigError("forbidden pairs must be letter pairs [a, b]") from None
         return IncidenceMatrix(lambda a, b: (a, b) not in forb, name=name)
+
+    @staticmethod
+    def from_config(spec) -> "IncidenceMatrix":
+        """None or "full", "golden", {"forbidden_pairs": [[a, b], ...]}, or an IncidenceMatrix."""
+        if isinstance(spec, IncidenceMatrix):
+            return spec
+        if spec is None or spec == "full":
+            return IncidenceMatrix.full()
+        if spec == "golden":
+            return IncidenceMatrix.golden_mean()
+        if isinstance(spec, dict) and "forbidden_pairs" in spec:
+            return IncidenceMatrix.from_forbidden_pairs(spec["forbidden_pairs"])
+        raise ConfigError(f"unrecognized incidence spec {spec!r}")
 
     def submatrix(self, N: int) -> np.ndarray:
         out = np.ones((N, N), dtype=bool)
@@ -401,14 +417,6 @@ def _state_graph(psi: Potential, A: IncidenceMatrix, N: int, state_cap: int):
     return states, index, psi_vals, adj
 
 
-def _segment_max(values: np.ndarray, indptr: np.ndarray, S: int) -> np.ndarray:
-    # reduceat corrupts segments that precede empty trailing rows, so use .at
-    out = np.full(S, -np.inf)
-    rows = np.repeat(np.arange(S), np.diff(indptr))
-    np.maximum.at(out, rows, values)
-    return out
-
-
 @dataclass
 class PressureEstimate:
     """Per-level values (1/n) log Lambda_n for n = memory..n_max.
@@ -467,17 +475,21 @@ def pressure(
     S = len(states)
     if S == 0:
         raise ConvergenceError("no admissible states at this truncation")
-    adj_t = adj.T.tocsr()
 
-    # tail(u): max over admissible m-1 step extensions of the trailing Birkhoff terms
+    # tail(u): max over admissible m-1 step extensions of the trailing Birkhoff
+    # terms, one reduceat over the nonempty rows (whose starts strictly
+    # increase, so each segment is exactly one row); dead ends stay -inf
     tail = np.zeros(S)
+    nonempty = np.flatnonzero(np.diff(adj.indptr))
     for _ in range(m - 1):
         contrib = psi_vals[adj.indices] + tail[adj.indices]
-        tail = _segment_max(contrib, adj.indptr, S)
+        tail = np.full(S, -np.inf)
+        tail[nonempty] = np.maximum.reduceat(contrib, adj.indptr[nonempty])
 
     psi_top = psi_vals.max()
     w = np.exp(psi_vals - psi_top)
 
+    adj_t = adj.T  # a CSC view; its matvec adds in the same order as a CSR copy's
     vec = w.copy()
     shift = psi_top
     tail_top = tail.max()
@@ -529,7 +541,7 @@ class EigenData:
     truncation: int
 
 
-def _power_iteration(M: sp.csr_matrix, tol: float, max_iter: int):
+def _power_iteration(M: sp.spmatrix, tol: float, max_iter: int):
     S = M.shape[0]
     x = np.full(S, 1.0 / S)
     shift = 0.5 * float(M.data.max()) if M.nnz else 1.0
@@ -577,14 +589,16 @@ def rpf_eigendata(
         raise NotIrreducibleError(
             f"state graph has {ncomp} strongly connected components at truncation {N}"
         )
+    if adj.nnz == 0:  # one state and no loop: strongly connected, but nilpotent
+        raise NotIrreducibleError(f"state graph has no transitions at truncation {N}")
 
     scale = float(psi_vals.max())
     weights = np.exp(psi_vals - scale)
-    rows = np.repeat(np.arange(S), np.diff(adj.indptr))
-    M = sp.csr_matrix((weights[rows], adj.indices.copy(), adj.indptr.copy()), shape=(S, S))
+    M = sp.csr_matrix((np.repeat(weights, np.diff(adj.indptr)), adj.indices, adj.indptr),
+                      shape=(S, S))
 
     rho_s, h, its_r = _power_iteration(M, tol, max_iter)
-    Mt = M.T.tocsr()
+    Mt = M.T  # a CSC view, as adj.T in pressure
     rho_l, nu, its_l = _power_iteration(Mt, tol, max_iter)
 
     nu = nu / nu.sum()
@@ -729,10 +743,8 @@ class GibbsMarkovMeasure:
         self.truncation = eig.truncation
         self.pressure = eig.log_rho
         M = eig.matrix
-        S = M.shape[0]
-        rows = np.repeat(np.arange(S), np.diff(M.indptr))
-        data = M.data * eig.h[M.indices] / (eig.rho_scaled * eig.h[rows])
-        self.kernel = sp.csr_matrix((data, M.indices.copy(), M.indptr.copy()), shape=(S, S))
+        data = M.data * eig.h[M.indices] / np.repeat(eig.rho_scaled * eig.h, np.diff(M.indptr))
+        self.kernel = sp.csr_matrix((data, M.indices.copy(), M.indptr.copy()), shape=M.shape)
         self.pi = eig.nu * eig.h
 
     @property
@@ -742,10 +754,8 @@ class GibbsMarkovMeasure:
     def reversed_kernel(self) -> sp.csr_matrix:
         """Time reversal: p_rev(w -> u) = pi(u) p(u -> w) / pi(w)."""
         KT = self.kernel.T.tocsr()
-        S = self.n_states
-        rows = np.repeat(np.arange(S), np.diff(KT.indptr))
-        data = KT.data * self.pi[KT.indices] / self.pi[rows]
-        return sp.csr_matrix((data, KT.indices, KT.indptr), shape=(S, S))
+        data = KT.data * self.pi[KT.indices] / np.repeat(self.pi, np.diff(KT.indptr))
+        return sp.csr_matrix((data, KT.indices, KT.indptr), shape=KT.shape)
 
     @cached_property
     def forward(self) -> ChainSampler:
@@ -999,11 +1009,10 @@ def entropy_from_pressure(mu: GibbsMarkovMeasure) -> float:
 def markov_entropy(mu: GibbsMarkovMeasure) -> float:
     """-sum_u pi(u) sum_w p(u->w) log p(u->w), the chain's entropy rate."""
     K = mu.kernel
-    S = mu.n_states
-    rows = np.repeat(np.arange(S), np.diff(K.indptr))
+    pi_rows = np.repeat(mu.pi, np.diff(K.indptr))
     data = K.data
     mask = data > 0
-    return float(-(mu.pi[rows[mask]] * data[mask] * np.log(data[mask])).sum())
+    return float(-(pi_rows[mask] * data[mask] * np.log(data[mask])).sum())
 
 
 def measure_to_json(mu: GibbsMarkovMeasure, max_states: int = 4096) -> dict:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -26,8 +27,7 @@ def write_config(tmp_path, payload, name="cfg.json"):
     return str(path)
 
 
-ENVELOPE_KEYS = {"command", "version", "seed", "threads",
-                 "config", "results", "diagnostics"}
+ENVELOPE_KEYS = {"command", "version", "seed", "config", "results", "diagnostics"}
 
 
 def test_pressure_report_envelope(tmp_path):
@@ -37,8 +37,7 @@ def test_pressure_report_envelope(tmp_path):
         "n_max": 6,
     })
     out = json.loads(run_cli("pressure", "--config", cfg).stdout)
-    assert ENVELOPE_KEYS <= set(out)
-    assert "wall_time_s" in out
+    assert set(out) == ENVELOPE_KEYS | {"wall_time_s"}
     assert out["command"] == "pressure"
     assert out["results"]["pressure"] == pytest.approx(math.log(5), abs=1e-12)
     assert out["results"]["memory"] == 1
@@ -196,3 +195,76 @@ def test_shallow_depth_budget_exits_2():
     proc = run_cli("beta", "analyze", "--beta", str(math.pi),
                    "--depth", "4", check=False)
     assert proc.returncode == 2
+
+
+def test_thread_cap_defaults_to_one(monkeypatch):
+    from thermoform import cli
+
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    cli._cap_threads()
+    assert os.environ["OMP_NUM_THREADS"] == "1"
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["pressure", "--threads", "2"])
+
+
+INCIDENCE_BASE = {
+    "pressure": {"psi": {"type": "constant", "value": 0.0}, "n_letters": 2, "n_max": 6},
+    "gibbs": {"psi": {"type": "constant", "value": 0.0}, "n_letters": 2},
+    "dimension": {"beta": PHI},
+}
+
+
+@pytest.mark.parametrize("command", sorted(INCIDENCE_BASE))
+@pytest.mark.parametrize("spec", [{"forbidden_pairs": [[0]]},
+                                  {"forbidden_pairs": [[0, 1, 2]]}, "bogus"])
+def test_bad_incidence_exits_3(tmp_path, capsys, command, spec):
+    from thermoform import cli
+
+    cfg = write_config(tmp_path, {**INCIDENCE_BASE[command], "incidence": spec})
+    assert cli.main([command, "--config", cfg, "--stable"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", sorted(INCIDENCE_BASE))
+def test_forbidden_pairs_match_golden(tmp_path, capsys, command):
+    from thermoform import cli
+
+    results = []
+    for spec in ("golden", {"forbidden_pairs": [[1, 1]]}):
+        cfg = write_config(tmp_path, {**INCIDENCE_BASE[command], "incidence": spec})
+        assert cli.main([command, "--config", cfg, "--stable"]) == 0
+        results.append(json.loads(capsys.readouterr().out)["results"])
+    assert results[0] == results[1]
+
+
+def test_pressure_passes_state_cap_to_eigendata(tmp_path, capsys, monkeypatch):
+    from thermoform import cli, shifts
+
+    caps = []
+    eigendata = shifts.rpf_eigendata
+
+    def spy(*args, **kwargs):
+        caps.append(kwargs.get("state_cap"))
+        return eigendata(*args, **kwargs)
+
+    monkeypatch.setattr(shifts, "rpf_eigendata", spy)
+    cfg = write_config(tmp_path, {**INCIDENCE_BASE["pressure"], "state_cap": 300_000})
+    assert cli.main(["pressure", "--config", cfg, "--stable"]) == 0
+    assert caps == [300_000]
+
+
+def test_graph_without_transitions_exits_2(tmp_path, capsys):
+    from thermoform import cli
+
+    # one admissible 2-word, 01, and nothing may follow it
+    cfg = write_config(tmp_path, {
+        "psi": {"type": "memory2-table", "values": [[0.0, 0.0], [0.0, 0.0]]},
+        "n_letters": 2,
+        "incidence": {"forbidden_pairs": [[0, 0], [1, 0], [1, 1]]},
+    })
+    assert cli.main(["gibbs", "--config", cfg, "--stable"]) == 2
+    assert capsys.readouterr().err.startswith("numeric failure: ")

@@ -520,6 +520,13 @@ def test_golden_two_branch_dimension_is_one():
     assert hd_limit_set(S) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_full_shift_roots_match_logsumexp_route(moran):
+    # frozen from the scipy logsumexp route the full-shift closed form replaced
+    assert abs(temperature(moran, q=0.0).t - 0.6309297535714574) <= 1e-15
+    S = affine_system([(1 / PHI, 0.0), (1 / PHI**2, 1 / PHI)])
+    assert abs(hd_limit_set(S) - 0.9999999999999999) <= 1e-15
+
+
 def test_temperature_requires_theta_with_q(moran):
     with pytest.raises(ConfigError):
         temperature(moran, q=0.5)

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from thermoform import shifts
-from thermoform.errors import BudgetError, ConfigError
+from thermoform.errors import BudgetError, ConfigError, ThermoformError
 from thermoform.shifts import (
     IncidenceMatrix,
     Potential,
@@ -59,6 +59,20 @@ def test_golden_incidence_forbids_11():
     assert not A.is_full
     assert A.allows(0, 0) and A.allows(0, 1) and A.allows(1, 0)
     assert not A.allows(1, 1)
+
+
+def test_incidence_from_config():
+    assert IncidenceMatrix.from_config(None).is_full
+    assert IncidenceMatrix.from_config("full").is_full
+    golden = IncidenceMatrix.from_config("golden")
+    assert not golden.allows(1, 1) and golden.allows(1, 0)
+    forb = IncidenceMatrix.from_config({"forbidden_pairs": [[0, 2], [2, 2]]})
+    assert np.array_equal(forb.submatrix(3), IncidenceMatrix.from_forbidden_pairs([(0, 2), (2, 2)]).submatrix(3))
+    assert IncidenceMatrix.from_config(golden) is golden
+    for bad in ("bogus", {}, {"forbidden_pairs": [[0]]}, {"forbidden_pairs": [[0, 1, 2]]},
+                {"forbidden_pairs": [["a", 1]]}, {"forbidden_pairs": 5}):
+        with pytest.raises(ConfigError):
+            IncidenceMatrix.from_config(bad)
 
 
 def test_forbidden_pairs_matrix():
@@ -175,6 +189,9 @@ def _incidence(kind, N):
         rng = np.random.default_rng(29)
         forbidden = np.argwhere(rng.random((N, N)) < 0.5).tolist()
         return IncidenceMatrix.from_forbidden_pairs(forbidden + [(N - 1, b) for b in range(N)])
+    if kind == "one-pair":
+        # only 0 -> 1: the 2-words are one dead end, and no 3-word exists
+        return IncidenceMatrix(lambda a, b: (a, b) == (0, 1), name="one-pair")
     return IncidenceMatrix(lambda a, b: False, name="empty")
 
 
@@ -207,6 +224,125 @@ def test_state_graph_matches_loop_builder(kind, N, m):
 
 
 # --- pressure
+
+
+def _segment_max(values, indptr, S):
+    """The scatter tail pass that pressure() used before its reduceat."""
+    out = np.full(S, -np.inf)
+    rows = np.repeat(np.arange(S), np.diff(indptr))
+    np.maximum.at(out, rows, values)
+    return out
+
+
+def _reference_pressure(psi, A, N, n_max, state_cap=200_000):
+    """pressure() with the scatter tail and a CSR copy of the transpose."""
+    m = psi.memory
+    if A.is_full and m == 1:
+        return pressure(psi, A, N, n_max=n_max, state_cap=state_cap)
+    states, _, psi_vals, adj = shifts._state_graph(psi, A, N, state_cap)
+    S = len(states)
+    if S == 0:
+        raise shifts.ConvergenceError("no admissible states at this truncation")
+    adj_t = adj.T.tocsr()
+    tail = np.zeros(S)
+    for _ in range(m - 1):
+        tail = _segment_max(psi_vals[adj.indices] + tail[adj.indices], adj.indptr, S)
+    psi_top = psi_vals.max()
+    w = np.exp(psi_vals - psi_top)
+    vec = w.copy()
+    shift = psi_top
+    tail_top = tail.max()
+    if not np.isfinite(tail_top):
+        raise shifts.ConvergenceError("every state is a dead end at this truncation")
+    tail_w = np.exp(tail - tail_top)
+    log_lams = []
+    for n in range(m, n_max + 1):
+        if n > m:
+            vec = adj_t @ vec
+            vec *= w
+            mx = float(vec.max())
+            if mx <= 0.0 or not np.isfinite(mx):
+                raise shifts.ConvergenceError(f"cylinder weights vanished at level n={n}")
+            vec /= mx
+            shift += math.log(mx) + psi_top
+        lam = float(vec @ tail_w)
+        if lam <= 0.0:
+            raise shifts.ConvergenceError(f"no extendable cylinders at level n={n}")
+        log_lams.append(shift + tail_top + math.log(lam))
+    levels = [lg / n for n, lg in zip(range(m, n_max + 1), log_lams)]
+    estimates = [levels[0], *np.diff(log_lams).tolist()]
+    gap = abs(estimates[-1] - estimates[-2]) if len(estimates) >= 2 else 0.0
+    return shifts.PressureEstimate(levels, m, estimates[-1], N, m, gap)
+
+
+def _reference_eigendata(psi, A, N, tol=1e-13, max_iter=10**6, state_cap=200_000):
+    """rpf_eigendata() with copied index arrays and a CSR copy of the transpose."""
+    states, index, psi_vals, adj = shifts._state_graph(psi, A, N, state_cap)
+    S = len(states)
+    if S == 0:
+        raise shifts.ConvergenceError("no admissible states at this truncation")
+    ncomp, _ = shifts.connected_components(adj, directed=True, connection="strong")
+    if ncomp != 1:
+        raise shifts.NotIrreducibleError(
+            f"state graph has {ncomp} strongly connected components at truncation {N}"
+        )
+    scale = float(psi_vals.max())
+    weights = np.exp(psi_vals - scale)
+    rows = np.repeat(np.arange(S), np.diff(adj.indptr))
+    M = sp.csr_matrix((weights[rows], adj.indices.copy(), adj.indptr.copy()), shape=(S, S))
+    rho_s, h, its_r = shifts._power_iteration(M, tol, max_iter)
+    Mt = M.T.tocsr()
+    rho_l, nu, its_l = shifts._power_iteration(Mt, tol, max_iter)
+    nu = nu / nu.sum()
+    h = h / float(nu @ h)
+    resid_r = float(np.abs(M @ h - rho_s * h).max()) / rho_s
+    resid_l = float(np.abs(Mt @ nu - rho_l * nu).max()) / rho_l
+    return dict(log_rho=scale + math.log(rho_s), rho_scaled=rho_s, scale=scale, h=h, nu=nu,
+                matrix=M, residual=max(resid_r, resid_l), iterations=its_r + its_l)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs), None
+    except ThermoformError as exc:
+        return None, (type(exc), str(exc))
+
+
+# dead-end graphs have empty rows inside and at the end of the CSR
+ROUTE_GRID = STATE_GRAPH_GRID + [("one-pair", 2, m) for m in range(1, 4)]
+
+
+@pytest.mark.parametrize("kind,N,m", ROUTE_GRID)
+def test_pressure_matches_scatter_reference(kind, N, m):
+    A = _incidence(kind, N)
+    psi = Potential(lambda w: sum(0.1 * (k + 1) * e - 0.05 * e * e for k, e in enumerate(w)),
+                    memory=m)
+    n_max = m + 6
+    got, err = _outcome(pressure, psi, A, N, n_max=n_max)
+    ref, ref_err = _outcome(_reference_pressure, psi, A, N, n_max)
+    assert err == ref_err
+    if ref is not None:
+        assert got.levels == ref.levels
+        assert got.value == ref.value
+        assert got.gap == ref.gap
+        assert (got.n_start, got.truncation, got.memory) == (ref.n_start, ref.truncation, ref.memory)
+
+
+@pytest.mark.parametrize("kind,N,m", [c for c in ROUTE_GRID if c != ("one-pair", 2, 2)])
+def test_eigendata_matches_csr_transpose_reference(kind, N, m):
+    A = _incidence(kind, N)
+    psi = Potential(lambda w: sum(0.1 * (k + 1) * e - 0.05 * e * e for k, e in enumerate(w)),
+                    memory=m)
+    got, err = _outcome(rpf_eigendata, psi, A, N)
+    ref, ref_err = _outcome(_reference_eigendata, psi, A, N)
+    assert err == ref_err
+    if ref is not None:
+        for key in ("log_rho", "rho_scaled", "scale", "residual", "iterations"):
+            assert getattr(got, key) == ref[key], key
+        assert np.array_equal(got.h, ref["h"]) and np.array_equal(got.nu, ref["nu"])
+        for part in ("indptr", "indices", "data"):
+            a, b = getattr(got.matrix, part), getattr(ref["matrix"], part)
+            assert a.dtype == b.dtype and np.array_equal(a, b), part
 
 
 def test_pressure_full_shift_constant_zero():
@@ -280,6 +416,16 @@ def test_eigendata_agrees_with_level_pressure():
     est = pressure(psi, A, 3, n_max=12)
     assert est.value == pytest.approx(eig.log_rho, abs=1e-6)
     assert est.levels[-1] >= eig.log_rho - 1e-12
+
+
+def test_eigendata_rejects_graph_without_transitions():
+    # one state and no transition (the reference route divides by zero there)
+    cases = [(_incidence("one-pair", 2), 2, 2),
+             (IncidenceMatrix.from_forbidden_pairs([(0, 0)]), 1, 1)]
+    for A, N, m in cases:
+        psi = Potential(lambda w: 0.0, memory=m)
+        with pytest.raises(shifts.NotIrreducibleError, match="no transitions"):
+            rpf_eigendata(psi, A, N)
 
 
 # --- Gibbs chains
