@@ -588,31 +588,18 @@ class TemperatureResult:
         }
 
 
-def _pressure_value(
-    system: Gdms,
-    t: float,
-    q: float,
-    theta: Potential | None,
-    p_theta: float,
-    memory: int,
-    truncation: int | None,
-) -> float:
-    N = truncation if truncation is not None else system.n_edges
-    if N is None:
-        raise ConfigError("a countable edge set needs an explicit truncation")
-    psi = geometric_potential(system, t=t, q=q, theta=theta, p_theta=p_theta, memory=memory)
-    A = system.shift_view(N)
-    if A.is_full and memory == 1:
+def _pressure_value(psi: Potential, A: IncidenceMatrix, N: int) -> float:
+    if A.is_full and psi.memory == 1:
         return pressure(psi, A, N, n_max=1).value  # the full-shift closed form
     return rpf_eigendata(psi, A, N).log_rho
 
 
-def _tail_ratio(system, t, q, theta, p_theta, N) -> float:
+def _tail_ratio(system, t, q, theta, p_theta, A, N) -> float:
+    """Share of the letter sums carried by the top floor(N/2) letters."""
     psi = geometric_potential(system, t=t, q=q, theta=theta, p_theta=p_theta, memory=1)
-    A = system.shift_view(N)
     sups = np.array([psi.sup_over_letter(e, N, A) for e in range(N)])
     total = logsumexp(sups)
-    tail = logsumexp(sups[N // 2 :])
+    tail = logsumexp(sups[N - N // 2 :])
     return float(math.exp(tail - total))
 
 
@@ -634,6 +621,11 @@ def temperature(
     raises) and at a few interior points (slow decay only warns: the root of
     the truncated pressure is still well defined, the ideal-system reading is
     what becomes shaky).
+
+    Cost: log|branch'| at each state's coding point depends on neither t nor
+    q, so a root computes one coding point per state, once; each solver step
+    then only reweights the states and runs the eigensolve (or, on a full
+    shift at memory 1, the closed form).
     """
     a, b = float(bracket[0]), float(bracket[1])
     if not a < b:
@@ -645,15 +637,16 @@ def temperature(
     N = truncation if truncation is not None else system.n_edges
     if N is None:
         raise ConfigError("a countable edge set needs an explicit truncation")
+    A = system.shift_view(N)
     if countable:
         for end in (a, b):
-            ratio = _tail_ratio(system, end, q, theta, p_theta, N)
+            ratio = _tail_ratio(system, end, q, theta, p_theta, A, N)
             if ratio > 0.5:
                 raise ConvergenceError(
                     f"letter sums diverge at t={end}: tail ratio {ratio:.2f}"
                 )
         for t_probe in np.linspace(a, b, 10)[1:-1]:
-            ratio = _tail_ratio(system, float(t_probe), q, theta, p_theta, N)
+            ratio = _tail_ratio(system, float(t_probe), q, theta, p_theta, A, N)
             if ratio > 1e-6:
                 warnings.warn(
                     f"slow letter-sum decay at t={t_probe:.4g} "
@@ -661,8 +654,10 @@ def temperature(
                     stacklevel=2,
                 )
 
+    base = geometric_potential(system, t=a, q=q, theta=theta, p_theta=p_theta, memory=memory)
+
     def f(t: float) -> float:
-        return _pressure_value(system, t, q, theta, p_theta, memory, truncation)
+        return _pressure_value(base.at(t), A, N)
 
     fa, fb = f(a), f(b)
     if not (fa > 0.0 > fb or fa < 0.0 < fb):

@@ -838,10 +838,14 @@ def parabolic_asymptotics(
 class _GeometricPotential(Potential):
     """t * log|phi'_(first letter)| at the tail coding point, plus optional
     q * (theta - P(theta)). Uses every letter handed to it, not just the
-    declared memory window, so longer words sharpen the tail point."""
+    declared memory window, so longer words sharpen the tail point.
+
+    The log-derivative L(word) depends on neither t nor q: it is computed once
+    per word and shared with every potential at() derives from this one."""
 
     def __init__(self, S: Gdms, t: float, q: float, theta: Potential | None,
-                 p_theta: float, memory: int, tol: float):
+                 p_theta: float, memory: int, tol: float,
+                 log_derivs: dict[tuple, float] | None = None):
         self.system = S
         self.t = float(t)
         self.q = float(q)
@@ -849,35 +853,37 @@ class _GeometricPotential(Potential):
         self.p_theta = float(p_theta)
         self.tol = tol
         mem = memory if theta is None else max(memory, theta.memory)
-        super().__init__(self._eval, memory=mem, label="geometric",
+        super().__init__(self.value, memory=mem, label="geometric",
                          params={"t": t, "q": q, "p_theta": p_theta})
-        self._full_cache: dict[tuple, float] = {}
+        self._log_derivs = {} if log_derivs is None else log_derivs
+
+    def at(self, t: float) -> "_GeometricPotential":
+        """The same potential at another t, sharing the log-derivative memo."""
+        return _GeometricPotential(self.system, t, self.q, self.theta, self.p_theta,
+                                   self.memory, self.tol, self._log_derivs)
 
     def value(self, word: Sequence[int]) -> float:
         if len(word) < self.memory:
             raise WordLengthError(
                 f"word of length {len(word)} shorter than memory {self.memory}"
             )
-        key = tuple(word)
-        v = self._full_cache.get(key)
-        if v is None:
-            v = self._eval(key)
-            self._full_cache[key] = v
-        return v
-
-    def _eval(self, word: tuple) -> float:
-        S = self.system
-        first = S.edge(word[0])
         out = 0.0
         if self.t != 0.0:
-            tail = word[1:] if len(word) > 1 else word
-            labels = [S.edge(k).label for k in tail]
-            x = coding_point(S, tail_extension(S, labels), tol=self.tol)
-            out += self.t * math.log(abs(first.deriv(x)))
+            out += self.t * self._log_deriv(tuple(word))
         if self.q != 0.0:
             th = self.theta.value(word[: self.theta.memory]) if self.theta else 0.0
             out += self.q * (th - self.p_theta)
         return out
+
+    def _log_deriv(self, word: tuple) -> float:
+        L = self._log_derivs.get(word)
+        if L is None:
+            S = self.system
+            tail = word[1:] if len(word) > 1 else word
+            labels = [S.edge(k).label for k in tail]
+            x = coding_point(S, tail_extension(S, labels), tol=self.tol)
+            L = self._log_derivs[word] = math.log(abs(S.edge(word[0]).deriv(x)))
+        return L
 
     def sup_over_letter(self, e: int, N: int, A) -> float:
         br = self.system.edge(e)
@@ -903,12 +909,10 @@ def geometric_potential(
     p_theta: float = 0.0,
     *,
     memory: int = 1,
-    truncation: int | None = None,
     tol: float = 1e-14,
 ) -> Potential:
     if q != 0.0 and theta is None and p_theta == 0.0:
         raise ConfigError("q != 0 needs a theta potential (or an explicit p_theta)")
-    del truncation  # the potential itself is truncation-agnostic
     return _GeometricPotential(S, t, q, theta, p_theta, memory, tol)
 
 

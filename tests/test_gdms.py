@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from thermoform import gdms as gdms_module
 from thermoform.errors import ConfigError
 from thermoform.gdms import (
     affine_system,
@@ -26,6 +27,7 @@ from thermoform.gdms import (
     tail_extension,
     verify_osc,
 )
+from thermoform.shifts import Potential
 
 # classic periodic continued fractions, frozen from the quadratic surds:
 # x = [0; (1)] solves x^2 + x = 1, x = [0; (2)] solves x^2 + 2x = 1,
@@ -277,6 +279,23 @@ def test_geometric_potential_affine_is_constant_per_letter():
     for e in range(2):
         v = psi.value((e,) + (0,) * 10)
         assert v == pytest.approx(math.log(1 / 3), abs=1e-14)
+
+
+def test_geometric_potential_at_shares_log_derivatives(monkeypatch):
+    G = gauss_cf()
+    theta = Potential.memory2([[0.1, -0.2], [0.3, 0.0]])
+    words = [(a, b, c) for a in range(2) for b in range(2) for c in range(2)]
+    ts = (0.0, 0.4, 0.9)
+    expect = [[geometric_potential(G, t=t, q=0.5, theta=theta, p_theta=0.25,
+                                   memory=3).value(w) for w in words] for t in ts]
+    base = geometric_potential(G, t=0.4, q=0.5, theta=theta, p_theta=0.25, memory=3)
+    for w in words:
+        base.value(w)
+    monkeypatch.setattr(gdms_module, "coding_point", None)  # no recomputation
+    for t, row in zip(ts, expect):
+        psi = base.at(t)
+        assert (psi.t, psi.params["t"], psi.memory) == (t, t, 3)
+        assert [psi.value(w) for w in words] == row
 
 
 # --- config plumbing
