@@ -219,6 +219,7 @@ def cmd_pressure(config: dict, seed: int):
             "residual": eig.residual,
             "iterations": eig.iterations,
             "n_states": len(eig.states),
+            "route_gap": abs(est.value - eig.log_rho),
         }
     if "truncation_sweep" in config:
         results["truncation_sweep"] = [

@@ -406,6 +406,22 @@ def _cell_tables(part: GlsPartition, n_letters: int):
     return lefts, lengths
 
 
+def _cloud_tables(mu: GibbsMarkovMeasure, part: GlsPartition):
+    """Each state's first letter, in the smallest unsigned dtype, and the cell tables."""
+    first = np.array([s[0] for s in mu.states])
+    top = int(first.max())
+    return (first.astype(np.min_scalar_type(top)), *_cell_tables(part, top + 1))
+
+
+def _walk_letters(chain, s, rng, letter_of: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill out[t] with the letters of the chain's state after step t+1 from s."""
+    t = 0
+    for block in chain.blocks(s, rng, out.shape[0]):
+        np.take(letter_of, block, out=out[t : t + block.shape[0]])
+        t += block.shape[0]
+    return out
+
+
 def _fold_depth(beta: float) -> int:
     # enough contractions to pin the folded point well below float resolution
     return int(40.0 / math.log(beta)) + 8
@@ -422,15 +438,19 @@ def fiber_cloud(
 
     Runs the reversed chain from the most likely state and folds the past
     letters through the cells' y-contractions, most recent letter outermost.
+    The walk is gathered a block at a time into one (depth, n) letter array
+    of the smallest unsigned dtype that holds every letter (one byte below
+    256 letters), so memory is about n * depth * itemsize bytes plus the
+    n-point result.
     """
-    letter_of = np.array([s[0] for s in mu.states], dtype=np.int64)
-    lefts, lengths = _cell_tables(part, int(letter_of.max()) + 1)
+    letter_of, lefts, lengths = _cloud_tables(mu, part)
     if depth is None:
         depth = _fold_depth(part.beta)
     rng = task_rng(seed)
-    s0 = np.full(n, int(np.argmax(mu.pi)), dtype=np.int64)
-    past = mu.backward.walk(s0, rng, depth)
-    return _affine_fold(letter_of[past].T, lefts, lengths)
+    s0 = np.full(n, int(np.argmax(mu.pi)), dtype=np.intp)
+    past = _walk_letters(mu.backward, s0, rng, letter_of,
+                         np.empty((depth, n), dtype=letter_of.dtype))
+    return _affine_fold(past.T, lefts, lengths)
 
 
 def joint_cloud(
@@ -444,19 +464,23 @@ def joint_cloud(
 
     x comes from the forward letters starting at the present state, y from the
     reversed letters; given the present state the two walks are independent,
-    which is exactly the Markov structure of the invariant measure.
+    which is exactly the Markov structure of the invariant measure. Both
+    sides are gathered a block at a time into one (depth + 1, n) letter array
+    of the smallest unsigned dtype that holds every letter (one byte below
+    256 letters): x is folded before the reversed walk reuses the array, so
+    memory is about n * (depth + 1) * itemsize bytes plus the result.
     """
-    letter_of = np.array([s[0] for s in mu.states], dtype=np.int64)
-    lefts, lengths = _cell_tables(part, int(letter_of.max()) + 1)
+    letter_of, lefts, lengths = _cloud_tables(mu, part)
     if depth is None:
         depth = _fold_depth(part.beta)
     rng = task_rng(seed)
     s0 = mu.forward.start(rng, n)
-    fwd = mu.forward.walk(s0, rng, depth)
-    bwd = mu.backward.walk(s0, rng, depth)
-    x_letters = np.vstack([s0, fwd])  # present outermost
-    xs = _affine_fold(letter_of[x_letters].T, lefts, lengths)
-    ys = _affine_fold(letter_of[bwd].T, lefts, lengths)
+    letters = np.empty((depth + 1, n), dtype=letter_of.dtype)
+    np.take(letter_of, s0, out=letters[0])  # present outermost
+    _walk_letters(mu.forward, s0, rng, letter_of, letters[1:])
+    xs = _affine_fold(letters.T, lefts, lengths)
+    _walk_letters(mu.backward, s0, rng, letter_of, letters[1:])
+    ys = _affine_fold(letters[1:].T, lefts, lengths)
     return np.column_stack([xs, ys])
 
 

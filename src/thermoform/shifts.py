@@ -622,10 +622,10 @@ def rpf_eigendata(
     )
 
 
-# doubles per uniform block drawn by ChainSampler.walk (8 bytes each); time per
+# doubles per uniform block drawn by ChainSampler.blocks (8 bytes each); time per
 # step was flat from 2**15 to 2**18, and smaller blocks keep less heap resident
 WALK_BLOCK = 2**15
-# Largest states x walkers at which ChainSampler.walk speculates. Speculation
+# Largest states x walkers at which ChainSampler.blocks speculates. Speculation
 # multiplies the work per step by the number of states and saves interpreter
 # steps, so it pays only on tiny chains. Measured per step, serial ->
 # speculative (2 vCPUs, numpy 2.4), at states x walkers = 64: 32 walkers on
@@ -677,23 +677,23 @@ class ChainSampler:
         """Doubled next states from doubled states y given uniforms u in [0, 1)."""
         return self.target2[self.flat.searchsorted(y + u)]
 
-    def walk(self, s, rng, n_steps: int) -> np.ndarray:
-        """States after each of n_steps steps from the W states s, one row per step.
+    def blocks(self, s, rng, n_steps: int):
+        """Yield the n_steps states after each step from the W states s, a block at a time.
 
-        Uniforms are drawn as rng.random((b, W)) blocks of at most WALK_BLOCK
-        doubles, the same stream as one rng.random(W) per step, and each step
-        is the same search, so the path equals the serial walk bit for bit. On
-        a small chain a block of b steps is cut into C chunks of length L:
-        chunks 0..C-2 first run from every state at once and keep only their
-        ends, which stitch into each chunk's true start; then all C chunks run
-        together from those starts. That costs about 2L + C vectorized steps
-        instead of b. Speculation multiplies the work per step by the number
-        of states, so past SPECULATE_WIDTH states x walkers C stays 1 and the
-        second loop alone is the serial walk.
+        Each block is a fresh time-major (b, W) intp array, one row per step,
+        of at most max(WALK_BLOCK, W) entries. Uniforms are drawn as
+        rng.random((b, W)) per block, the same stream as one rng.random(W) per
+        step, and each step is the same search, so the path equals the serial
+        walk bit for bit. On a small chain a block of b steps is cut into C
+        chunks of length L: chunks 0..C-2 first run from every state at once
+        and keep only their ends, which stitch into each chunk's true start;
+        then all C chunks run together from those starts. That costs about
+        2L + C vectorized steps instead of b. Speculation multiplies the work
+        per step by the number of states, so past SPECULATE_WIDTH states x
+        walkers C stays 1 and the second loop alone is the serial walk.
         """
         s = np.asarray(s, dtype=np.intp)
         W = s.size
-        out = np.empty((n_steps, W), dtype=np.intp)
         n_states = self._pic.size
         cols = np.arange(W)
         rows = max(1, WALK_BLOCK // W)
@@ -715,7 +715,7 @@ class ChainSampler:
                 for c in range(C - 1):
                     starts.append(ends[c, starts[-1], cols])
                 y = 2.0 * np.stack(starts)
-            block = out[t0 : t0 + b]
+            block = np.empty((b, W), dtype=np.intp)
             for j in range(L):
                 if j < short:
                     y = self._step2(y, u[j::L])
@@ -725,7 +725,14 @@ class ChainSampler:
                     block[j::L] = y[:-1]
             block >>= 1
             s, y = block[-1], y[-1:]
-        return out
+            yield block
+
+    def walk(self, s, rng, n_steps: int) -> np.ndarray:
+        """The (n_steps, W) states of blocks(s, rng, n_steps), collected."""
+        parts = list(self.blocks(s, rng, n_steps))
+        if len(parts) == 1:
+            return parts[0]
+        return np.concatenate([np.empty((0, np.size(s)), dtype=np.intp), *parts])
 
 
 class GibbsMarkovMeasure:
@@ -1016,9 +1023,13 @@ def markov_entropy(mu: GibbsMarkovMeasure) -> float:
 
 
 def measure_to_json(mu: GibbsMarkovMeasure, max_states: int = 4096) -> dict:
-    """Dense JSON export {states, kernel, stationary, pressure}."""
+    """Dense JSON export {states, kernel, stationary, pressure}.
+
+    A measure with more than max_states states raises BudgetError: the
+    config is valid, the dense export is over its cap.
+    """
     if mu.n_states > max_states:
-        raise ConfigError(
+        raise BudgetError(
             f"measure has {mu.n_states} states; refusing dense export beyond {max_states}"
         )
     dense = mu.kernel.toarray()

@@ -268,3 +268,29 @@ def test_graph_without_transitions_exits_2(tmp_path, capsys):
     })
     assert cli.main(["gibbs", "--config", cfg, "--stable"]) == 2
     assert capsys.readouterr().err.startswith("numeric failure: ")
+
+
+def test_gibbs_over_state_cap_exits_2(tmp_path, capsys):
+    from thermoform import cli
+
+    cfg = write_config(tmp_path, {**INCIDENCE_BASE["gibbs"], "max_states": 1})
+    assert cli.main(["gibbs", "--config", cfg, "--stable"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ")
+    assert "Traceback" not in err
+
+
+def test_pressure_reports_route_gap(tmp_path, capsys):
+    from thermoform import cli
+
+    cfg = write_config(tmp_path, {
+        "n_letters": 2,
+        "incidence": "golden",
+        "psi": {"type": "constant", "value": 0.0},
+        "n_max": 12,
+    })
+    assert cli.main(["pressure", "--config", cfg, "--stable"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    eigen = results["eigen"]
+    assert eigen["route_gap"] == abs(results["pressure"] - eigen["log_rho"])
+    assert 1e-7 < eigen["route_gap"] < 1e-4  # 5.1e-6 on the golden shift at n_max 12

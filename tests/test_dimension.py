@@ -312,18 +312,33 @@ def test_clouds_match_dense_reference(chain, chain400):
     assert np.array_equal(joint_cloud(mu, part, n, None, seed), ref_joint)
 
 
+def _traced_peak(fn):
+    """Peak bytes that tracemalloc sees while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_chain_orbit_memory_grows_with_transitions():
     # 3,600 states and 216,000 transitions; a dense kernel alone is 104 MB
     mu, part = _memory2_chain(60)
     obs = gls_return_observable(mu, part)
-    tracemalloc.start()
-    try:
-        ChainOrbit(mu, obs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: ChainOrbit(mu, obs))
     assert mu.n_states == 3600
     assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize("cloud", [fiber_cloud, joint_cloud])
+def test_cloud_memory_grows_with_points_times_depth_bytes(cloud):
+    # 5e4 points at depth 91: one byte per letter is 4.6 MB, the points 0.8 MB;
+    # walks kept whole as int64 states would peak at 74 (fiber) and 148 MB (joint)
+    mu, part = induced_cell_chain(PHI, incidence="golden")
+    mu.forward, mu.backward  # build the samplers outside the trace
+    assert _fold_depth(part.beta) == 91
+    assert _traced_peak(lambda: cloud(mu, part, 50_000, None, 0)) < 20 * 2**20
 
 
 # --- block-stepped walks against the per-step loop
@@ -417,6 +432,28 @@ def test_walk_matches_step_loop(chain, walkers):
     assert np.array_equal(got, ref)
 
 
+@pytest.mark.parametrize("walkers,steps", [
+    (16, 2 * (WALK_BLOCK // 16) + 5),  # speculative blocks of 2,048 rows, then 5
+    (100, 3 * (WALK_BLOCK // 100) + 1),  # serial blocks of 327 rows, then 1
+    (WALK_BLOCK + 3, 3),  # one row per block
+])
+def test_walk_blocks_match_step_loop(walkers, steps):
+    mu, _ = induced_cell_chain(PHI, incidence="golden")
+    sampler = mu.forward
+    rng = task_rng(9)
+    blocks = list(sampler.blocks(sampler.start(rng, walkers), rng, steps))
+    rows = max(1, WALK_BLOCK // walkers)
+    assert [b.shape for b in blocks] == [(min(rows, steps - t), walkers)
+                                         for t in range(0, steps, rows)]
+    assert all(b.dtype == np.intp and b.size <= max(WALK_BLOCK, walkers) for b in blocks)
+    rng = task_rng(9)
+    s = sampler.start(rng, walkers)
+    ref = np.empty((steps, walkers), dtype=np.intp)
+    for t in range(steps):
+        s = ref[t] = _step(sampler, s, rng.random(walkers))
+    assert np.array_equal(np.concatenate(blocks), ref)
+
+
 def _per_step_forward(mu, length, seed):
     rng = task_rng(seed)
     i = mu.forward.start(rng, 1)[0]
@@ -444,14 +481,16 @@ def _per_step_walk(sampler, s0, depth, rng):
     return out
 
 
-@pytest.mark.parametrize("chain", ["golden", "memory2", "full60"])
+@pytest.mark.parametrize("chain", ["golden", "memory2", "full60", "full300"])
 def test_words_and_clouds_match_per_step_loops(chain, chain400):
     if chain == "golden":
         mu, part = induced_cell_chain(PHI, incidence="golden")
     elif chain == "memory2":
         mu, part = chain400
-    else:  # 60 states, speculated on for the single walker of a word
-        mu, part = induced_cell_chain(1.8, Potential.memory1(np.linspace(-1, 0, 60)), 60)
+    else:  # full60 is speculated on for the single walker of a word; full300
+        # has more letters than a byte holds, so its clouds gather uint16
+        k = int(chain[4:])
+        mu, part = induced_cell_chain(1.8, Potential.memory1(np.linspace(-1, 0, k)), k)
     for length in (mu.memory, mu.memory + 1, 5000):
         assert sample_forward(mu, length, seed=3) == _per_step_forward(mu, length, 3)
     future = mu.states[-1]
@@ -479,12 +518,7 @@ def test_words_and_clouds_match_per_step_loops(chain, chain400):
 def test_birkhoff_block_buffers_stay_small():
     mu, part = induced_cell_chain(PHI, incidence="golden")
     orbit = ChainOrbit(mu, gls_return_observable(mu, part))
-    tracemalloc.start()
-    try:
-        lyapunov_birkhoff(orbit, n_steps=100_000, n_orbits=32, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: lyapunov_birkhoff(orbit, n_steps=100_000, n_orbits=32, seed=0))
     # a few (WALK_BLOCK / 32, 32) blocks at a time, ~1.1 MB; the steps never add up
     assert peak < 2 * 2**20
 

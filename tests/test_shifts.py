@@ -574,5 +574,5 @@ def test_measure_to_json_shape(golden_chain):
     assert len(d["states"]) == 2 and len(d["stationary"]) == 2
     assert d["pressure"] == pytest.approx(math.log(PHI), abs=1e-14)
     assert d["kernel"][1][1] == 0.0
-    with pytest.raises(ConfigError):
+    with pytest.raises(BudgetError):
         measure_to_json(golden_chain, max_states=1)
