@@ -188,13 +188,15 @@ def _to_jsonable(obj):
 
 def cmd_pressure(config: dict, seed: int):
     from . import shifts
+    from .errors import ConvergenceError, NotIrreducibleError
 
     psi = shifts.Potential.from_config(config["psi"])
     A = shifts.IncidenceMatrix.from_config(config.get("incidence"))
     N = int(config["n_letters"])
     n_max = int(config.setdefault("n_max", 12))
     state_cap = int(config.setdefault("state_cap", 200_000))
-    est = shifts.pressure(psi, A, N, n_max=n_max, state_cap=state_cap)
+    # both routes read one state graph
+    est, eigendata = shifts._pressure_routes(psi, A, N, n_max, state_cap)
     results = {
         "pressure": est.value,
         "levels": est.levels,
@@ -213,14 +215,21 @@ def cmd_pressure(config: dict, seed: int):
             "verdict": rep.verdict,
         }
     if config.setdefault("eigendata", True):
-        eig = shifts.rpf_eigendata(psi, A, N, state_cap=state_cap)
-        results["eigen"] = {
-            "log_rho": eig.log_rho,
-            "residual": eig.residual,
-            "iterations": eig.iterations,
-            "n_states": len(eig.states),
-            "route_gap": abs(est.value - eig.log_rho),
-        }
+        try:
+            eig = eigendata()
+        except (NotIrreducibleError, ConvergenceError) as exc:
+            # the level sums stand without the eigen route
+            diagnostics["eigen"] = {"error": type(exc).__name__, "message": str(exc)}
+        else:
+            route_gap = abs(est.value - eig.log_rho)
+            results["eigen"] = {
+                "log_rho": eig.log_rho,
+                "residual": eig.residual,
+                "iterations": eig.iterations,
+                "n_states": len(eig.states),
+                "route_gap": route_gap,
+                "route_gap_exceeds_ratio_gap": route_gap > est.gap,
+            }
     if "truncation_sweep" in config:
         results["truncation_sweep"] = [
             {

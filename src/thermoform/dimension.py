@@ -33,10 +33,9 @@ from .shifts import (
     GibbsMarkovMeasure,
     IncidenceMatrix,
     Potential,
+    _pressure_equation,
     entropy_from_pressure,
     gibbs_measure,
-    pressure,
-    rpf_eigendata,
 )
 
 # ---------------------------------------------------------------------------
@@ -415,9 +414,10 @@ def _cloud_tables(mu: GibbsMarkovMeasure, part: GlsPartition):
 
 def _walk_letters(chain, s, rng, letter_of: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill out[t] with the letters of the chain's state after step t+1 from s."""
+    letters = chain.per_entry(letter_of)
     t = 0
     for block in chain.blocks(s, rng, out.shape[0]):
-        np.take(letter_of, block, out=out[t : t + block.shape[0]])
+        np.take(letters, block, out=out[t : t + block.shape[0]])
         t += block.shape[0]
     return out
 
@@ -612,12 +612,6 @@ class TemperatureResult:
         }
 
 
-def _pressure_value(psi: Potential, A: IncidenceMatrix, N: int) -> float:
-    if A.is_full and psi.memory == 1:
-        return pressure(psi, A, N, n_max=1).value  # the full-shift closed form
-    return rpf_eigendata(psi, A, N).log_rho
-
-
 def _tail_ratio(system, t, q, theta, p_theta, A, N) -> float:
     """Share of the letter sums carried by the top floor(N/2) letters."""
     psi = geometric_potential(system, t=t, q=q, theta=theta, p_theta=p_theta, memory=1)
@@ -647,9 +641,9 @@ def temperature(
     what becomes shaky).
 
     Cost: log|branch'| at each state's coding point depends on neither t nor
-    q, so a root computes one coding point per state, once; each solver step
-    then only reweights the states and runs the eigensolve (or, on a full
-    shift at memory 1, the closed form).
+    q, so a root builds the state graph and computes one coding point per
+    state, once; each solver step then only reweights the states and runs the
+    eigensolve (or, on a full shift at memory 1, the closed form).
     """
     a, b = float(bracket[0]), float(bracket[1])
     if not a < b:
@@ -679,9 +673,11 @@ def temperature(
                 )
 
     base = geometric_potential(system, t=a, q=q, theta=theta, p_theta=p_theta, memory=memory)
+    states, pressure_of = _pressure_equation(base, A, N)
+    values = base.tabulate(states)
 
     def f(t: float) -> float:
-        return _pressure_value(base.at(t), A, N)
+        return pressure_of(values(t))
 
     fa, fb = f(a), f(b)
     if not (fa > 0.0 > fb or fa < 0.0 < fb):

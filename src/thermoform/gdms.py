@@ -841,11 +841,10 @@ class _GeometricPotential(Potential):
     declared memory window, so longer words sharpen the tail point.
 
     The log-derivative L(word) depends on neither t nor q: it is computed once
-    per word and shared with every potential at() derives from this one."""
+    per word, and tabulate() reweights it for any other t."""
 
     def __init__(self, S: Gdms, t: float, q: float, theta: Potential | None,
-                 p_theta: float, memory: int, tol: float,
-                 log_derivs: dict[tuple, float] | None = None):
+                 p_theta: float, memory: int, tol: float):
         self.system = S
         self.t = float(t)
         self.q = float(q)
@@ -855,12 +854,26 @@ class _GeometricPotential(Potential):
         mem = memory if theta is None else max(memory, theta.memory)
         super().__init__(self.value, memory=mem, label="geometric",
                          params={"t": t, "q": q, "p_theta": p_theta})
-        self._log_derivs = {} if log_derivs is None else log_derivs
+        self._log_derivs: dict[tuple, float] = {}
 
-    def at(self, t: float) -> "_GeometricPotential":
-        """The same potential at another t, sharing the log-derivative memo."""
-        return _GeometricPotential(self.system, t, self.q, self.theta, self.p_theta,
-                                   self.memory, self.tol, self._log_derivs)
+    def tabulate(self, words: Sequence[tuple]):
+        """t -> the values on the given words of this potential at t instead
+        of self.t, bit for bit, as one array; every log-derivative and theta
+        value is read once, here."""
+        L = np.array([self._log_deriv(tuple(w)) for w in words])
+        if self.q != 0.0:
+            th = np.array([self.theta.value(w[: self.theta.memory]) if self.theta else 0.0
+                           for w in words])
+
+        def values(t: float) -> np.ndarray:
+            out = np.zeros(len(words))  # the same additions value() makes
+            if t != 0.0:
+                out += t * L
+            if self.q != 0.0:
+                out += self.q * (th - self.p_theta)
+            return out
+
+        return values
 
     def value(self, word: Sequence[int]) -> float:
         if len(word) < self.memory:

@@ -12,7 +12,7 @@ matrix on admissible m-words.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
@@ -354,16 +354,141 @@ def _blocks(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, np.arange(int(counts.sum())) - np.repeat(starts, counts)
 
 
-def _state_graph(psi: Potential, A: IncidenceMatrix, N: int, state_cap: int):
-    """States (admissible m-words), their psi values, and the transition CSR.
+def _group(keys: np.ndarray, vals: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group starts and vals grouped by their key in 0..n-1, in order within a group."""
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n))))
+    return ptr, vals[np.argsort(keys, kind="stable")]
 
-    States come in lexicographic order. Level k holds the admissible k-words
-    whose last letter can still take m-k steps, so no level outgrows the last
-    one and the state cap is checked as each level is built. Each word also
-    carries the index of its suffix w[1:] one level down, or -1 when the
-    suffix is not kept there: the suffix of p + e is the child e of the
-    suffix of p. The successors u[1:] + e of a state u are the children of
-    its suffix in the last level, one contiguous column block.
+
+class Blocks:
+    """A 0/1 matrix on states whose rows are shared: B[u, v] = [v in block cls[u]].
+
+    Block b holds the states members[ptr[b]:ptr[b + 1]], ascending; members
+    None means the blocks split the states in order, so block b is the states
+    ptr[b]..ptr[b + 1] - 1 themselves. State u reads block cls[u], or no block
+    (a dead end) when cls[u] is -1. B factors into one entry per state (u to
+    its block) and one per block member, so products with B and B^T cost the
+    states plus the members, never the transitions.
+    """
+
+    def __init__(self, cls: np.ndarray, ptr: np.ndarray, members: np.ndarray | None = None):
+        self.cls = cls
+        self.ptr = ptr
+        self.members = members
+        self.sizes = np.diff(ptr)
+        self._nonempty = np.flatnonzero(self.sizes)
+        self._cls1 = cls + 1  # dead ends fall in bin 0 of a bincount
+
+    @property
+    def n_states(self) -> int:
+        return self.cls.size
+
+    @property
+    def n_blocks(self) -> int:
+        return self.sizes.size
+
+    @property
+    def out_degree(self) -> np.ndarray:
+        """Successors of each state: the size of the block it reads, 0 for none."""
+        return np.append(self.sizes, 0)[self.cls]
+
+    @property
+    def nnz(self) -> int:
+        """Transitions of B, counted and not stored."""
+        return int(self.out_degree.sum())
+
+    def states_of(self, entries: np.ndarray) -> np.ndarray:
+        """The states held at the given positions of the members array."""
+        return entries if self.members is None else self.members[entries]
+
+    def entry_sums(self, vals: np.ndarray, ufunc=np.add, empty: float = 0.0) -> np.ndarray:
+        """ufunc over each block of per-member values, plus one trailing
+        `empty` entry that cls -1 reads; empty blocks get `empty` too."""
+        out = np.full(self.n_blocks + 1, empty)
+        if self._nonempty.size:
+            # nonempty starts strictly increase, so each segment is one block
+            out[self._nonempty] = ufunc.reduceat(vals, self.ptr[self._nonempty])
+        return out
+
+    def block_sums(self, f: np.ndarray, ufunc=np.add, empty: float = 0.0) -> np.ndarray:
+        """entry_sums of the per-state values f at each block's members."""
+        return self.entry_sums(f if self.members is None else f[self.members], ufunc, empty)
+
+    def reader_sums(self, g: np.ndarray) -> np.ndarray:
+        """g summed over the states reading each block."""
+        return np.bincount(self._cls1, g, minlength=self.n_blocks + 1)[1:]
+
+    def forward(self, f: np.ndarray) -> np.ndarray:
+        """(B f)(u): f summed over the block u reads, 0 for a dead end."""
+        return self.block_sums(f)[self.cls]
+
+    def backward(self, g: np.ndarray) -> np.ndarray:
+        """(B^T g)(v): g summed over the states whose block holds v."""
+        out = np.repeat(self.reader_sums(g), self.sizes)
+        if self.members is not None:
+            # float even when no block holds a member (bincount is then int)
+            out = np.bincount(self.members, out, minlength=self.n_states).astype(float)
+        return out
+
+    def reversed(self) -> "Blocks":
+        """The blocks of B^T: v reads the block of states u whose block holds v."""
+        holder = np.repeat(np.arange(self.n_blocks), self.sizes)
+        if self.members is None:
+            # v sits in one block, so its predecessors are that block's readers
+            live = np.flatnonzero(self.cls >= 0)
+            return Blocks(holder, *_group(self.cls[live], live, self.n_blocks))
+        # memory 1: state u reads block u, so v's predecessors are the blocks
+        # that hold v, one per entry of the incidence column
+        return Blocks(np.arange(self.n_states), *_group(self.members, holder, self.n_states))
+
+    @cached_property
+    def n_components(self) -> int:
+        """Strongly connected components of the state graph B, counted once
+        however often the structure is reweighted.
+
+        They are found on the graph of states and blocks with the edges
+        u -> cls[u] and b -> each member of b. A path between two states
+        there is a path of B, so the states split into the same components.
+        """
+        S, C = self.n_states, self.n_blocks
+        live = self.cls >= 0
+        members = np.arange(S) if self.members is None else self.members
+        indptr = np.concatenate(([0], np.cumsum(np.concatenate((live, self.sizes)))))
+        indices = np.concatenate((S + self.cls[live], members))
+        graph = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(S + C, S + C))
+        _, labels = connected_components(graph, directed=True, connection="strong")
+        return np.unique(labels[:S]).size
+
+
+@dataclass
+class StateGraph:
+    """Admissible m-words, their psi values and their successor blocks.
+
+    For m >= 2 the successors of u are the states whose (m-1)-prefix is u's
+    (m-1)-suffix: block b holds the children of the b-th kept (m-1)-word, the
+    blocks split the states in order, and u reads the block of its suffix
+    (-1 when the suffix is not kept, a dead end). For m = 1 state a reads
+    block a, the letter row a of the incidence.
+    """
+
+    states: list[Word]
+    index: dict
+    psi_vals: np.ndarray
+    blocks: Blocks
+    memory: int
+    truncation: int
+
+
+def _state_graph(psi: Potential, A: IncidenceMatrix, N: int, state_cap: int) -> StateGraph:
+    """States (admissible m-words) in lexicographic order, with psi and blocks.
+
+    Level k holds the admissible k-words whose last letter can still take m-k
+    steps, so no level outgrows the last one and the state cap is checked as
+    each level is built. Each word also carries the index of its suffix w[1:]
+    one level down, or -1 when the suffix is not kept there: the suffix of
+    p + e is the child e of the suffix of p. The successors u[1:] + e of a
+    state u are the children of its suffix in the last level, one contiguous
+    block, so the last level's suffix indices are the blocks the states read.
     """
     m = psi.memory
     if m == 1 and N > state_cap:
@@ -404,17 +529,13 @@ def _state_graph(psi: Potential, A: IncidenceMatrix, N: int, state_cap: int):
 
     S = len(words)
     if m == 1:
-        indptr, indices = np.concatenate(([0], np.cumsum(deg))), dst
+        blocks = Blocks(np.arange(S), np.concatenate(([0], np.cumsum(deg))), dst)
     else:
-        counts = deg[words[:, -1]]
-        _, offsets = _blocks(counts)
-        indptr = np.concatenate(([0], np.cumsum(counts)))
-        indices = starts[np.repeat(sig, counts)] + offsets
-    adj = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(S, S))
+        blocks = Blocks(sig, np.append(prev_starts, S))
     states = list(map(tuple, words.tolist()))
     index = dict(zip(states, range(S)))
     psi_vals = np.fromiter(map(psi.value, states), dtype=float, count=S)
-    return states, index, psi_vals, adj
+    return StateGraph(states, index, psi_vals, blocks, m, N)
 
 
 @dataclass
@@ -459,37 +580,46 @@ def pressure(
     log Lambda_{n-1}, which converges geometrically for a mixing graph. All
     accumulation is scaled/log-space.
     """
+    return _pressure_routes(psi, A, N, n_max, state_cap)[0]
+
+
+def _pressure_routes(psi: Potential, A: IncidenceMatrix, N: int, n_max: int, state_cap: int):
+    """pressure(psi, A, N, n_max) and a function returning rpf_eigendata(psi,
+    A, N) from the same state graph, built once (the full-shift closed form
+    builds none until the eigen route asks for it)."""
     m = psi.memory
     if n_max < m:
         raise ConfigError(f"n_max={n_max} below potential memory {m}")
-
     if A.is_full and m == 1:
-        # Lambda_n = (sum_e e^psi(e))^n exactly: every level equals log-sum-exp.
         vals = np.array([psi.value((e,)) for e in range(N)])
-        top = vals.max()
-        lse = top + math.log(np.exp(vals - top).sum())
-        levels = [lse] * (n_max - m + 1)
-        return PressureEstimate(levels, m, lse, N, m, 0.0)
+        return (_full_shift_pressure(vals, N, n_max),
+                lambda: _eigendata(_state_graph(psi, A, N, state_cap)))
+    graph = _state_graph(psi, A, N, state_cap)
+    return _level_pressure(graph, n_max), lambda: _eigendata(graph)
 
-    states, _, psi_vals, adj = _state_graph(psi, A, N, state_cap)
-    S = len(states)
+
+def _full_shift_pressure(vals: np.ndarray, N: int, n_max: int) -> PressureEstimate:
+    """Lambda_n = (sum_e e^psi(e))^n exactly: every level equals log-sum-exp."""
+    top = vals.max()
+    lse = top + math.log(np.exp(vals - top).sum())
+    return PressureEstimate([lse] * n_max, 1, lse, N, 1, 0.0)
+
+
+def _level_pressure(graph: StateGraph, n_max: int) -> PressureEstimate:
+    m, S = graph.memory, len(graph.states)
     if S == 0:
         raise ConvergenceError("no admissible states at this truncation")
+    B, psi_vals = graph.blocks, graph.psi_vals
 
     # tail(u): max over admissible m-1 step extensions of the trailing Birkhoff
-    # terms, one reduceat over the nonempty rows (whose starts strictly
-    # increase, so each segment is exactly one row); dead ends stay -inf
+    # terms, a max over each block; dead ends stay -inf
     tail = np.zeros(S)
-    nonempty = np.flatnonzero(np.diff(adj.indptr))
     for _ in range(m - 1):
-        contrib = psi_vals[adj.indices] + tail[adj.indices]
-        tail = np.full(S, -np.inf)
-        tail[nonempty] = np.maximum.reduceat(contrib, adj.indptr[nonempty])
+        tail = B.block_sums(psi_vals + tail, np.maximum, -np.inf)[B.cls]
 
     psi_top = psi_vals.max()
     w = np.exp(psi_vals - psi_top)
 
-    adj_t = adj.T  # a CSC view; its matvec adds in the same order as a CSR copy's
     vec = w.copy()
     shift = psi_top
     tail_top = tail.max()
@@ -500,7 +630,7 @@ def pressure(
     log_lams = []
     for n in range(m, n_max + 1):
         if n > m:
-            vec = adj_t @ vec
+            vec = B.backward(vec)
             vec *= w
             mx = float(vec.max())
             if mx <= 0.0 or not np.isfinite(mx):
@@ -515,7 +645,26 @@ def pressure(
     levels = [lg / n for n, lg in zip(range(m, n_max + 1), log_lams)]
     estimates = [levels[0], *np.diff(log_lams).tolist()]
     gap = abs(estimates[-1] - estimates[-2]) if len(estimates) >= 2 else 0.0
-    return PressureEstimate(levels, m, estimates[-1], N, m, gap)
+    return PressureEstimate(levels, m, estimates[-1], graph.truncation, m, gap)
+
+
+class BlockMatrix:
+    """M = diag(weights) B on a state graph's blocks: M[u, v] = weights[u] for
+    each v in the block u reads. nnz is the transition count of B."""
+
+    def __init__(self, blocks: Blocks, weights: np.ndarray):
+        self.blocks = blocks
+        self.weights = weights
+
+    @property
+    def nnz(self) -> int:
+        return self.blocks.nnz
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return self.weights * self.blocks.forward(x)
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        return self.blocks.backward(self.weights * y)
 
 
 @dataclass
@@ -534,21 +683,21 @@ class EigenData:
     h: np.ndarray
     nu: np.ndarray
     psi_vals: np.ndarray
-    matrix: sp.csr_matrix
+    matrix: BlockMatrix
     residual: float
     iterations: int
     memory: int
     truncation: int
 
 
-def _power_iteration(M: sp.spmatrix, tol: float, max_iter: int):
-    S = M.shape[0]
+def _power_iteration(apply: Callable[[np.ndarray], np.ndarray], S: int, shift: float,
+                     tol: float, max_iter: int):
+    """Leading eigenpair of the nonnegative operator apply, iterating apply + shift."""
     x = np.full(S, 1.0 / S)
-    shift = 0.5 * float(M.data.max()) if M.nnz else 1.0
     lam_prev = None
     its = 0
     for its in range(1, max_iter + 1):
-        y = M @ x + shift * x
+        y = apply(x) + shift * x
         lam = float(y.sum())
         if lam <= 0 or not np.isfinite(lam):
             raise ConvergenceError("power iteration left the positive cone")
@@ -580,91 +729,139 @@ def rpf_eigendata(
     admissible transition out of u. Requires the truncated state graph to be
     strongly connected.
     """
-    states, index, psi_vals, adj = _state_graph(psi, A, N, state_cap)
-    S = len(states)
+    return _eigendata(_state_graph(psi, A, N, state_cap), tol, max_iter)
+
+
+def _eigendata(graph: StateGraph, tol: float = 1e-13, max_iter: int = 10**6) -> EigenData:
+    S, N, B = len(graph.states), graph.truncation, graph.blocks
     if S == 0:
         raise ConvergenceError("no admissible states at this truncation")
-    ncomp, _ = connected_components(adj, directed=True, connection="strong")
+    ncomp = B.n_components
     if ncomp != 1:
         raise NotIrreducibleError(
             f"state graph has {ncomp} strongly connected components at truncation {N}"
         )
-    if adj.nnz == 0:  # one state and no loop: strongly connected, but nilpotent
+    moves = B.out_degree > 0
+    if not moves.any():  # one state and no loop: strongly connected, but nilpotent
         raise NotIrreducibleError(f"state graph has no transitions at truncation {N}")
 
-    scale = float(psi_vals.max())
-    weights = np.exp(psi_vals - scale)
-    M = sp.csr_matrix((np.repeat(weights, np.diff(adj.indptr)), adj.indices, adj.indptr),
-                      shape=(S, S))
+    scale = float(graph.psi_vals.max())
+    weights = np.exp(graph.psi_vals - scale)
+    M = BlockMatrix(B, weights)
+    shift = 0.5 * float(weights[moves].max())  # half the largest entry of M
 
-    rho_s, h, its_r = _power_iteration(M, tol, max_iter)
-    Mt = M.T  # a CSC view, as adj.T in pressure
-    rho_l, nu, its_l = _power_iteration(Mt, tol, max_iter)
+    rho_s, h, its_r = _power_iteration(M.matvec, S, shift, tol, max_iter)
+    rho_l, nu, its_l = _power_iteration(M.rmatvec, S, shift, tol, max_iter)
 
     nu = nu / nu.sum()
     h = h / float(nu @ h)
-    resid_r = float(np.abs(M @ h - rho_s * h).max()) / rho_s
-    resid_l = float(np.abs(Mt @ nu - rho_l * nu).max()) / rho_l
+    resid_r = float(np.abs(M.matvec(h) - rho_s * h).max()) / rho_s
+    resid_l = float(np.abs(M.rmatvec(nu) - rho_l * nu).max()) / rho_l
     return EigenData(
-        states=states,
-        index=index,
+        states=graph.states,
+        index=graph.index,
         log_rho=scale + math.log(rho_s),
         rho_scaled=rho_s,
         scale=scale,
         h=h,
         nu=nu,
-        psi_vals=psi_vals,
+        psi_vals=graph.psi_vals,
         matrix=M,
         residual=max(resid_r, resid_l),
         iterations=its_r + its_l,
-        memory=psi.memory,
+        memory=graph.memory,
         truncation=N,
     )
+
+
+def _pressure_equation(psi: Potential, A: IncidenceMatrix, N: int, state_cap: int = 200_000):
+    """The states, and P as a function of psi's values on them, for many
+    reweightings of one state graph.
+
+    P is what pressure(., A, N, n_max=1).value gives on a full shift at
+    memory 1 and rpf_eigendata(., A, N).log_rho otherwise, bit for bit; the
+    graph is built once here instead of at every call.
+    """
+    if A.is_full and psi.memory == 1:
+        return [(e,) for e in range(N)], lambda vals: _full_shift_pressure(vals, N, 1).value
+    graph = _state_graph(psi, A, N, state_cap)
+    return graph.states, lambda vals: _eigendata(replace(graph, psi_vals=vals)).log_rho
 
 
 # doubles per uniform block drawn by ChainSampler.blocks (8 bytes each); time per
 # step was flat from 2**15 to 2**18, and smaller blocks keep less heap resident
 WALK_BLOCK = 2**15
-# Largest states x walkers at which ChainSampler.blocks speculates. Speculation
-# multiplies the work per step by the number of states and saves interpreter
+# Largest blocks x walkers at which ChainSampler.blocks speculates. Speculation
+# multiplies the work per step by the number of blocks and saves interpreter
 # steps, so it pays only on tiny chains. Measured per step, serial ->
-# speculative (2 vCPUs, numpy 2.4), at states x walkers = 64: 32 walkers on
-# 2 states 4.7 -> 3.3 us, 16 on 4 states 4.5 -> 3.3 us, one walker on 64
-# states 3.7 -> 2.3 us; at 96: 5.2 -> 4.9, 4.7 -> 4.7, 3.8 -> 3.6 us (even);
-# at 128: 5.8 -> 6.4, 3.4 -> 4.2 us (a loss).
+# speculative (2 vCPUs, numpy 2.4), when the sampler still kept one row per
+# state and the width was states x walkers, at 64: 32 walkers on 2 states
+# 4.7 -> 3.3 us, 16 on 4 states 4.5 -> 3.3 us, one walker on 64 states
+# 3.7 -> 2.3 us; at 96: 5.2 -> 4.9, 4.7 -> 4.7, 3.8 -> 3.6 us (even); at 128:
+# 5.8 -> 6.4, 3.4 -> 4.2 us (a loss).
 SPECULATE_WIDTH = 64
 
 
-class ChainSampler:
-    """Draws of a Markov chain from its CSR stochastic kernel.
+@dataclass
+class BlockKernel:
+    """Markov kernel whose rows are shared by blocks: a state reading block b
+    moves to the state at member entry k of b with probability p[k]."""
 
-    Each row's cumulative sums over its positive entries, in column order, are
-    stored in one flat array shifted by 2*row, with the row's last entry
-    pinned to exactly 1.0, so a row sum that rounding left short of 1 cannot
-    send a draw past it. A uniform u in [0, 1) moves state s to the first
-    entry of row s whose cumulative sum reaches u: one searchsorted of 2*s + u
-    over every row at once. Row s owns the band [2s, 2s + 1], which a rounded
-    2s + u never leaves. Walkers carry 2*s as a float, the exact double that
-    2*s + u adds to, and target2 holds twice each entry's column, so a step is
-    a search and a gather. Start states come from the stationary cdf, pinned
-    the same way.
+    blocks: Blocks
+    p: np.ndarray
+
+    @staticmethod
+    def normalized(blocks: Blocks, weights: np.ndarray) -> "BlockKernel":
+        """p proportional to the per-state weights over each block's members."""
+        vals = weights if blocks.members is None else weights[blocks.members]
+        return BlockKernel(blocks, vals / np.repeat(blocks.entry_sums(vals)[:-1], blocks.sizes))
+
+    def row(self, u: int) -> tuple[np.ndarray, np.ndarray]:
+        """The successors of state u, ascending, and their probabilities."""
+        b = self.blocks.cls[u]
+        lo, hi = (self.blocks.ptr[b], self.blocks.ptr[b + 1]) if b >= 0 else (0, 0)
+        return self.blocks.states_of(np.arange(lo, hi)), self.p[lo:hi]
+
+    def prob(self, u: int, v: int) -> float:
+        cols, probs = self.row(u)
+        k = int(np.searchsorted(cols, v))
+        return float(probs[k]) if k < cols.size and cols[k] == v else 0.0
+
+
+class ChainSampler:
+    """Draws of a Markov chain from its block kernel.
+
+    Each block's cumulative sums, in member order, are stored in one flat
+    array shifted by 2*block, with the block's last entry pinned to exactly
+    1.0, so a block sum that rounding left short of 1 cannot send a draw past
+    it. A uniform u in [0, 1) moves a walker reading block b to the first
+    entry of b whose cumulative sum reaches u: one searchsorted of 2*b + u over
+    every block at once. Block b owns the band [2b, 2b + 1], which a rounded
+    2b + u never leaves. Walkers carry 2*b as a float, the exact double that
+    2b + u adds to, and target2 holds twice the block each entry's state
+    reads, so a step is a search and a gather. Walks come out as the cdf
+    entries each step found; states_of maps them to states and per_entry
+    tabulates a per-state quantity by entry, so a block of entries is mapped
+    once. Start states come from the stationary cdf, pinned the same way.
     """
 
-    def __init__(self, kernel: sp.csr_matrix, pi: np.ndarray):
-        K = kernel.sorted_indices()  # a copy, columns ascending in each row
-        K.eliminate_zeros()
-        deg = np.diff(K.indptr)
-        if not deg.all():
+    def __init__(self, kernel: BlockKernel, pi: np.ndarray):
+        B = kernel.blocks
+        deg = B.sizes
+        if (B.cls < 0).any() or not deg[B.cls].all():
             raise ConvergenceError("a state has no transition; chain not irreducible")
-        # per-row cumsums in place, adding terms in the order np.cumsum does
-        cum, first = K.data, K.indptr[:-1]
+        # per-block cumsums in place, adding terms in the order np.cumsum does
+        cum, first = kernel.p.copy(), B.ptr[:-1]
         for k in range(1, int(deg.max())):
             at = first[deg > k] + k
             cum[at] += cum[at - 1]
-        cum[K.indptr[1:] - 1] = 1.0
-        cum += np.repeat(2 * np.arange(K.shape[0]), deg)
+        cum[B.ptr[1:][deg > 0] - 1] = 1.0
+        cum += np.repeat(2 * np.arange(B.n_blocks), deg)
         self.flat = cum
-        self.target2 = 2.0 * K.indices
+        self.cls = B.cls
+        self.target2 = 2.0 * B.cls[B.states_of(np.arange(cum.size))]
+        self.states_of = B.states_of
+        self._n_blocks = B.n_blocks
         pic = np.cumsum(pi)
         pic[-1] = 1.0
         self._pic = pic
@@ -673,63 +870,65 @@ class ChainSampler:
         """n states drawn from the stationary law."""
         return np.searchsorted(self._pic, rng.random(n))
 
-    def _step2(self, y, u):
-        """Doubled next states from doubled states y given uniforms u in [0, 1)."""
-        return self.target2[self.flat.searchsorted(y + u)]
+    def per_entry(self, values: np.ndarray) -> np.ndarray:
+        """values[state] for the state each cdf entry moves to."""
+        return values[self.states_of(np.arange(self.flat.size))]
 
     def blocks(self, s, rng, n_steps: int):
-        """Yield the n_steps states after each step from the W states s, a block at a time.
+        """Yield the cdf entries of the n_steps steps from the W states s, a block at a time.
 
         Each block is a fresh time-major (b, W) intp array, one row per step,
         of at most max(WALK_BLOCK, W) entries. Uniforms are drawn as
         rng.random((b, W)) per block, the same stream as one rng.random(W) per
         step, and each step is the same search, so the path equals the serial
-        walk bit for bit. On a small chain a block of b steps is cut into C
-        chunks of length L: chunks 0..C-2 first run from every state at once
-        and keep only their ends, which stitch into each chunk's true start;
-        then all C chunks run together from those starts. That costs about
-        2L + C vectorized steps instead of b. Speculation multiplies the work
-        per step by the number of states, so past SPECULATE_WIDTH states x
-        walkers C stays 1 and the second loop alone is the serial walk.
+        walk bit for bit. A state's next step depends only on the block it
+        reads, so on a small chain a block of b steps is cut into C chunks of
+        length L: chunks 0..C-2 first run from every block at once and keep
+        only their ends, which stitch into each chunk's true start; then all C
+        chunks run together from those starts. That costs about 2L + C
+        vectorized steps instead of b. Speculation multiplies the work per
+        step by the number of blocks, so past SPECULATE_WIDTH blocks x walkers
+        C stays 1 and the second loop alone is the serial walk.
         """
         s = np.asarray(s, dtype=np.intp)
         W = s.size
-        n_states = self._pic.size
+        n_blocks = self._n_blocks
         cols = np.arange(W)
         rows = max(1, WALK_BLOCK // W)
-        y = 2.0 * s[None]  # one row per chunk: its doubled state
+        y = 2.0 * self.cls[s][None]  # one row per chunk: its doubled block
         for t0 in range(0, n_steps, rows):
             u = rng.random((min(rows, n_steps - t0), W))
             b = u.shape[0]
-            C = 1 if n_states * W > SPECULATE_WIDTH else math.isqrt(2 * b)
+            C = 1 if n_blocks * W > SPECULATE_WIDTH else math.isqrt(2 * b)
             L = -(-b // C)
             C = -(-b // L)
             short = b - (C - 1) * L  # length of the last chunk; the others are full
             if C > 1:
-                ends = np.broadcast_to(2.0 * np.arange(n_states)[:, None], (C - 1, n_states, W))
+                ends = np.broadcast_to(2.0 * np.arange(n_blocks)[:, None], (C - 1, n_blocks, W))
                 head = u[: (C - 1) * L].reshape(C - 1, L, 1, W)
                 for j in range(L):
-                    ends = self._step2(ends, head[:, j])
+                    ends = self.target2[self.flat.searchsorted(ends + head[:, j])]
                 ends = ends.astype(np.intp) >> 1
-                starts = [s]
+                starts = [y[0].astype(np.intp) >> 1]
                 for c in range(C - 1):
                     starts.append(ends[c, starts[-1], cols])
                 y = 2.0 * np.stack(starts)
+            # each step records its cdf entries in the block and reads them
+            # back from there, so no other W-entry array outlives the step
             block = np.empty((b, W), dtype=np.intp)
             for j in range(L):
                 if j < short:
-                    y = self._step2(y, u[j::L])
-                    block[j::L] = y
+                    block[j::L] = self.flat.searchsorted(y + u[j::L])
+                    y = self.target2[block[j::L]]
                 else:  # the last chunk is done and y[-1] keeps its end
-                    y[:-1] = self._step2(y[:-1], u[j::L])
-                    block[j::L] = y[:-1]
-            block >>= 1
-            s, y = block[-1], y[-1:]
+                    block[j::L] = self.flat.searchsorted(y[:-1] + u[j::L])
+                    y[:-1] = self.target2[block[j::L]]
+            y = y[-1:]
             yield block
 
     def walk(self, s, rng, n_steps: int) -> np.ndarray:
-        """The (n_steps, W) states of blocks(s, rng, n_steps), collected."""
-        parts = list(self.blocks(s, rng, n_steps))
+        """The (n_steps, W) states after each step of blocks(s, rng, n_steps)."""
+        parts = [self.states_of(block) for block in self.blocks(s, rng, n_steps)]
         if len(parts) == 1:
             return parts[0]
         return np.concatenate([np.empty((0, np.size(s)), dtype=np.intp), *parts])
@@ -738,8 +937,10 @@ class ChainSampler:
 class GibbsMarkovMeasure:
     """Stationary Markov chain on m-word states realizing the Gibbs state.
 
-    kernel p(u -> w) = M[u,w] h(w) / (rho h(u)), stationary pi(u) = nu(u) h(u).
-    forward and backward sample the chain and its time reversal.
+    kernel p(u -> v) = M[u,v] h(v) / (rho h(u)) = h(v) / (E h)[c(u)] over the
+    block c(u) that u reads, so one row per block is kept; stationary
+    pi(u) = nu(u) h(u). forward and backward sample the chain and its time
+    reversal.
     """
 
     def __init__(self, eig: EigenData):
@@ -749,20 +950,21 @@ class GibbsMarkovMeasure:
         self.memory = eig.memory
         self.truncation = eig.truncation
         self.pressure = eig.log_rho
-        M = eig.matrix
-        data = M.data * eig.h[M.indices] / np.repeat(eig.rho_scaled * eig.h, np.diff(M.indptr))
-        self.kernel = sp.csr_matrix((data, M.indices.copy(), M.indptr.copy()), shape=M.shape)
+        self.kernel = BlockKernel.normalized(eig.matrix.blocks, eig.h)
         self.pi = eig.nu * eig.h
 
     @property
     def n_states(self) -> int:
         return len(self.states)
 
-    def reversed_kernel(self) -> sp.csr_matrix:
-        """Time reversal: p_rev(w -> u) = pi(u) p(u -> w) / pi(w)."""
-        KT = self.kernel.T.tocsr()
-        data = KT.data * self.pi[KT.indices] / np.repeat(self.pi, np.diff(KT.indptr))
-        return sp.csr_matrix((data, KT.indices, KT.indptr), shape=KT.shape)
+    def reversed_kernel(self) -> BlockKernel:
+        """Time reversal: p_rev(v -> u) = pi(u) p(u -> v) / pi(v).
+
+        With rho h(u) = w(u) (E h)[c(u)] this is nu(u) w(u) / (rho nu(v)), so
+        v's predecessors u are drawn in proportion to nu(u) w(u).
+        """
+        return BlockKernel.normalized(self.kernel.blocks.reversed(),
+                                      self.eig.nu * self.eig.matrix.weights)
 
     @cached_property
     def forward(self) -> ChainSampler:
@@ -811,11 +1013,8 @@ def cylinder_log_measure(mu: GibbsMarkovMeasure, word: Sequence[int]) -> float:
     if path is None:
         return -math.inf
     acc = math.log(mu.pi[path[0]]) if mu.pi[path[0]] > 0 else -math.inf
-    K = mu.kernel
     for a, b in zip(path[:-1], path[1:]):
-        lo, hi = K.indptr[a], K.indptr[a + 1]
-        hit = np.flatnonzero(K.indices[lo:hi] == b)
-        p = K.data[lo + hit[0]] if hit.size else 0.0
+        p = mu.kernel.prob(a, b)
         if p <= 0.0:
             return -math.inf
         acc += math.log(p)
@@ -856,12 +1055,10 @@ def sample_past(
 
 def _greedy_extension(mu: GibbsMarkovMeasure, word: Sequence[int], extra: int) -> Word:
     """Extend by the most probable next letter; deterministic and admissible."""
-    K = mu.kernel
     i = _state_path(mu, word)[-1]
     out = list(word)
     for _ in range(extra):
-        lo, hi = K.indptr[i], K.indptr[i + 1]
-        cols, vals = K.indices[lo:hi], K.data[lo:hi]
+        cols, vals = mu.kernel.row(i)
         j = int(cols[vals == vals.max()].min())  # ties go to the smallest state
         out.append(mu.states[j][-1])
         i = j
@@ -983,10 +1180,11 @@ def _mu_incidence(mu: GibbsMarkovMeasure) -> IncidenceMatrix:
     """Letter-level incidence induced by the chain's admissible states."""
     m = mu.memory
     if m == 1:
-        K = mu.kernel
+        # state a reads block a: the letters that may follow a
+        B = mu.kernel.blocks
         letter = np.array([st[0] for st in mu.states])
-        rows = np.repeat(np.arange(mu.n_states), np.diff(K.indptr))
-        pairs = set(zip(letter[rows].tolist(), letter[K.indices].tolist()))
+        holder = np.repeat(np.arange(B.n_blocks), B.sizes)
+        pairs = set(zip(letter[holder].tolist(), letter[B.members].tolist()))
         return IncidenceMatrix(lambda a, b: (a, b) in pairs, name="from-chain")
     # candidate words only; inadmissible ones are filtered downstream when
     # cylinder_log_measure returns -inf
@@ -1014,12 +1212,15 @@ def entropy_from_pressure(mu: GibbsMarkovMeasure) -> float:
 
 
 def markov_entropy(mu: GibbsMarkovMeasure) -> float:
-    """-sum_u pi(u) sum_w p(u->w) log p(u->w), the chain's entropy rate."""
+    """-sum_u pi(u) sum_w p(u->w) log p(u->w), the chain's entropy rate.
+
+    Every state reading a block shares its row, so the row entropies are
+    summed once per block and weighted by the stationary mass of its readers.
+    """
     K = mu.kernel
-    pi_rows = np.repeat(mu.pi, np.diff(K.indptr))
-    data = K.data
-    mask = data > 0
-    return float(-(pi_rows[mask] * data[mask] * np.log(data[mask])).sum())
+    log_p = np.log(K.p, out=np.zeros_like(K.p), where=K.p > 0)
+    row_entropy = -K.blocks.entry_sums(K.p * log_p)[:-1]
+    return float(K.blocks.reader_sums(mu.pi) @ row_entropy)
 
 
 def measure_to_json(mu: GibbsMarkovMeasure, max_states: int = 4096) -> dict:
@@ -1032,7 +1233,10 @@ def measure_to_json(mu: GibbsMarkovMeasure, max_states: int = 4096) -> dict:
         raise BudgetError(
             f"measure has {mu.n_states} states; refusing dense export beyond {max_states}"
         )
-    dense = mu.kernel.toarray()
+    dense = np.zeros((mu.n_states, mu.n_states))
+    for u, row in enumerate(dense):
+        cols, probs = mu.kernel.row(u)
+        row[cols] = probs
     return {
         "states": [list(map(int, s)) for s in mu.states],
         "kernel": [[float(v) for v in row] for row in dense],

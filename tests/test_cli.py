@@ -244,17 +244,22 @@ def test_forbidden_pairs_match_golden(tmp_path, capsys, command):
 def test_pressure_passes_state_cap_to_eigendata(tmp_path, capsys, monkeypatch):
     from thermoform import cli, shifts
 
+    # the level and eigen routes share one state graph, built with the cap
     caps = []
-    eigendata = shifts.rpf_eigendata
+    build = shifts._state_graph
 
-    def spy(*args, **kwargs):
-        caps.append(kwargs.get("state_cap"))
-        return eigendata(*args, **kwargs)
+    def spy(psi, A, N, state_cap):
+        caps.append(state_cap)
+        return build(psi, A, N, state_cap)
 
-    monkeypatch.setattr(shifts, "rpf_eigendata", spy)
-    cfg = write_config(tmp_path, {**INCIDENCE_BASE["pressure"], "state_cap": 300_000})
-    assert cli.main(["pressure", "--config", cfg, "--stable"]) == 0
-    assert caps == [300_000]
+    monkeypatch.setattr(shifts, "_state_graph", spy)
+    for incidence in ("full", "golden"):
+        caps.clear()
+        cfg = write_config(tmp_path, {**INCIDENCE_BASE["pressure"], "state_cap": 300_000,
+                                      "incidence": incidence})
+        assert cli.main(["pressure", "--config", cfg, "--stable"]) == 0
+        assert caps == [300_000]
+        assert "eigen" in json.loads(capsys.readouterr().out)["results"]
 
 
 def test_graph_without_transitions_exits_2(tmp_path, capsys):
@@ -294,3 +299,46 @@ def test_pressure_reports_route_gap(tmp_path, capsys):
     eigen = results["eigen"]
     assert eigen["route_gap"] == abs(results["pressure"] - eigen["log_rho"])
     assert 1e-7 < eigen["route_gap"] < 1e-4  # 5.1e-6 on the golden shift at n_max 12
+    assert eigen["route_gap_exceeds_ratio_gap"] is False  # ratio_gap is 1.8e-5
+
+
+def test_pressure_flags_route_gap_beyond_ratio_gap(tmp_path, capsys):
+    from thermoform import cli
+
+    # one level has no earlier ratio: ratio_gap is 0 and log 2 is far from log phi
+    cfg = write_config(tmp_path, {
+        "n_letters": 2,
+        "incidence": "golden",
+        "psi": {"type": "constant", "value": 0.0},
+        "n_max": 1,
+    })
+    assert cli.main(["pressure", "--config", cfg, "--stable"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["ratio_gap"] == 0.0
+    assert results["eigen"]["route_gap"] == pytest.approx(math.log(2 / PHI), abs=1e-12)
+    assert results["eigen"]["route_gap_exceeds_ratio_gap"] is True
+
+
+def test_pressure_on_reducible_graph_keeps_level_sums(tmp_path, capsys):
+    from thermoform import cli
+
+    # letters 0 and 1 never reach 2: two strongly connected components
+    cfg = write_config(tmp_path, {
+        "n_letters": 3,
+        "incidence": {"forbidden_pairs": [[0, 2], [1, 2]]},
+        "psi": {"type": "memory1-table", "values": [0.1, 0.2, 0.3]},
+    })
+    assert cli.main(["pressure", "--config", cfg, "--stable"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["config"]["eigendata"] is True
+    assert "eigen" not in out["results"]
+    # the pressure is the larger of the components': the full shift on {0, 1}
+    # gives log(e^0.1 + e^0.2), the loop at 2 only 0.3; words that start at 2
+    # fade from the ratio estimate like (e^0.3 / (e^0.1 + e^0.2))^n
+    assert out["results"]["pressure"] == pytest.approx(math.log(math.exp(0.1) + math.exp(0.2)),
+                                                       abs=1e-3)
+    assert len(out["results"]["levels"]) == 12
+    assert out["diagnostics"]["eigen"] == {
+        "error": "NotIrreducibleError",
+        "message": "state graph has 2 strongly connected components at truncation 3",
+    }

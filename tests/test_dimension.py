@@ -212,10 +212,20 @@ def test_joint_cloud_shape():
 # --- chain sampler against the dense reference
 
 
+def _dense(kernel):
+    """The S x S matrix of a block kernel."""
+    S = kernel.blocks.n_states
+    P = np.zeros((S, S))
+    for u in range(S):
+        cols, probs = kernel.row(u)
+        P[u, cols] = probs
+    return P
+
+
 def _dense_flat_cum(kernel):
     # Dense reference sampler, O(S^2) memory: rows of the cumulative kernel
     # shifted by their row index, last column pinned to 1.
-    P = kernel.toarray()
+    P = _dense(kernel)
     S = P.shape[0]
     cum = np.cumsum(P, axis=1)
     cum[:, -1] = 1.0
@@ -268,7 +278,7 @@ def test_chain_step_lands_on_kernel_nonzero(chain, u):
     s = np.arange(mu.n_states)
     path = np.vstack([s, mu.forward.walk(s, _ConstantRng(u), 40)])
     assert ((path >= 0) & (path < mu.n_states)).all()
-    assert (mu.kernel.toarray()[path[:-1], path[1:]] > 0).all()
+    assert (_dense(mu.kernel)[path[:-1], path[1:]] > 0).all()
 
 
 def test_chain_orbit_matches_dense_reference(chain400):
@@ -345,9 +355,9 @@ def test_cloud_memory_grows_with_points_times_depth_bytes(cloud):
 
 
 def _step(sampler, s, u):
-    # the sampler's rule one step at a time: s goes to the first transition of
-    # row s whose cumulative sum reaches u
-    return sampler.target2[np.searchsorted(sampler.flat, 2 * s + u)].astype(np.intp) // 2
+    # the sampler's rule one step at a time: s goes to the first member of the
+    # block it reads whose cumulative sum reaches u
+    return sampler.states_of(np.searchsorted(sampler.flat, 2 * sampler.cls[s] + u))
 
 
 def _per_step_birkhoff(driver, n_steps, n_orbits, seed, burn_in=0):
@@ -412,8 +422,9 @@ def test_birkhoff_burn_in_and_one_orbit_match_per_step_loop(driver, n_orbits, bu
 @pytest.mark.parametrize("walkers", [1, 3, 32, 100])
 @pytest.mark.parametrize("chain", ["golden", "memory2"])
 def test_walk_matches_step_loop(chain, walkers):
-    # speculation runs up to SPECULATE_WIDTH states x walkers: golden up to
-    # 32 walkers, the 16-state chain up to 4; wider walks are serial. Two
+    # speculation runs up to SPECULATE_WIDTH blocks x walkers: golden (2
+    # blocks) up to 32 walkers, the 16-state chain (4 blocks) up to 16; wider
+    # walks are serial. Two
     # full blocks (ending in a short chunk at 3 and 32 walkers) are followed
     # by a one-step block, which walks serially from the carried state.
     if chain == "golden":
@@ -446,6 +457,7 @@ def test_walk_blocks_match_step_loop(walkers, steps):
     assert [b.shape for b in blocks] == [(min(rows, steps - t), walkers)
                                          for t in range(0, steps, rows)]
     assert all(b.dtype == np.intp and b.size <= max(WALK_BLOCK, walkers) for b in blocks)
+    blocks = [sampler.states_of(b) for b in blocks]
     rng = task_rng(9)
     s = sampler.start(rng, walkers)
     ref = np.empty((steps, walkers), dtype=np.intp)

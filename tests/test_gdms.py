@@ -281,21 +281,19 @@ def test_geometric_potential_affine_is_constant_per_letter():
         assert v == pytest.approx(math.log(1 / 3), abs=1e-14)
 
 
-def test_geometric_potential_at_shares_log_derivatives(monkeypatch):
+@pytest.mark.parametrize("q", [0.0, 0.5])
+def test_geometric_potential_tabulate_shares_log_derivatives(monkeypatch, q):
     G = gauss_cf()
     theta = Potential.memory2([[0.1, -0.2], [0.3, 0.0]])
     words = [(a, b, c) for a in range(2) for b in range(2) for c in range(2)]
     ts = (0.0, 0.4, 0.9)
-    expect = [[geometric_potential(G, t=t, q=0.5, theta=theta, p_theta=0.25,
+    expect = [[geometric_potential(G, t=t, q=q, theta=theta, p_theta=0.25,
                                    memory=3).value(w) for w in words] for t in ts]
-    base = geometric_potential(G, t=0.4, q=0.5, theta=theta, p_theta=0.25, memory=3)
-    for w in words:
-        base.value(w)
+    base = geometric_potential(G, t=0.4, q=q, theta=theta, p_theta=0.25, memory=3)
+    values = base.tabulate(words)
     monkeypatch.setattr(gdms_module, "coding_point", None)  # no recomputation
     for t, row in zip(ts, expect):
-        psi = base.at(t)
-        assert (psi.t, psi.params["t"], psi.memory) == (t, t, 3)
-        assert [psi.value(w) for w in words] == row
+        assert values(t).tolist() == row
 
 
 # --- config plumbing

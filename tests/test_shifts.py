@@ -1,6 +1,7 @@
 """Incidence matrices, potentials, pressure, and Gibbs chains."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,13 +203,32 @@ STATE_GRAPH_GRID = [
 ] + [(kind, 2, 10) for kind in ["full", "golden", "dead-end", "empty"]]
 
 
+def _assemble_csr(blocks):
+    """The S x S transition CSR of a block structure, one entry per
+    transition: the assembly the state graph made before it kept blocks."""
+    S = blocks.n_states
+    counts = blocks.out_degree
+    _, offsets = shifts._blocks(counts)
+    entries = blocks.ptr[np.repeat(blocks.cls, counts)] + offsets
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return sp.csr_matrix((np.ones(entries.size), blocks.states_of(entries), indptr),
+                         shape=(S, S))
+
+
+def _reference_graph(psi, A, N, state_cap):
+    """_state_graph with its blocks assembled into the transition CSR."""
+    g = shifts._state_graph(psi, A, N, state_cap)
+    return g.states, g.index, g.psi_vals, _assemble_csr(g.blocks)
+
+
 @pytest.mark.parametrize("kind,N,m", STATE_GRAPH_GRID)
 def test_state_graph_matches_loop_builder(kind, N, m):
     A = _incidence(kind, N)
     psi = Potential(lambda w: sum(0.1 * (k + 1) * e - 0.05 * e * e for k, e in enumerate(w)),
                     memory=m)
     ref = _loop_state_graph(psi, A, N, 10**6)
-    got = shifts._state_graph(psi, A, N, 10**6)
+    graph = shifts._state_graph(psi, A, N, 10**6)
+    got = _reference_graph(psi, A, N, 10**6)
     assert got[0] == ref[0]
     assert got[1] == ref[1]
     assert got[2].dtype == ref[2].dtype and np.array_equal(got[2], ref[2])
@@ -216,6 +236,11 @@ def test_state_graph_matches_loop_builder(kind, N, m):
     for part in ("indptr", "indices", "data"):
         a, b = getattr(got[3], part), getattr(ref[3], part)
         assert a.dtype == b.dtype and np.array_equal(a, b), part
+    # the blocks hold one entry per state (per letter edge at memory 1)
+    assert graph.blocks.nnz == ref[3].nnz
+    stored = graph.blocks.cls.size + graph.blocks.ptr.size
+    stored += 0 if graph.blocks.members is None else graph.blocks.members.size
+    assert stored <= 2 * len(ref[0]) + 1 + (ref[3].nnz if m == 1 else 0)
     S = len(ref[0])
     if S:
         for build in (_loop_state_graph, shifts._state_graph):
@@ -235,11 +260,12 @@ def _segment_max(values, indptr, S):
 
 
 def _reference_pressure(psi, A, N, n_max, state_cap=200_000):
-    """pressure() with the scatter tail and a CSR copy of the transpose."""
+    """pressure() on the transition CSR, with the scatter tail and a CSR copy
+    of the transpose."""
     m = psi.memory
     if A.is_full and m == 1:
         return pressure(psi, A, N, n_max=n_max, state_cap=state_cap)
-    states, _, psi_vals, adj = shifts._state_graph(psi, A, N, state_cap)
+    states, _, psi_vals, adj = _reference_graph(psi, A, N, state_cap)
     S = len(states)
     if S == 0:
         raise shifts.ConvergenceError("no admissible states at this truncation")
@@ -276,8 +302,8 @@ def _reference_pressure(psi, A, N, n_max, state_cap=200_000):
 
 
 def _reference_eigendata(psi, A, N, tol=1e-13, max_iter=10**6, state_cap=200_000):
-    """rpf_eigendata() with copied index arrays and a CSR copy of the transpose."""
-    states, index, psi_vals, adj = shifts._state_graph(psi, A, N, state_cap)
+    """rpf_eigendata() on the transition CSR and a CSR copy of its transpose."""
+    states, index, psi_vals, adj = _reference_graph(psi, A, N, state_cap)
     S = len(states)
     if S == 0:
         raise shifts.ConvergenceError("no admissible states at this truncation")
@@ -290,9 +316,10 @@ def _reference_eigendata(psi, A, N, tol=1e-13, max_iter=10**6, state_cap=200_000
     weights = np.exp(psi_vals - scale)
     rows = np.repeat(np.arange(S), np.diff(adj.indptr))
     M = sp.csr_matrix((weights[rows], adj.indices.copy(), adj.indptr.copy()), shape=(S, S))
-    rho_s, h, its_r = shifts._power_iteration(M, tol, max_iter)
     Mt = M.T.tocsr()
-    rho_l, nu, its_l = shifts._power_iteration(Mt, tol, max_iter)
+    shift = 0.5 * float(M.data.max()) if M.nnz else 1.0
+    rho_s, h, its_r = shifts._power_iteration(M.dot, S, shift, tol, max_iter)
+    rho_l, nu, its_l = shifts._power_iteration(Mt.dot, S, shift, tol, max_iter)
     nu = nu / nu.sum()
     h = h / float(nu @ h)
     resid_r = float(np.abs(M @ h - rho_s * h).max()) / rho_s
@@ -312,6 +339,15 @@ def _outcome(fn, *args, **kwargs):
 ROUTE_GRID = STATE_GRAPH_GRID + [("one-pair", 2, m) for m in range(1, 4)]
 
 
+# block sums add in another order than the CSR rows: the routes agree to
+# rounding, not bit for bit
+RTOL = 1e-13
+
+
+def _close(got, ref):
+    return np.allclose(got, ref, rtol=RTOL, atol=0.0)
+
+
 @pytest.mark.parametrize("kind,N,m", ROUTE_GRID)
 def test_pressure_matches_scatter_reference(kind, N, m):
     A = _incidence(kind, N)
@@ -322,9 +358,10 @@ def test_pressure_matches_scatter_reference(kind, N, m):
     ref, ref_err = _outcome(_reference_pressure, psi, A, N, n_max)
     assert err == ref_err
     if ref is not None:
-        assert got.levels == ref.levels
-        assert got.value == ref.value
-        assert got.gap == ref.gap
+        assert _close(got.levels, ref.levels)
+        assert _close(got.value, ref.value)
+        # a difference of two estimates: its error is theirs, not its own size
+        assert abs(got.gap - ref.gap) <= RTOL * max(map(abs, ref.levels))
         assert (got.n_start, got.truncation, got.memory) == (ref.n_start, ref.truncation, ref.memory)
 
 
@@ -337,12 +374,64 @@ def test_eigendata_matches_csr_transpose_reference(kind, N, m):
     ref, ref_err = _outcome(_reference_eigendata, psi, A, N)
     assert err == ref_err
     if ref is not None:
-        for key in ("log_rho", "rho_scaled", "scale", "residual", "iterations"):
-            assert getattr(got, key) == ref[key], key
-        assert np.array_equal(got.h, ref["h"]) and np.array_equal(got.nu, ref["nu"])
-        for part in ("indptr", "indices", "data"):
-            a, b = getattr(got.matrix, part), getattr(ref["matrix"], part)
-            assert a.dtype == b.dtype and np.array_equal(a, b), part
+        assert got.scale == ref["scale"] and got.iterations == ref["iterations"]
+        for key in ("log_rho", "rho_scaled"):
+            assert _close(getattr(got, key), ref[key]), key
+        assert _close(got.h, ref["h"]) and _close(got.nu, ref["nu"])
+        # max |M h - rho h| / rho: a difference of near-equal sums, so absolute
+        assert abs(got.residual - ref["residual"]) < RTOL
+        assert got.matrix.nnz == ref["matrix"].nnz
+
+
+def _dense(kernel):
+    """The S x S matrix of a block kernel."""
+    S = kernel.blocks.n_states
+    P = np.zeros((S, S))
+    for u in range(S):
+        cols, probs = kernel.row(u)
+        P[u, cols] = probs
+    return P
+
+
+def _normalize_rows(P):
+    return sp.csr_matrix(P.multiply(1.0 / np.asarray(P.sum(axis=1))))
+
+
+def _reference_kernels(ref):
+    """The Gibbs kernel M[u, v] h(v) / (rho h(u)) and its time reversal
+    pi(u) p(u -> v) / pi(v) on the CSR eigendata, each row divided by its
+    sum: they summed to 1 only within the eigen residual (about 1e-12), and
+    the block kernels normalize each row exactly."""
+    M, h, nu = ref["matrix"], ref["h"], ref["nu"]
+    deg = np.diff(M.indptr)
+    K = sp.csr_matrix((M.data * h[M.indices] / np.repeat(ref["rho_scaled"] * h, deg),
+                       M.indices, M.indptr), shape=M.shape)
+    pi = nu * h
+    KT = K.T.tocsr()
+    R = sp.csr_matrix((KT.data * pi[KT.indices] / np.repeat(pi, np.diff(KT.indptr)),
+                       KT.indices, KT.indptr), shape=KT.shape)
+    return _normalize_rows(K).toarray(), _normalize_rows(R).toarray()
+
+
+@pytest.mark.parametrize("kind,N,m", [
+    ("full", 5, 1), ("golden", 5, 1), ("half", 12, 1), ("half", 12, 2), ("half", 12, 3),
+    ("full", 5, 3), ("golden", 5, 4), ("golden", 2, 10), ("dead-end", 5, 1),
+    ("dead-end", 5, 2), ("dead-end", 5, 3),
+])
+def test_gibbs_kernels_match_csr_reference(kind, N, m):
+    A = _incidence(kind, N)
+    psi = Potential(lambda w: sum(0.1 * (k + 1) * e - 0.05 * e * e for k, e in enumerate(w)),
+                    memory=m)
+    ref, err = _outcome(_reference_eigendata, psi, A, N)
+    mu, got_err = _outcome(gibbs_measure, psi, A, N)
+    assert got_err == err
+    if ref is None:  # a dead end leaves the graph reducible: no chain
+        return
+    K, R = _reference_kernels(ref)
+    got_K, got_R = _dense(mu.kernel), _dense(mu.reversed_kernel())
+    assert np.array_equal(got_K > 0, K > 0) and np.array_equal(got_R > 0, R > 0)
+    assert _close(got_K, K) and _close(got_R, R)
+    assert _close(mu.pi, ref["nu"] * ref["h"])
 
 
 def test_pressure_full_shift_constant_zero():
@@ -441,14 +530,14 @@ def test_golden_chain_stationary_law(golden_chain):
     # closed form: pi = (phi^2, 1) / (1 + phi^2)
     assert mu.pi[0] == pytest.approx(PHI**2 / (1 + PHI**2), abs=1e-12)
     assert mu.pi[1] == pytest.approx(1 / (1 + PHI**2), abs=1e-12)
-    K = mu.kernel.toarray()
+    K = _dense(mu.kernel)
     assert K.sum(axis=1) == pytest.approx(np.ones(2), abs=1e-14)
     assert mu.pi @ K == pytest.approx(mu.pi, abs=1e-14)
 
 
 def test_reversed_kernel_is_stochastic_and_stationary(golden_chain):
     mu = golden_chain
-    R = mu.reversed_kernel().toarray()
+    R = _dense(mu.reversed_kernel())
     assert R.sum(axis=1) == pytest.approx(np.ones(2), abs=1e-12)
     assert mu.pi @ R == pytest.approx(mu.pi, abs=1e-12)
 
@@ -564,6 +653,56 @@ def test_entropy_routes_agree():
 def test_golden_entropy_is_log_phi():
     mu = gibbs_measure(Potential.constant(0.0), IncidenceMatrix.golden_mean(), 2)
     assert markov_entropy(mu) == pytest.approx(math.log(PHI), abs=1e-12)
+
+
+# --- memory: the blocks hold states, never transitions
+
+
+def _traced_peak(fn):
+    """Peak bytes that tracemalloc sees while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gibbs_chain_memory_grows_with_states():
+    # 10,000 states and 1,000,000 transitions: one float per transition
+    # alone would be 7.6 MB, a CSR kernel with its transpose over 30 MB
+    psi = Potential.memory2(np.random.default_rng(0).normal(0.0, 0.5, (100, 100)))
+    out = {}
+
+    def build():
+        mu = out["mu"] = gibbs_measure(psi, IncidenceMatrix.full(), 100)
+        mu.forward, mu.backward
+
+    assert _traced_peak(build) < 10 * 2**20
+    mu = out["mu"]
+    assert mu.eig.matrix.nnz == 10**6
+    assert mu.forward.flat.size == mu.backward.flat.size == mu.n_states == 10**4
+
+
+def test_pressure_routes_memory_grows_with_states():
+    # 12,946 states and 1.4M transitions of a memory-2 graph with 10 % of the
+    # letter pairs forbidden (4 MB traced); a CSR graph and its weighted copy
+    # would take over 30 MB
+    rng = np.random.default_rng(1)
+    allow = rng.random((120, 120)) >= 0.1
+    allow[np.arange(120), (np.arange(120) + 1) % 120] = True  # strongly connected
+    A = IncidenceMatrix.from_forbidden_pairs(np.argwhere(~allow).tolist())
+    psi = Potential.memory2(rng.normal(0.0, 0.5, (120, 120)))
+    out = {}
+
+    def routes():
+        est, eigendata = shifts._pressure_routes(psi, A, 120, 12, 200_000)
+        out["est"], out["eig"] = est, eigendata()
+
+    assert _traced_peak(routes) < 10 * 2**20
+    ref = math.log(np.abs(np.linalg.eigvals(np.exp(psi.params["values"]) * allow)).max())
+    assert out["eig"].log_rho == pytest.approx(ref, abs=1e-10)
+    assert out["eig"].matrix.nnz == 1_396_843
 
 
 # --- export
