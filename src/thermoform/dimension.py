@@ -132,9 +132,9 @@ class ChainOrbit:
 def gls_return_observable(mu: GibbsMarkovMeasure, partition: GlsPartition) -> np.ndarray:
     """log of the induced-map derivative on each chain state: (k(n)+1) log beta."""
     logb = math.log(partition.beta)
-    return np.array(
-        [(partition.cell(s[0] + 1).k + 1) * logb for s in mu.states], dtype=float
-    )
+    letters, state_letter = np.unique(mu.states[:, 0], return_inverse=True)
+    ks = np.array([partition.cell(e + 1).k for e in letters.tolist()], dtype=int)
+    return (ks[state_letter] + 1) * logb
 
 
 def lyapunov_birkhoff(
@@ -234,14 +234,10 @@ def entropy_of_induced(mu: GibbsMarkovMeasure) -> float:
     return entropy_from_pressure(mu)
 
 
-def cell_weights(mu: GibbsMarkovMeasure, n_letters: int | None = None) -> np.ndarray:
+def cell_weights(mu: GibbsMarkovMeasure) -> np.ndarray:
     """Stationary mass per first letter, one entry per cell."""
-    if n_letters is None:
-        n_letters = 1 + max(s[0] for s in mu.states)
-    w = np.zeros(n_letters)
-    for s, p in zip(mu.states, mu.pi):
-        w[s[0]] += p
-    return w
+    # bincount adds each letter's mass in state order, one state at a time
+    return np.bincount(mu.states[:, 0], mu.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +403,7 @@ def _cell_tables(part: GlsPartition, n_letters: int):
 
 def _cloud_tables(mu: GibbsMarkovMeasure, part: GlsPartition):
     """Each state's first letter, in the smallest unsigned dtype, and the cell tables."""
-    first = np.array([s[0] for s in mu.states])
+    first = mu.states[:, 0]
     top = int(first.max())
     return (first.astype(np.min_scalar_type(top)), *_cell_tables(part, top + 1))
 

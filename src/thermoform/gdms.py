@@ -125,14 +125,13 @@ class Gdms:
     def shift_view(self, N: int) -> IncidenceMatrix:
         """Letter-level incidence on edge indices 0..N-1 for the shift machinery."""
         edges = self.edges_up_to(N)
-        # one vertex and no pair rule: every pair is admissible
-        if self.pair_allowed is None and len({br.dom for br in edges} | {br.img for br in edges}) == 1:
-            return IncidenceMatrix.full()
-
-        def pred(a: int, b: int) -> bool:
-            return self.admissible_pair(edges[a], edges[b])
-
-        return IncidenceMatrix(pred, name=f"{self.name}-edges")
+        dom = np.array([br.dom for br in edges], dtype=int)
+        img = np.array([br.img for br in edges], dtype=int)
+        allowed = dom[:, None] == img[None, :]
+        if self.pair_allowed is not None:
+            for a, b in zip(*np.nonzero(allowed)):
+                allowed[a, b] = bool(self.pair_allowed(edges[a].label, edges[b].label))
+        return IncidenceMatrix.from_table(allowed, name=f"{self.name}-edges")
 
 
 class ParabolicSystem(Gdms):
@@ -856,17 +855,18 @@ class _GeometricPotential(Potential):
                          params={"t": t, "q": q, "p_theta": p_theta})
         self._log_derivs: dict[tuple, float] = {}
 
-    def tabulate(self, words: Sequence[tuple]):
-        """t -> the values on the given words of this potential at t instead
-        of self.t, bit for bit, as one array; every log-derivative and theta
-        value is read once, here."""
-        L = np.array([self._log_deriv(tuple(w)) for w in words])
+    def tabulate(self, words):
+        """t -> the values on the given words, one row of an (S, m) array
+        each, of this potential at t instead of self.t, bit for bit, as one
+        array; every log-derivative and theta value is read once, here."""
+        rows = np.asarray(words).tolist()
+        L = np.array([self._log_deriv(tuple(w)) for w in rows])
         if self.q != 0.0:
             th = np.array([self.theta.value(w[: self.theta.memory]) if self.theta else 0.0
-                           for w in words])
+                           for w in rows])
 
         def values(t: float) -> np.ndarray:
-            out = np.zeros(len(words))  # the same additions value() makes
+            out = np.zeros(L.size)  # the same additions value() makes
             if t != 0.0:
                 out += t * L
             if self.q != 0.0:

@@ -33,36 +33,34 @@ Word = tuple
 
 
 class IncidenceMatrix:
-    """0/1 transition rule on letter pairs.
+    """0/1 transition rule on letter pairs, held as the set of forbidden pairs.
 
-    A predicate of None means the full shift (every transition allowed),
-    which lets hot paths skip per-pair checks entirely.
+    The full shift forbids nothing. A pair with a letter outside 0..N-1 does
+    not touch the truncation at N.
     """
 
-    def __init__(self, pred: Callable[[int, int], bool] | None = None, *, name: str = "custom"):
-        self._pred = pred
+    def __init__(self, forbidden: Iterable[tuple[int, int]] = (), *, name: str = "custom"):
+        self.forbidden = frozenset(forbidden)
         self.name = name
 
     @property
     def is_full(self) -> bool:
-        return self._pred is None
+        return not self.forbidden
 
     def allows(self, a: int, b: int) -> bool:
-        if self._pred is None:
-            return True
-        return bool(self._pred(a, b))
+        return (a, b) not in self.forbidden
 
     def __repr__(self):
         return f"IncidenceMatrix({self.name})"
 
     @staticmethod
     def full() -> "IncidenceMatrix":
-        return IncidenceMatrix(None, name="full")
+        return IncidenceMatrix(name="full")
 
     @staticmethod
     def golden_mean() -> "IncidenceMatrix":
         """Two letters {0,1} with the word 11 forbidden (and 1->1 for any larger N)."""
-        return IncidenceMatrix(lambda a, b: not (a == 1 and b == 1), name="golden-mean")
+        return IncidenceMatrix({(1, 1)}, name="golden-mean")
 
     @staticmethod
     def from_forbidden_pairs(pairs: Iterable[Sequence[int]], name: str = "forbidden-pairs") -> "IncidenceMatrix":
@@ -70,7 +68,13 @@ class IncidenceMatrix:
             forb = frozenset((int(a), int(b)) for a, b in pairs)
         except (TypeError, ValueError):
             raise ConfigError("forbidden pairs must be letter pairs [a, b]") from None
-        return IncidenceMatrix(lambda a, b: (a, b) not in forb, name=name)
+        return IncidenceMatrix(forb, name=name)
+
+    @staticmethod
+    def from_table(allowed: np.ndarray, name: str = "custom") -> "IncidenceMatrix":
+        """The rule of an N x N boolean table on the letters 0..N-1."""
+        rows, cols = np.nonzero(~np.asarray(allowed, dtype=bool))
+        return IncidenceMatrix(zip(rows.tolist(), cols.tolist()), name=name)
 
     @staticmethod
     def from_config(spec) -> "IncidenceMatrix":
@@ -87,10 +91,9 @@ class IncidenceMatrix:
 
     def submatrix(self, N: int) -> np.ndarray:
         out = np.ones((N, N), dtype=bool)
-        if self._pred is not None:
-            for a in range(N):
-                for b in range(N):
-                    out[a, b] = self._pred(a, b)
+        inside = [p for p in self.forbidden if 0 <= p[0] < N and 0 <= p[1] < N]
+        if inside:
+            out[tuple(np.array(inside).T)] = False
         return out
 
 
@@ -98,8 +101,6 @@ def is_admissible(word: Sequence[int], A: IncidenceMatrix) -> bool:
     """True when every consecutive letter pair is allowed."""
     if len(word) == 0:
         raise WordLengthError("admissibility needs a nonempty word")
-    if A.is_full:
-        return True
     return all(A.allows(word[k], word[k + 1]) for k in range(len(word) - 1))
 
 
@@ -121,7 +122,7 @@ def enumerate_cylinders(n: int, N: int, A: IncidenceMatrix, cap: int = 2_000_000
             continue
         last = w[-1]
         for e in reversed(range(N)):
-            if A.is_full or A.allows(last, e):
+            if A.allows(last, e):
                 stack.append(w + (e,))
     return out
 
@@ -183,7 +184,7 @@ class Potential:
                 best = max(best, self.value(w))
                 continue
             for b in range(N):
-                if A.is_full or A.allows(w[-1], b):
+                if A.allows(w[-1], b):
                     stack.append(w + (b,))
         return best
 
@@ -462,7 +463,8 @@ class Blocks:
 
 @dataclass
 class StateGraph:
-    """Admissible m-words, their psi values and their successor blocks.
+    """Admissible m-words, one (S, m) row each, their psi values and their
+    successor blocks.
 
     For m >= 2 the successors of u are the states whose (m-1)-prefix is u's
     (m-1)-suffix: block b holds the children of the b-th kept (m-1)-word, the
@@ -471,8 +473,7 @@ class StateGraph:
     block a, the letter row a of the incidence.
     """
 
-    states: list[Word]
-    index: dict
+    states: np.ndarray
     psi_vals: np.ndarray
     blocks: Blocks
     memory: int
@@ -532,10 +533,8 @@ def _state_graph(psi: Potential, A: IncidenceMatrix, N: int, state_cap: int) -> 
         blocks = Blocks(np.arange(S), np.concatenate(([0], np.cumsum(deg))), dst)
     else:
         blocks = Blocks(sig, np.append(prev_starts, S))
-    states = list(map(tuple, words.tolist()))
-    index = dict(zip(states, range(S)))
-    psi_vals = np.fromiter(map(psi.value, states), dtype=float, count=S)
-    return StateGraph(states, index, psi_vals, blocks, m, N)
+    psi_vals = np.fromiter(map(psi.value, words.tolist()), dtype=float, count=S)
+    return StateGraph(words, psi_vals, blocks, m, N)
 
 
 @dataclass
@@ -675,8 +674,7 @@ class EigenData:
     the true leading eigenvalue (the pressure). nu sums to 1 and nu . h = 1.
     """
 
-    states: list[Word]
-    index: dict
+    states: np.ndarray
     log_rho: float
     rho_scaled: float
     scale: float
@@ -759,7 +757,6 @@ def _eigendata(graph: StateGraph, tol: float = 1e-13, max_iter: int = 10**6) -> 
     resid_l = float(np.abs(M.rmatvec(nu) - rho_l * nu).max()) / rho_l
     return EigenData(
         states=graph.states,
-        index=graph.index,
         log_rho=scale + math.log(rho_s),
         rho_scaled=rho_s,
         scale=scale,
@@ -783,7 +780,7 @@ def _pressure_equation(psi: Potential, A: IncidenceMatrix, N: int, state_cap: in
     graph is built once here instead of at every call.
     """
     if A.is_full and psi.memory == 1:
-        return [(e,) for e in range(N)], lambda vals: _full_shift_pressure(vals, N, 1).value
+        return np.arange(N)[:, None], lambda vals: _full_shift_pressure(vals, N, 1).value
     graph = _state_graph(psi, A, N, state_cap)
     return graph.states, lambda vals: _eigendata(replace(graph, psi_vals=vals)).log_rho
 
@@ -939,14 +936,14 @@ class GibbsMarkovMeasure:
 
     kernel p(u -> v) = M[u,v] h(v) / (rho h(u)) = h(v) / (E h)[c(u)] over the
     block c(u) that u reads, so one row per block is kept; stationary
-    pi(u) = nu(u) h(u). forward and backward sample the chain and its time
-    reversal.
+    pi(u) = nu(u) h(u). states holds the m-words, one (S, m) row each, and
+    index maps a word to its row. forward and backward sample the chain and
+    its time reversal.
     """
 
     def __init__(self, eig: EigenData):
         self.eig = eig
         self.states = eig.states
-        self.index = eig.index
         self.memory = eig.memory
         self.truncation = eig.truncation
         self.pressure = eig.log_rho
@@ -956,6 +953,11 @@ class GibbsMarkovMeasure:
     @property
     def n_states(self) -> int:
         return len(self.states)
+
+    @cached_property
+    def index(self) -> dict:
+        """word tuple -> its state, for readers of single words."""
+        return dict(zip(map(tuple, self.states.tolist()), range(self.n_states)))
 
     def reversed_kernel(self) -> BlockKernel:
         """Time reversal: p_rev(v -> u) = pi(u) p(u -> v) / pi(v).
@@ -995,6 +997,11 @@ def _state_path(mu: GibbsMarkovMeasure, word: Sequence[int]):
     return path
 
 
+def _starts_with(mu: GibbsMarkovMeasure, word: Sequence[int]) -> np.ndarray:
+    """Which states begin with the given word (no longer than the memory)."""
+    return (mu.states[:, : len(word)] == np.asarray(word)).all(axis=1)
+
+
 def cylinder_log_measure(mu: GibbsMarkovMeasure, word: Sequence[int]) -> float:
     """log mu([word]); -inf for inadmissible or out-of-truncation words."""
     if len(word) == 0:
@@ -1003,11 +1010,8 @@ def cylinder_log_measure(mu: GibbsMarkovMeasure, word: Sequence[int]) -> float:
         return -math.inf
     m = mu.memory
     if len(word) < m:
-        total = 0.0
-        pref = tuple(word)
-        for i, st in enumerate(mu.states):
-            if st[: len(pref)] == pref:
-                total += mu.pi[i]
+        # bincount adds the matching pi in state order, one at a time
+        total = np.bincount(_starts_with(mu, word), mu.pi, minlength=2)[1]
         return math.log(total) if total > 0 else -math.inf
     path = _state_path(mu, word)
     if path is None:
@@ -1035,7 +1039,7 @@ def sample_forward(mu: GibbsMarkovMeasure, length: int, seed: int = 0) -> Word:
     chain = mu.forward
     i = chain.start(rng, 1)
     path = chain.walk(i, rng, length - m)[:, 0]
-    return tuple(mu.states[i[0]]) + tuple(mu.states[j][-1] for j in path)
+    return tuple(mu.states[i[0]].tolist()) + tuple(mu.states[path, -1].tolist())
 
 
 def sample_past(
@@ -1050,7 +1054,7 @@ def sample_past(
         raise WordLengthError("future prefix is not admissible at this truncation")
     rng = task_rng(seed)
     path = mu.backward.walk(np.array([start]), rng, length)[::-1, 0]
-    return tuple(mu.states[j][0] for j in path)
+    return tuple(mu.states[path, 0].tolist())
 
 
 def _greedy_extension(mu: GibbsMarkovMeasure, word: Sequence[int], extra: int) -> Word:
@@ -1060,7 +1064,7 @@ def _greedy_extension(mu: GibbsMarkovMeasure, word: Sequence[int], extra: int) -
     for _ in range(extra):
         cols, vals = mu.kernel.row(i)
         j = int(cols[vals == vals.max()].min())  # ties go to the smallest state
-        out.append(mu.states[j][-1])
+        out.append(int(mu.states[j, -1]))
         i = j
     return tuple(out)
 
@@ -1129,10 +1133,11 @@ def gibbs_audit(
     m = mu.memory
     P = mu.pressure
     eig = mu.eig
+    A = _mu_incidence(mu)
     rows = []
     for t, n in enumerate(n_range):
         try:
-            words = enumerate_cylinders(n, mu.truncation, _mu_incidence(mu), cap=sample_size)
+            words = enumerate_cylinders(n, mu.truncation, A, cap=sample_size)
         except BudgetError:
             words = set()
             for k in range(sample_size):
@@ -1178,31 +1183,26 @@ def gibbs_audit(
 
 def _mu_incidence(mu: GibbsMarkovMeasure) -> IncidenceMatrix:
     """Letter-level incidence induced by the chain's admissible states."""
-    m = mu.memory
-    if m == 1:
-        # state a reads block a: the letters that may follow a
+    allowed = np.zeros((mu.truncation, mu.truncation), dtype=bool)
+    if mu.memory == 1:
+        # the states are the letters, and block a holds the letters that may follow a
         B = mu.kernel.blocks
-        letter = np.array([st[0] for st in mu.states])
-        holder = np.repeat(np.arange(B.n_blocks), B.sizes)
-        pairs = set(zip(letter[holder].tolist(), letter[B.members].tolist()))
-        return IncidenceMatrix(lambda a, b: (a, b) in pairs, name="from-chain")
-    # candidate words only; inadmissible ones are filtered downstream when
-    # cylinder_log_measure returns -inf
-    pair_ok = set()
-    for st in mu.states:
-        for k in range(m - 1):
-            pair_ok.add((st[k], st[k + 1]))
-    return IncidenceMatrix(lambda a, b: (a, b) in pair_ok, name="from-chain")
+        allowed[np.repeat(np.arange(B.n_blocks), B.sizes), B.members] = True
+    else:
+        # candidate words only; inadmissible ones are filtered downstream
+        # when cylinder_log_measure returns -inf
+        allowed[mu.states[:, :-1], mu.states[:, 1:]] = True
+    return IncidenceMatrix.from_table(allowed, name="from-chain")
 
 
 def _pad_short(mu: GibbsMarkovMeasure, word: Word) -> Word:
     """Complete a below-memory word to memory + its Birkhoff horizon."""
     m = mu.memory
-    pref = tuple(word)
-    for i, st in enumerate(mu.states):
-        if st[: len(pref)] == pref:
-            return _greedy_extension(mu, st, m - 1)[: len(word) + m - 1] if m > 1 else st
-    raise WordLengthError("word extends to no admissible state")
+    hits = np.flatnonzero(_starts_with(mu, word))
+    if hits.size == 0:
+        raise WordLengthError("word extends to no admissible state")
+    st = tuple(mu.states[hits[0]].tolist())
+    return _greedy_extension(mu, st, m - 1)[: len(word) + m - 1] if m > 1 else st
 
 
 def entropy_from_pressure(mu: GibbsMarkovMeasure) -> float:
@@ -1224,22 +1224,24 @@ def markov_entropy(mu: GibbsMarkovMeasure) -> float:
 
 
 def measure_to_json(mu: GibbsMarkovMeasure, max_states: int = 4096) -> dict:
-    """Dense JSON export {states, kernel, stationary, pressure}.
+    """JSON export {states, block_of, blocks, stationary, pressure}.
 
-    A measure with more than max_states states raises BudgetError: the
-    config is valid, the dense export is over its cap.
+    State u moves to blocks[b]["states"][k] with probability blocks[b]["p"][k]
+    for b = block_of[u] (-1: no move), so the export grows with the states
+    plus the block entries. A measure with more than max_states states raises
+    BudgetError: the config is valid, the export is over its cap.
     """
     if mu.n_states > max_states:
         raise BudgetError(
-            f"measure has {mu.n_states} states; refusing dense export beyond {max_states}"
+            f"measure has {mu.n_states} states; refusing export beyond {max_states}"
         )
-    dense = np.zeros((mu.n_states, mu.n_states))
-    for u, row in enumerate(dense):
-        cols, probs = mu.kernel.row(u)
-        row[cols] = probs
+    B, p = mu.kernel.blocks, mu.kernel.p
+    members = B.states_of(np.arange(p.size)).tolist()
+    ptr, p = B.ptr.tolist(), p.tolist()
     return {
-        "states": [list(map(int, s)) for s in mu.states],
-        "kernel": [[float(v) for v in row] for row in dense],
-        "stationary": [float(v) for v in mu.pi],
+        "states": mu.states.tolist(),
+        "block_of": B.cls.tolist(),
+        "blocks": [{"states": members[lo:hi], "p": p[lo:hi]} for lo, hi in zip(ptr[:-1], ptr[1:])],
+        "stationary": mu.pi.tolist(),
         "pressure": float(mu.pressure),
     }

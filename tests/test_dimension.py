@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from thermoform import gdms
+from thermoform import gdms, shifts
 from thermoform.dimension import (
     ChainOrbit,
     _affine_fold,
@@ -33,12 +33,13 @@ from thermoform.dimension import (
     temperature,
     temperature_sweep,
 )
-from thermoform.errors import ConfigError, ConvergenceError
+from thermoform.errors import ConfigError, ConvergenceError, WordLengthError
 from thermoform.gdms import affine_system, gauss_cf, geometric_potential
 from thermoform.rng import task_rng
 from thermoform.shifts import (
     WALK_BLOCK,
     Potential,
+    cylinder_log_measure,
     pressure,
     rpf_eigendata,
     sample_forward,
@@ -264,6 +265,55 @@ class _ConstantRng:
 
     def random(self, shape):
         return np.full(shape, self.u)
+
+
+def _memory3_chain():
+    # letter pairs 0 -> 2, 2 -> 2 and 4 -> 1 forbidden, so some short
+    # prefixes are rarer than others
+    psi = Potential(lambda w: 0.2 * w[0] - 0.1 * w[1] * w[2] + 0.05 * w[2], memory=3)
+    return induced_cell_chain(1.8, psi, 5, {"forbidden_pairs": [[0, 2], [2, 2], [4, 1]]})
+
+
+@pytest.mark.parametrize("chain", ["golden", "memory2", "memory3"])
+def test_state_array_reads_match_state_loops(chain, chain400):
+    """The array reads of mu.states against the loops over state tuples
+    they replaced; the sums add in the same order, so they agree exactly."""
+    mu, part = {"golden": lambda: induced_cell_chain(PHI, incidence="golden"),
+                "memory2": lambda: chain400, "memory3": _memory3_chain}[chain]()
+    states = [tuple(s) for s in mu.states.tolist()]
+    m, N = mu.memory, mu.truncation
+    w = np.zeros(1 + max(s[0] for s in states))
+    for s, p in zip(states, mu.pi):
+        w[s[0]] += p
+    assert np.array_equal(cell_weights(mu), w)
+    logb = math.log(part.beta)
+    obs = [(part.cell(s[0] + 1).k + 1) * logb for s in states]
+    assert gls_return_observable(mu, part).tolist() == obs
+    # the letter incidence the audit enumerates: pairs inside the states, or
+    # at memory 1 the pairs along transitions
+    table = np.zeros((N, N), dtype=bool)
+    for u, s in enumerate(states):
+        if m == 1:
+            for v in mu.kernel.row(u)[0]:
+                table[s[0], states[v][0]] = True
+        for k in range(m - 1):
+            table[s[k], s[k + 1]] = True
+    assert np.array_equal(shifts._mu_incidence(mu).submatrix(N), table)
+    for k in range(1, m):
+        for pref in [(a,) + s[1:k] for s in states[:: max(1, len(states) // 7)] for a in range(N)]:
+            total, first = 0.0, None
+            for i, s in enumerate(states):
+                if s[:k] == pref:
+                    total += mu.pi[i]
+                    first = s if first is None else first
+            assert cylinder_log_measure(mu, pref) == (math.log(total) if total > 0 else -math.inf)
+            if first is None:
+                with pytest.raises(WordLengthError):
+                    shifts._pad_short(mu, pref)
+            else:
+                assert shifts._pad_short(mu, pref) == \
+                    shifts._greedy_extension(mu, first, m - 1)[: k + m - 1]
+    assert all(type(e) is int for e in sample_forward(mu, 50, seed=1) + sample_past(mu, states[0], 50))
 
 
 @pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)])

@@ -345,6 +345,43 @@ def test_system_from_config_rejects_unknown_builtin():
                             "branches": [[0.5, 0.0]], "jump": {}})
 
 
+def _pairwise_view(S, N):
+    """The letter table of shift_view, one admissible_pair call per pair."""
+    edges = S.edges_up_to(N)
+    return np.array([[S.admissible_pair(a, b) for b in edges] for a in edges], dtype=bool)
+
+
+# two vertices: edges 0, 1 leave vertex 0 and edges 2, 3 vertex 1 (dom),
+# each lands in the vertex of its target (img); two label pairs that the
+# vertices allow are forbidden
+TWO_VERTEX = {
+    "vertices": [[0.0, 0.5], [0.5, 1.0]],
+    "edges": [{"label": k, "source": k // 2, "target": k % 2, "kind": "affine",
+               "params": {"a": 0.2, "b": b}} for k, b in enumerate([0.05, 0.6, 0.1, 0.7])],
+    "forbidden_pairs": [[0, 0], [3, 3]],
+}
+
+
+@pytest.mark.parametrize("make,N", [
+    (lambda: system_from_config(TWO_VERTEX), 4),
+    (lambda: jump_transform(backward_cf(), n_cap=64), 24),
+    (lambda: jump_transform(manneville_pomeau(0.5), n_cap=64), 24),
+    (gauss_cf, 10),
+], ids=["two-vertex", "jump-backward-cf", "jump-mp", "gauss"])
+def test_shift_view_matches_pairwise_rule(make, N):
+    S = make()
+    ref = _pairwise_view(S, N)
+    assert np.array_equal(S.shift_view(N).submatrix(N), ref)
+    assert S.shift_view(N).is_full == bool(ref.all())
+
+
 def test_shift_view_detects_full_shift():
     assert gauss_cf().shift_view(10).is_full
-    assert not jump_transform(backward_cf(), n_cap=32).shift_view(10).is_full
+    # backward_cf has one vertex and no pair rule, so every pair of jump
+    # letters is admissible: the view is full although the system has a rule
+    assert jump_transform(backward_cf(), n_cap=32).shift_view(10).is_full
+    # the vertex rule forbids 8 pairs and the label rule 2 more
+    view = system_from_config(TWO_VERTEX).shift_view(4)
+    assert not view.is_full
+    assert view.forbidden == {(0, 1), (0, 3), (1, 1), (1, 3), (2, 0), (2, 2), (3, 0), (3, 2),
+                              (0, 0), (3, 3)}

@@ -1,5 +1,6 @@
 """Incidence matrices, potentials, pressure, and Gibbs chains."""
 
+import json
 import math
 import tracemalloc
 
@@ -85,6 +86,44 @@ def test_forbidden_pairs_matrix():
     assert sub[0, 2] == 0 and sub[1, 2] == 1
 
 
+def test_submatrix_ignores_pairs_outside_the_truncation():
+    A = IncidenceMatrix.from_forbidden_pairs([(-1, 0), (0, -1), (0, 4), (4, 0), (1, 2)])
+    expect = np.ones((4, 4), dtype=bool)
+    expect[1, 2] = False  # -1 does not wrap around to letter 3
+    assert np.array_equal(A.submatrix(4), expect)
+    assert np.array_equal(A.submatrix(5)[:4, :4], expect) and not A.submatrix(5)[0, 4]
+    assert A.submatrix(0).shape == (0, 0)
+
+
+def test_submatrix_of_a_far_letter_stays_small():
+    A = IncidenceMatrix.from_forbidden_pairs([[10**9, 0]])
+    tracemalloc.start()
+    try:
+        sub = A.submatrix(4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sub.all() and sub.shape == (4, 4)
+    assert peak < 2**16
+
+
+def test_empty_forbidden_set_is_full():
+    A = IncidenceMatrix.from_forbidden_pairs([])
+    assert A.is_full and A.submatrix(6).all()
+
+
+def test_incidence_is_plain_data():
+    rng = np.random.default_rng(3)
+    table = rng.random((7, 7)) < 0.6
+    A = IncidenceMatrix.from_table(table)
+    assert np.array_equal(A.submatrix(7), table)
+    assert A.forbidden == {(int(a), int(b)) for a, b in np.argwhere(~table)}
+    for B in (A, IncidenceMatrix.full(), IncidenceMatrix.golden_mean()):
+        assert not any(callable(v) for v in vars(B).values())
+    assert IncidenceMatrix.golden_mean().forbidden == {(1, 1)}
+    assert IncidenceMatrix.from_table(np.ones((3, 3), dtype=bool)).is_full
+
+
 def test_cylinder_counts_follow_transfer_matrix():
     A = IncidenceMatrix.golden_mean()
     # admissible n-words over {0,1} with 11 forbidden: Fibonacci growth
@@ -163,7 +202,7 @@ def _loop_state_graph(psi, A, N, state_cap):
         suffix = u[1:]
         last = u[-1]
         for e in range(N):
-            if A.is_full or A.allows(last, e):
+            if A.allows(last, e):
                 j = index.get(suffix + (e,))
                 if j is not None:
                     rows.append(i)
@@ -190,10 +229,11 @@ def _incidence(kind, N):
         rng = np.random.default_rng(29)
         forbidden = np.argwhere(rng.random((N, N)) < 0.5).tolist()
         return IncidenceMatrix.from_forbidden_pairs(forbidden + [(N - 1, b) for b in range(N)])
+    every = [(a, b) for a in range(N) for b in range(N)]
     if kind == "one-pair":
         # only 0 -> 1: the 2-words are one dead end, and no 3-word exists
-        return IncidenceMatrix(lambda a, b: (a, b) == (0, 1), name="one-pair")
-    return IncidenceMatrix(lambda a, b: False, name="empty")
+        return IncidenceMatrix.from_forbidden_pairs([p for p in every if p != (0, 1)], "one-pair")
+    return IncidenceMatrix.from_forbidden_pairs(every, "empty")
 
 
 STATE_GRAPH_GRID = [
@@ -216,9 +256,10 @@ def _assemble_csr(blocks):
 
 
 def _reference_graph(psi, A, N, state_cap):
-    """_state_graph with its blocks assembled into the transition CSR."""
+    """_state_graph with its state rows as tuples and its blocks assembled
+    into the transition CSR."""
     g = shifts._state_graph(psi, A, N, state_cap)
-    return g.states, g.index, g.psi_vals, _assemble_csr(g.blocks)
+    return list(map(tuple, g.states.tolist())), g.psi_vals, _assemble_csr(g.blocks)
 
 
 @pytest.mark.parametrize("kind,N,m", STATE_GRAPH_GRID)
@@ -229,12 +270,13 @@ def test_state_graph_matches_loop_builder(kind, N, m):
     ref = _loop_state_graph(psi, A, N, 10**6)
     graph = shifts._state_graph(psi, A, N, 10**6)
     got = _reference_graph(psi, A, N, 10**6)
+    # the states are one (S, m) array of letters, in the loop builder's order
+    assert graph.states.dtype == np.intp and graph.states.shape == (len(ref[0]), m)
     assert got[0] == ref[0]
-    assert got[1] == ref[1]
-    assert got[2].dtype == ref[2].dtype and np.array_equal(got[2], ref[2])
-    assert got[3].shape == ref[3].shape
+    assert got[1].dtype == ref[2].dtype and np.array_equal(got[1], ref[2])
+    assert got[2].shape == ref[3].shape
     for part in ("indptr", "indices", "data"):
-        a, b = getattr(got[3], part), getattr(ref[3], part)
+        a, b = getattr(got[2], part), getattr(ref[3], part)
         assert a.dtype == b.dtype and np.array_equal(a, b), part
     # the blocks hold one entry per state (per letter edge at memory 1)
     assert graph.blocks.nnz == ref[3].nnz
@@ -265,7 +307,7 @@ def _reference_pressure(psi, A, N, n_max, state_cap=200_000):
     m = psi.memory
     if A.is_full and m == 1:
         return pressure(psi, A, N, n_max=n_max, state_cap=state_cap)
-    states, _, psi_vals, adj = _reference_graph(psi, A, N, state_cap)
+    states, psi_vals, adj = _reference_graph(psi, A, N, state_cap)
     S = len(states)
     if S == 0:
         raise shifts.ConvergenceError("no admissible states at this truncation")
@@ -303,7 +345,7 @@ def _reference_pressure(psi, A, N, n_max, state_cap=200_000):
 
 def _reference_eigendata(psi, A, N, tol=1e-13, max_iter=10**6, state_cap=200_000):
     """rpf_eigendata() on the transition CSR and a CSR copy of its transpose."""
-    states, index, psi_vals, adj = _reference_graph(psi, A, N, state_cap)
+    states, psi_vals, adj = _reference_graph(psi, A, N, state_cap)
     S = len(states)
     if S == 0:
         raise shifts.ConvergenceError("no admissible states at this truncation")
@@ -458,18 +500,16 @@ def test_pressure_golden_mean_approaches_log_phi():
     assert est.levels[-1] >= math.log(PHI) - 1e-12
 
 
-def test_pressure_state_cap_guard():
+def test_pressure_state_cap_guard(monkeypatch):
     # the full-shift memory-1 fast path never builds states, so block one pair
-    calls = []
+    def no_table(self, N):
+        raise AssertionError(f"built the {N} x {N} letter table")
 
-    def pred(a, b):
-        calls.append((a, b))
-        return (a, b) != (0, 0)
-
+    monkeypatch.setattr(IncidenceMatrix, "submatrix", no_table)
+    A = IncidenceMatrix.from_forbidden_pairs([(0, 0)])
+    # 100,000 one-letter states exceed the cap before the 10^10 table is built
     with pytest.raises(BudgetError):
-        pressure(Potential.constant(0.0), IncidenceMatrix(pred), 500, n_max=2, state_cap=100)
-    # 500 one-letter states exceed the cap before the 500^2 incidence is read
-    assert calls == []
+        pressure(Potential.constant(0.0), A, 100_000, n_max=2, state_cap=100)
 
 
 def test_pressure_near_decoupled_memory2_matches_dense():
@@ -708,10 +748,47 @@ def test_pressure_routes_memory_grows_with_states():
 # --- export
 
 
+def _kernel_from_json(d):
+    """The S x S kernel of an exported chain, rebuilt from its blocks."""
+    S = len(d["states"])
+    P = np.zeros((S, S))
+    for u, b in enumerate(d["block_of"]):
+        if b >= 0:
+            P[u, d["blocks"][b]["states"]] = d["blocks"][b]["p"]
+    return P
+
+
 def test_measure_to_json_shape(golden_chain):
     d = measure_to_json(golden_chain)
-    assert len(d["states"]) == 2 and len(d["stationary"]) == 2
+    assert d["states"] == [[0], [1]] and len(d["stationary"]) == 2
     assert d["pressure"] == pytest.approx(math.log(PHI), abs=1e-14)
-    assert d["kernel"][1][1] == 0.0
+    assert np.array_equal(_kernel_from_json(d), _dense(golden_chain.kernel))
+    assert _kernel_from_json(d)[1, 1] == 0.0
     with pytest.raises(BudgetError):
         measure_to_json(golden_chain, max_states=1)
+    # memory 3 with dead-end letter pairs: rows shared by blocks
+    psi = Potential(lambda w: 0.1 * w[0] - 0.2 * w[1] + 0.05 * w[2], memory=3)
+    mu = gibbs_measure(psi, IncidenceMatrix.from_forbidden_pairs([(0, 2), (2, 2), (1, 1)]), 4)
+    d = measure_to_json(mu)
+    assert d["states"] == mu.states.tolist() and d["stationary"] == mu.pi.tolist()
+    assert np.array_equal(_kernel_from_json(d), _dense(mu.kernel))
+    assert json.loads(json.dumps(d)) == d
+
+
+def test_measure_to_json_grows_with_states():
+    # full shift, memory 2, N = 32: 1,024 states in 32 blocks; a dense
+    # kernel held 1,024^2 numbers
+    psi = Potential.memory2(np.random.default_rng(5).normal(0.0, 0.5, (32, 32)))
+    mu = gibbs_measure(psi, IncidenceMatrix.full(), 32)
+    d = measure_to_json(mu)
+    S, entries = mu.n_states, mu.kernel.p.size
+    assert S == entries == 1024 and len(d["blocks"]) == 32
+
+    def count(x):
+        return sum(map(count, x.values() if isinstance(x, dict) else x)) \
+            if isinstance(x, (dict, list)) else 1
+
+    # m numbers per state, its block, its stationary mass, the pressure, and
+    # a state and a probability per block entry
+    assert count(d) == (mu.memory + 2) * S + 1 + 2 * entries
+    assert np.array_equal(_kernel_from_json(d), _dense(mu.kernel))
