@@ -611,7 +611,7 @@ class TemperatureResult:
 def _tail_ratio(system, t, q, theta, p_theta, A, N) -> float:
     """Share of the letter sums carried by the top floor(N/2) letters."""
     psi = geometric_potential(system, t=t, q=q, theta=theta, p_theta=p_theta, memory=1)
-    sups = np.array([psi.sup_over_letter(e, N, A) for e in range(N)])
+    sups = psi.letter_sups(N, A)
     total = logsumexp(sups)
     tail = logsumexp(sups[N - N // 2 :])
     return float(math.exp(tail - total))

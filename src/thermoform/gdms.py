@@ -24,7 +24,7 @@ from .errors import (
     DomainError,
     WordLengthError,
 )
-from .shifts import IncidenceMatrix, Potential
+from .shifts import IncidenceMatrix, Potential, _word_rows
 
 Interval = tuple[float, float]
 
@@ -851,22 +851,23 @@ class _GeometricPotential(Potential):
         self.p_theta = float(p_theta)
         self.tol = tol
         mem = memory if theta is None else max(memory, theta.memory)
-        super().__init__(self.value, memory=mem, label="geometric",
-                         params={"t": t, "q": q, "p_theta": p_theta})
+        super().__init__(None, memory=mem, label="geometric")
         self._log_derivs: dict[tuple, float] = {}
 
+    def table(self, words) -> np.ndarray:
+        return self.tabulate(words)(self.t)
+
     def tabulate(self, words):
-        """t -> the values on the given words, one row of an (S, m) array
-        each, of this potential at t instead of self.t, bit for bit, as one
-        array; every log-derivative and theta value is read once, here."""
-        rows = np.asarray(words).tolist()
-        L = np.array([self._log_deriv(tuple(w)) for w in rows])
+        """t -> the values on the rows of an (S, k) letter array, k >= memory,
+        of this potential at t instead of self.t, as one array; every
+        log-derivative and theta value is read once, here."""
+        words = _word_rows(words, self.memory)
+        L = np.array([self._log_deriv(tuple(w)) for w in words.tolist()])
         if self.q != 0.0:
-            th = np.array([self.theta.value(w[: self.theta.memory]) if self.theta else 0.0
-                           for w in rows])
+            th = self.theta.table(words) if self.theta else np.zeros(L.size)
 
         def values(t: float) -> np.ndarray:
-            out = np.zeros(L.size)  # the same additions value() makes
+            out = np.zeros(L.size)
             if t != 0.0:
                 out += t * L
             if self.q != 0.0:
@@ -874,19 +875,6 @@ class _GeometricPotential(Potential):
             return out
 
         return values
-
-    def value(self, word: Sequence[int]) -> float:
-        if len(word) < self.memory:
-            raise WordLengthError(
-                f"word of length {len(word)} shorter than memory {self.memory}"
-            )
-        out = 0.0
-        if self.t != 0.0:
-            out += self.t * self._log_deriv(tuple(word))
-        if self.q != 0.0:
-            th = self.theta.value(word[: self.theta.memory]) if self.theta else 0.0
-            out += self.q * (th - self.p_theta)
-        return out
 
     def _log_deriv(self, word: tuple) -> float:
         L = self._log_derivs.get(word)
@@ -898,19 +886,21 @@ class _GeometricPotential(Potential):
             L = self._log_derivs[word] = math.log(abs(S.edge(word[0]).deriv(x)))
         return L
 
-    def sup_over_letter(self, e: int, N: int, A) -> float:
-        br = self.system.edge(e)
-        lo, hi = self.system.domain_of(br)
-        xs = np.linspace(lo, hi, 33)
-        vals = self.t * np.log(np.abs([br.deriv(float(x)) for x in xs]))
-        out = float(vals.max())
+    def letter_sups(self, N: int, A) -> np.ndarray:
+        """t * log|phi'_e| maximized over 33 points of each branch's domain,
+        plus the theta term; from the state values when theta reads more
+        than one letter."""
+        if self.theta is not None and self.theta.memory > 1 and self.q != 0.0:
+            return super().letter_sups(N, A)
+        out = np.empty(N)
+        for e in range(N):
+            br = self.system.edge(e)
+            lo, hi = self.system.domain_of(br)
+            xs = np.linspace(lo, hi, 33)
+            out[e] = float((self.t * np.log(np.abs([br.deriv(float(x)) for x in xs]))).max())
         if self.q != 0.0:
-            if self.theta is None:
-                out += self.q * (-self.p_theta)
-            elif self.theta.memory == 1:
-                out += self.q * (self.theta.value((e,)) - self.p_theta)
-            else:
-                return super().sup_over_letter(e, N, A)
+            th = self.theta.table(np.arange(N)[:, None]) if self.theta else 0.0
+            out += self.q * (th - self.p_theta)
         return out
 
 

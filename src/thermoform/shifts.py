@@ -12,7 +12,7 @@ matrix on admissible m-words.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
@@ -128,97 +128,71 @@ def enumerate_cylinders(n: int, N: int, A: IncidenceMatrix, cap: int = 2_000_000
 
 
 class Potential:
-    """Locally constant potential with declared memory m and Holder exponent.
+    """Locally constant potential with declared memory m.
 
-    value(word) reads only the first m letters. letter_sup, when provided,
-    gives sup of the potential over the length-1 cylinder [e] in closed form
-    (used for summability over countable alphabets).
+    fn maps an (S, m) integer array of words, one per row, to their S values.
+    table(words) evaluates it on the first m letters of each row of an (S, k)
+    letter array, k >= m; every evaluation goes through it.
     """
 
-    def __init__(
-        self,
-        fn: Callable[[Word], float],
-        memory: int = 1,
-        *,
-        holder_beta: float = 1.0,
-        letter_sup: Callable[[int], float] | None = None,
-        label: str = "custom",
-        params: dict | None = None,
-    ):
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], memory: int = 1, *,
+                 label: str = "custom"):
         if memory < 1:
             raise ConfigError("potential memory must be >= 1")
         self.memory = int(memory)
-        self.holder_beta = float(holder_beta)
         self.label = label
-        self.params = params or {}
         self._fn = fn
-        self._letter_sup = letter_sup
-        self._cache: dict[Word, float] = {}
+
+    def table(self, words) -> np.ndarray:
+        """The values on each row of an (S, k) letter array, k >= memory."""
+        words = _word_rows(words, self.memory)
+        try:
+            vals = self._fn(words[:, : self.memory])
+        except (KeyError, IndexError) as exc:
+            raise ConfigError(f"{self.label} potential lacks a word it reads: {exc}") from None
+        return np.asarray(vals, dtype=float)
 
     def value(self, word: Sequence[int]) -> float:
-        if len(word) < self.memory:
-            raise WordLengthError(
-                f"word of length {len(word)} shorter than memory {self.memory}"
-            )
-        key = tuple(word[: self.memory])
-        v = self._cache.get(key)
-        if v is None:
-            try:
-                v = float(self._fn(key))
-            except (KeyError, IndexError):
-                raise ConfigError(f"{self.label} potential has no value for {key}") from None
-            self._cache[key] = v
-        return v
+        return float(self.table([word])[0])
 
-    def sup_over_letter(self, e: int, N: int, A: IncidenceMatrix) -> float:
-        """sup of the potential over the cylinder [e], exact for this truncation."""
-        if self._letter_sup is not None:
-            return float(self._letter_sup(e))
+    def letter_sups(self, N: int, A: IncidenceMatrix) -> np.ndarray:
+        """sup of the potential over each cylinder [e], e < N, exact for this
+        truncation: the max over the admissible m-words starting with e, -inf
+        when e starts none."""
         if self.memory == 1:
-            return self.value((e,))
-        best = -math.inf
-        stack: list[Word] = [(e,)]
-        while stack:
-            w = stack.pop()
-            if len(w) == self.memory:
-                best = max(best, self.value(w))
-                continue
-            for b in range(N):
-                if A.allows(w[-1], b):
-                    stack.append(w + (b,))
-        return best
+            return self.table(np.arange(N)[:, None])
+        states = _state_graph(self, A, N, math.inf).states
+        out = np.full(N, -np.inf)
+        if len(states):
+            # states are lexicographic, so each first letter is one segment
+            first, starts = np.unique(states[:, 0], return_index=True)
+            out[first] = np.maximum.reduceat(self.table(states), starts)
+        return out
 
     @staticmethod
     def constant(c: float) -> "Potential":
-        return Potential(lambda w: c, memory=1, letter_sup=lambda e: c,
-                         label="constant", params={"value": float(c)})
+        c = float(c)
+        return Potential(lambda w: np.full(len(w), c), memory=1, label="constant")
 
     @staticmethod
     def memory1(values) -> "Potential":
-        """Per-letter table: list/array, dict, or callable letter -> value."""
-        if callable(values):
-            fn = values
-            return Potential(lambda w: fn(w[0]), memory=1, label="memory1-table")
+        """Per-letter table: list/array or dict letter -> value."""
         if isinstance(values, dict):
             table = {int(k): float(v) for k, v in values.items()}
-            return Potential(lambda w: table[w[0]], memory=1,
-                             label="memory1-table", params={"table": table})
-        arr = [float(v) for v in values]
-        return Potential(lambda w: arr[w[0]], memory=1,
-                         label="memory1-table", params={"values": arr})
+            return Potential(lambda w: [table[a] for a in w[:, 0].tolist()], memory=1,
+                             label="memory1-table")
+        arr = np.array([float(v) for v in values])
+        return Potential(lambda w: arr[w[:, 0]], memory=1, label="memory1-table")
 
     @staticmethod
     def memory2(table) -> "Potential":
-        """Pair table: dict[(a,b)] -> value, 2D array, or callable (a,b) -> value."""
-        if callable(table):
-            return Potential(lambda w: table(w[0], w[1]), memory=2, label="memory2-table")
+        """Pair table: dict[(a,b)] -> value or 2D array."""
         if isinstance(table, dict):
             tbl = {(int(a), int(b)): float(v) for (a, b), v in table.items()}
-            return Potential(lambda w: tbl[(w[0], w[1])], memory=2,
-                             label="memory2-table", params={"table": tbl})
+            return Potential(lambda w: [tbl[p] for p in zip(*w.T.tolist())], memory=2,
+                             label="memory2-table")
         arr = np.asarray(table, dtype=float)
-        return Potential(lambda w: float(arr[w[0], w[1]]), memory=2,
-                         label="memory2-table", params={"values": arr.tolist()})
+        return Potential(lambda w: arr[w[:, 0], w[:, 1]], memory=2, label="memory2-table")
 
     @staticmethod
     def from_config(cfg: dict) -> "Potential":
@@ -270,6 +244,14 @@ class Potential:
         raise ConfigError(f"unknown potential type {kind!r}")
 
 
+def _word_rows(words, m: int) -> np.ndarray:
+    """words as an (S, k) integer array, each row at least m letters long."""
+    words = np.asarray(words, dtype=np.intp)
+    if words.ndim != 2 or words.shape[1] < m:
+        raise WordLengthError(f"words of shape {words.shape} are not rows of at least {m} letters")
+    return words
+
+
 # exp(psi) and exp(-psi) both stay normal floats below this
 PSI_MAX = 700.0
 
@@ -294,7 +276,8 @@ def birkhoff_sum(psi: Potential, word: Sequence[int], n: int) -> float:
         raise WordLengthError(
             f"need {n + m - 1} letters for an order-{n} Birkhoff sum of a memory-{m} potential"
         )
-    return float(sum(psi.value(word[k: k + m]) for k in range(n)))
+    windows = [word[k: k + m] for k in range(n)]
+    return float(sum(psi.table(windows).tolist()))
 
 
 @dataclass
@@ -317,7 +300,8 @@ def summability_report(
     schedule: Sequence[int] | None = None,
     rel_tol: float = 1e-3,
 ) -> SummabilityReport:
-    """Partial sums of sum_e exp(sup psi|[e]) over growing truncations."""
+    """Partial sums of sum_e exp(sup psi|[e]) over growing truncations,
+    e < N; every schedule entry must be at most N."""
     A = A or IncidenceMatrix.full()
     if schedule is None:
         schedule = []
@@ -327,12 +311,14 @@ def summability_report(
             k *= 2
         schedule.append(N)
         schedule = sorted(set(schedule))
+    if any(nk > N for nk in schedule):
+        raise ConfigError(f"summability schedule {list(schedule)} passes the truncation {N}")
+    sups = psi.letter_sups(N, A).tolist()
     sums = []
     total = 0.0
     prev = 0
     for nk in schedule:
-        for e in range(prev, nk):
-            s = psi.sup_over_letter(e, N, A)
+        for s in sups[prev:nk]:
             if s > -math.inf:
                 total += math.exp(s)
         prev = nk
@@ -463,8 +449,7 @@ class Blocks:
 
 @dataclass
 class StateGraph:
-    """Admissible m-words, one (S, m) row each, their psi values and their
-    successor blocks.
+    """Admissible m-words, one (S, m) row each, and their successor blocks.
 
     For m >= 2 the successors of u are the states whose (m-1)-prefix is u's
     (m-1)-suffix: block b holds the children of the b-th kept (m-1)-word, the
@@ -474,14 +459,14 @@ class StateGraph:
     """
 
     states: np.ndarray
-    psi_vals: np.ndarray
     blocks: Blocks
     memory: int
     truncation: int
 
 
 def _state_graph(psi: Potential, A: IncidenceMatrix, N: int, state_cap: int) -> StateGraph:
-    """States (admissible m-words) in lexicographic order, with psi and blocks.
+    """States (admissible m-words of psi's memory) in lexicographic order, with
+    their blocks; psi itself is not evaluated.
 
     Level k holds the admissible k-words whose last letter can still take m-k
     steps, so no level outgrows the last one and the state cap is checked as
@@ -533,8 +518,7 @@ def _state_graph(psi: Potential, A: IncidenceMatrix, N: int, state_cap: int) -> 
         blocks = Blocks(np.arange(S), np.concatenate(([0], np.cumsum(deg))), dst)
     else:
         blocks = Blocks(sig, np.append(prev_starts, S))
-    psi_vals = np.fromiter(map(psi.value, words.tolist()), dtype=float, count=S)
-    return StateGraph(words, psi_vals, blocks, m, N)
+    return StateGraph(words, blocks, m, N)
 
 
 @dataclass
@@ -590,11 +574,12 @@ def _pressure_routes(psi: Potential, A: IncidenceMatrix, N: int, n_max: int, sta
     if n_max < m:
         raise ConfigError(f"n_max={n_max} below potential memory {m}")
     if A.is_full and m == 1:
-        vals = np.array([psi.value((e,)) for e in range(N)])
+        vals = psi.table(np.arange(N)[:, None])  # the states' values, in order
         return (_full_shift_pressure(vals, N, n_max),
-                lambda: _eigendata(_state_graph(psi, A, N, state_cap)))
+                lambda: _eigendata(_state_graph(psi, A, N, state_cap), vals))
     graph = _state_graph(psi, A, N, state_cap)
-    return _level_pressure(graph, n_max), lambda: _eigendata(graph)
+    vals = psi.table(graph.states)
+    return _level_pressure(graph, vals, n_max), lambda: _eigendata(graph, vals)
 
 
 def _full_shift_pressure(vals: np.ndarray, N: int, n_max: int) -> PressureEstimate:
@@ -604,11 +589,11 @@ def _full_shift_pressure(vals: np.ndarray, N: int, n_max: int) -> PressureEstima
     return PressureEstimate([lse] * n_max, 1, lse, N, 1, 0.0)
 
 
-def _level_pressure(graph: StateGraph, n_max: int) -> PressureEstimate:
+def _level_pressure(graph: StateGraph, psi_vals: np.ndarray, n_max: int) -> PressureEstimate:
     m, S = graph.memory, len(graph.states)
     if S == 0:
         raise ConvergenceError("no admissible states at this truncation")
-    B, psi_vals = graph.blocks, graph.psi_vals
+    B = graph.blocks
 
     # tail(u): max over admissible m-1 step extensions of the trailing Birkhoff
     # terms, a max over each block; dead ends stay -inf
@@ -727,10 +712,12 @@ def rpf_eigendata(
     admissible transition out of u. Requires the truncated state graph to be
     strongly connected.
     """
-    return _eigendata(_state_graph(psi, A, N, state_cap), tol, max_iter)
+    graph = _state_graph(psi, A, N, state_cap)
+    return _eigendata(graph, psi.table(graph.states), tol, max_iter)
 
 
-def _eigendata(graph: StateGraph, tol: float = 1e-13, max_iter: int = 10**6) -> EigenData:
+def _eigendata(graph: StateGraph, psi_vals: np.ndarray, tol: float = 1e-13,
+               max_iter: int = 10**6) -> EigenData:
     S, N, B = len(graph.states), graph.truncation, graph.blocks
     if S == 0:
         raise ConvergenceError("no admissible states at this truncation")
@@ -743,8 +730,8 @@ def _eigendata(graph: StateGraph, tol: float = 1e-13, max_iter: int = 10**6) -> 
     if not moves.any():  # one state and no loop: strongly connected, but nilpotent
         raise NotIrreducibleError(f"state graph has no transitions at truncation {N}")
 
-    scale = float(graph.psi_vals.max())
-    weights = np.exp(graph.psi_vals - scale)
+    scale = float(psi_vals.max())
+    weights = np.exp(psi_vals - scale)
     M = BlockMatrix(B, weights)
     shift = 0.5 * float(weights[moves].max())  # half the largest entry of M
 
@@ -762,7 +749,7 @@ def _eigendata(graph: StateGraph, tol: float = 1e-13, max_iter: int = 10**6) -> 
         scale=scale,
         h=h,
         nu=nu,
-        psi_vals=graph.psi_vals,
+        psi_vals=psi_vals,
         matrix=M,
         residual=max(resid_r, resid_l),
         iterations=its_r + its_l,
@@ -782,7 +769,7 @@ def _pressure_equation(psi: Potential, A: IncidenceMatrix, N: int, state_cap: in
     if A.is_full and psi.memory == 1:
         return np.arange(N)[:, None], lambda vals: _full_shift_pressure(vals, N, 1).value
     graph = _state_graph(psi, A, N, state_cap)
-    return graph.states, lambda vals: _eigendata(replace(graph, psi_vals=vals)).log_rho
+    return graph.states, lambda vals: _eigendata(graph, vals).log_rho
 
 
 # doubles per uniform block drawn by ChainSampler.blocks (8 bytes each); time per
@@ -1139,10 +1126,13 @@ def gibbs_audit(
         try:
             words = enumerate_cylinders(n, mu.truncation, A, cap=sample_size)
         except BudgetError:
-            words = set()
-            for k in range(sample_size):
-                words.add(sample_forward(mu, max(n, m), seed=seed * 100003 + t * 1009 + k)[:n])
-            words = sorted(words)
+            # sample_size stationary walks of max(n, m) letters, cut to n;
+            # np.unique sorts the distinct words lexicographically
+            rng = task_rng(seed * 100003 + t * 1009)
+            s = mu.forward.start(rng, sample_size)
+            path = mu.forward.walk(s, rng, max(n, m) - m)
+            letters = np.concatenate((mu.states[s], mu.states[path, -1].T), axis=1)[:, :n]
+            words = list(map(tuple, np.unique(letters, axis=0).tolist()))
         r_min, r_max = math.inf, -math.inf
         e_min, e_max = math.inf, -math.inf
         count = 0

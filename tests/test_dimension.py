@@ -270,7 +270,7 @@ class _ConstantRng:
 def _memory3_chain():
     # letter pairs 0 -> 2, 2 -> 2 and 4 -> 1 forbidden, so some short
     # prefixes are rarer than others
-    psi = Potential(lambda w: 0.2 * w[0] - 0.1 * w[1] * w[2] + 0.05 * w[2], memory=3)
+    psi = Potential(lambda w: 0.2 * w[:, 0] - 0.1 * w[:, 1] * w[:, 2] + 0.05 * w[:, 2], memory=3)
     return induced_cell_chain(1.8, psi, 5, {"forbidden_pairs": [[0, 2], [2, 2], [4, 1]]})
 
 

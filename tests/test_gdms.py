@@ -27,7 +27,7 @@ from thermoform.gdms import (
     tail_extension,
     verify_osc,
 )
-from thermoform.shifts import Potential
+from thermoform.shifts import IncidenceMatrix, Potential
 
 # classic periodic continued fractions, frozen from the quadratic surds:
 # x = [0; (1)] solves x^2 + x = 1, x = [0; (2)] solves x^2 + 2x = 1,
@@ -268,9 +268,9 @@ def test_geometric_potential_gauss_branch_derivative():
 def test_geometric_potential_sup_dominates_point_values():
     G = gauss_cf()
     psi = geometric_potential(G, t=0.6)
+    sups = psi.letter_sups(12, G.shift_view(12))
     for e in range(5):
-        sup = psi.sup_over_letter(e, 12, G.shift_view(12))
-        assert sup >= psi.value((e,) + (0,) * 40) - 1e-12
+        assert sups[e] >= psi.value((e,) + (0,) * 40) - 1e-12
 
 
 def test_geometric_potential_affine_is_constant_per_letter():
@@ -294,6 +294,36 @@ def test_geometric_potential_tabulate_shares_log_derivatives(monkeypatch, q):
     monkeypatch.setattr(gdms_module, "coding_point", None)  # no recomputation
     for t, row in zip(ts, expect):
         assert values(t).tolist() == row
+
+
+def _geometric_with_memory2_theta():
+    theta = Potential.memory2([[0.1, -0.2, 0.05], [0.3, 0.0, -0.1], [0.2, 0.15, -0.3]])
+    return geometric_potential(gauss_cf(), t=0.7, q=0.5, theta=theta, p_theta=0.25), theta
+
+
+def test_geometric_table_matches_per_row_reference():
+    psi, theta = _geometric_with_memory2_theta()
+    words = np.array([(a, b, c) for a in range(3) for b in range(3) for c in range(3)])
+    ref = []
+    for w in words.tolist():
+        # the additions the per-word value() made
+        out = 0.0
+        out += psi.t * psi._log_deriv(tuple(w))
+        out += psi.q * (theta.value(w[:2]) - psi.p_theta)
+        ref.append(out)
+    assert psi.memory == 2
+    assert psi.table(words).tolist() == ref
+    assert [psi.value(w) for w in words.tolist()] == ref
+
+
+def test_geometric_letter_sups_match_per_letter_search():
+    # theta reads two letters, so the sups come from the admissible 2-words
+    psi, _ = _geometric_with_memory2_theta()
+    A = IncidenceMatrix.from_forbidden_pairs([(0, 1), (2, 2)])
+    ref = []
+    for e in range(3):
+        ref.append(max(psi.value((e, b)) for b in range(3) if A.allows(e, b)))
+    assert psi.letter_sups(3, A).tolist() == ref
 
 
 # --- config plumbing

@@ -166,6 +166,112 @@ def test_potential_from_config_round_trip():
         Potential.from_config({"type": "nope"})
 
 
+def _table_cases():
+    """(potential, per-row reference) pairs, the references reading the raw
+    tables one word at a time."""
+    rng = np.random.default_rng(3)
+    vals1 = rng.normal(0.0, 0.5, 6).tolist()
+    dict1 = {e: v for e, v in enumerate(vals1)}
+    arr2 = rng.normal(0.0, 0.5, (6, 6))
+    dict2 = {(a, b): float(arr2[a, b]) for a in range(6) for b in range(6)}
+    arr3 = rng.normal(0.0, 0.5, (6, 6, 6))
+    return {
+        "constant": (Potential.constant(-0.7), lambda w: -0.7),
+        "memory1-list": (Potential.memory1(vals1), lambda w: vals1[w[0]]),
+        "memory1-dict": (Potential.memory1(dict1), lambda w: dict1[w[0]]),
+        "memory2-array": (Potential.memory2(arr2), lambda w: float(arr2[w[0], w[1]])),
+        "memory2-dict": (Potential.memory2(dict2), lambda w: dict2[(w[0], w[1])]),
+        "memory3-array": (Potential(lambda w: arr3[w[:, 0], w[:, 1], w[:, 2]], memory=3),
+                          lambda w: float(arr3[w[0], w[1], w[2]])),
+        # a function of whole rows sees only the first m letters
+        "memory2-row-sum": (Potential(lambda w: 0.1 * w.sum(axis=1), memory=2),
+                            lambda w: 0.1 * (w[0] + w[1])),
+    }
+
+
+@pytest.mark.parametrize("case", ["constant", "memory1-list", "memory1-dict", "memory2-array",
+                                  "memory2-dict", "memory3-array", "memory2-row-sum"])
+def test_table_matches_per_row_reference(case):
+    psi, ref = _table_cases()[case]
+    # rows longer than the memory: the table reads their first m letters
+    words = np.array(enumerate_cylinders(4, 6, IncidenceMatrix.from_forbidden_pairs([(0, 5)])))
+    got = psi.table(words)
+    assert got.dtype == np.float64 and got.shape == (len(words),)
+    assert got.tolist() == [ref(w) for w in words.tolist()]
+    assert [psi.value(w) for w in words.tolist()] == got.tolist()
+    assert psi.table(words[:0]).shape == (0,)
+    with pytest.raises(shifts.WordLengthError):
+        psi.table(words[:, : psi.memory - 1])
+
+
+def test_dict_table_reads_only_its_rows():
+    # a far letter in a dict table allocates nothing the size of that letter
+    psi = Potential.memory1({0: 1.0, 10**9: 0.0})
+    out = {}
+    assert _traced_peak(lambda: out.update(v=psi.table(np.zeros((1, 1), dtype=np.intp)))) < 64 * 2**10
+    assert out["v"].tolist() == [1.0]
+
+
+@pytest.mark.parametrize("psi", [Potential.memory1([0.0, 1.0]), Potential.memory2({(0, 0): 0.0})])
+def test_table_missing_word_is_a_config_error(psi):
+    with pytest.raises(ConfigError, match="lacks a word"):
+        psi.table([[0, 1], [1, 1], [2, 0]])
+
+
+def _dfs_letter_sup(psi, e, N, A):
+    """The per-letter search letter_sups replaced: the max of psi over the
+    admissible m-words that start with e."""
+    best = -math.inf
+    stack = [(e,)]
+    while stack:
+        w = stack.pop()
+        if len(w) == psi.memory:
+            best = max(best, psi.value(w))
+            continue
+        for b in range(N):
+            if A.allows(w[-1], b):
+                stack.append(w + (b,))
+    return best
+
+
+@pytest.mark.parametrize("case", ["memory2-forbidden", "memory3", "memory3-dead-letter"])
+def test_letter_sups_match_per_letter_search(case):
+    rng = np.random.default_rng(8)
+    N = 9
+    A = IncidenceMatrix.from_forbidden_pairs(np.argwhere(rng.random((N, N)) < 0.3).tolist())
+    if case == "memory2-forbidden":
+        psi = Potential.memory2(rng.normal(0.0, 0.5, (N, N)))
+    else:
+        psi = _poly_potential(3)
+    if case == "memory3-dead-letter":
+        # letter 4 has no successor, so it starts no 3-word and stays -inf
+        A = IncidenceMatrix(A.forbidden | {(4, b) for b in range(N)})
+    got = psi.letter_sups(N, A)
+    ref = [_dfs_letter_sup(psi, e, N, A) for e in range(N)]
+    assert got.tolist() == ref
+    assert (got[4] == -np.inf) == (case == "memory3-dead-letter")
+
+
+def test_state_graph_does_not_evaluate_the_potential():
+    def refuse(words):
+        raise AssertionError("the state graph read psi")
+
+    psi = Potential(refuse, memory=3)
+    graph = shifts._state_graph(psi, IncidenceMatrix.golden_mean(), 2, 100)
+    assert graph.states.tolist() == [[0, 0, 0], [0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 0, 1]]
+    with pytest.raises(AssertionError):
+        psi.table(graph.states)
+
+
+def test_birkhoff_sum_adds_windows_in_order():
+    psi = _poly_potential(2)
+    word = (3, 1, 4, 1, 5, 9, 2)
+    ref = 0
+    for k in range(5):
+        ref += psi.value(word[k: k + 2])
+    assert birkhoff_sum(psi, word, 5) == ref
+
+
 # --- summability
 
 
@@ -189,6 +295,19 @@ def test_summability_flags_slow_tails():
 
 
 # --- m-word state graph
+
+
+def _poly_potential(m):
+    """sum over the first m letters e_k of 0.1 (k + 1) e_k - 0.05 e_k^2, one
+    row at a time in letter order."""
+    def fn(w):
+        out = np.zeros(len(w))
+        for k in range(m):
+            e = w[:, k].astype(float)
+            out += 0.1 * (k + 1) * e - 0.05 * e * e
+        return out
+
+    return Potential(fn, memory=m)
 
 
 def _loop_state_graph(psi, A, N, state_cap):
@@ -259,14 +378,13 @@ def _reference_graph(psi, A, N, state_cap):
     """_state_graph with its state rows as tuples and its blocks assembled
     into the transition CSR."""
     g = shifts._state_graph(psi, A, N, state_cap)
-    return list(map(tuple, g.states.tolist())), g.psi_vals, _assemble_csr(g.blocks)
+    return list(map(tuple, g.states.tolist())), psi.table(g.states), _assemble_csr(g.blocks)
 
 
 @pytest.mark.parametrize("kind,N,m", STATE_GRAPH_GRID)
 def test_state_graph_matches_loop_builder(kind, N, m):
     A = _incidence(kind, N)
-    psi = Potential(lambda w: sum(0.1 * (k + 1) * e - 0.05 * e * e for k, e in enumerate(w)),
-                    memory=m)
+    psi = _poly_potential(m)
     ref = _loop_state_graph(psi, A, N, 10**6)
     graph = shifts._state_graph(psi, A, N, 10**6)
     got = _reference_graph(psi, A, N, 10**6)
@@ -393,8 +511,7 @@ def _close(got, ref):
 @pytest.mark.parametrize("kind,N,m", ROUTE_GRID)
 def test_pressure_matches_scatter_reference(kind, N, m):
     A = _incidence(kind, N)
-    psi = Potential(lambda w: sum(0.1 * (k + 1) * e - 0.05 * e * e for k, e in enumerate(w)),
-                    memory=m)
+    psi = _poly_potential(m)
     n_max = m + 6
     got, err = _outcome(pressure, psi, A, N, n_max=n_max)
     ref, ref_err = _outcome(_reference_pressure, psi, A, N, n_max)
@@ -410,8 +527,7 @@ def test_pressure_matches_scatter_reference(kind, N, m):
 @pytest.mark.parametrize("kind,N,m", [c for c in ROUTE_GRID if c != ("one-pair", 2, 2)])
 def test_eigendata_matches_csr_transpose_reference(kind, N, m):
     A = _incidence(kind, N)
-    psi = Potential(lambda w: sum(0.1 * (k + 1) * e - 0.05 * e * e for k, e in enumerate(w)),
-                    memory=m)
+    psi = _poly_potential(m)
     got, err = _outcome(rpf_eigendata, psi, A, N)
     ref, ref_err = _outcome(_reference_eigendata, psi, A, N)
     assert err == ref_err
@@ -462,8 +578,7 @@ def _reference_kernels(ref):
 ])
 def test_gibbs_kernels_match_csr_reference(kind, N, m):
     A = _incidence(kind, N)
-    psi = Potential(lambda w: sum(0.1 * (k + 1) * e - 0.05 * e * e for k, e in enumerate(w)),
-                    memory=m)
+    psi = _poly_potential(m)
     ref, err = _outcome(_reference_eigendata, psi, A, N)
     mu, got_err = _outcome(gibbs_measure, psi, A, N)
     assert got_err == err
@@ -552,7 +667,7 @@ def test_eigendata_rejects_graph_without_transitions():
     cases = [(_incidence("one-pair", 2), 2, 2),
              (IncidenceMatrix.from_forbidden_pairs([(0, 0)]), 1, 1)]
     for A, N, m in cases:
-        psi = Potential(lambda w: 0.0, memory=m)
+        psi = Potential(lambda w: np.zeros(len(w)), memory=m)
         with pytest.raises(shifts.NotIrreducibleError, match="no transitions"):
             rpf_eigendata(psi, A, N)
 
@@ -676,6 +791,32 @@ def test_audit_memory2_literal_band_is_flat():
                                                     rel=1e-9)
 
 
+def test_audit_samples_past_the_enumeration_cap():
+    # past 16 words a length draws 16 stationary walks and audits their
+    # distinct words
+    A = IncidenceMatrix.from_forbidden_pairs([(1, 1), (2, 0)])
+    psi = Potential.memory2({(a, b): 0.1 * a - 0.2 * b for a in range(3) for b in range(3)})
+    mu = gibbs_measure(psi, A, 3)
+    aud = gibbs_audit(mu, psi, range(2, 9), sample_size=16, seed=4)
+    for t, row in enumerate(aud.rows):
+        n = row.n
+        if len(enumerate_cylinders(n, 3, A)) <= 16:
+            assert row.count == len(enumerate_cylinders(n, 3, A))
+            continue
+        # the walks, one word per walker: its start state, then the last
+        # letter of each state it steps to
+        rng = shifts.task_rng(4 * 100003 + t * 1009)
+        s = mu.forward.start(rng, 16)
+        path = mu.forward.walk(s, rng, n - 2)
+        words = {tuple(mu.states[s[i]].tolist()) + tuple(mu.states[path[:, i], -1].tolist())
+                 for i in range(16)}
+        assert all(is_admissible(w, A) for w in words)
+        assert row.count == len(words) > 1
+    assert 1.0 <= aud.d_exact <= 1.0 + 1e-9
+    assert gibbs_audit(mu, psi, range(2, 9), sample_size=16, seed=4).rows == aud.rows
+    assert gibbs_audit(mu, psi, range(2, 9), sample_size=16, seed=5).rows != aud.rows
+
+
 # --- entropy
 
 
@@ -732,7 +873,8 @@ def test_pressure_routes_memory_grows_with_states():
     allow = rng.random((120, 120)) >= 0.1
     allow[np.arange(120), (np.arange(120) + 1) % 120] = True  # strongly connected
     A = IncidenceMatrix.from_forbidden_pairs(np.argwhere(~allow).tolist())
-    psi = Potential.memory2(rng.normal(0.0, 0.5, (120, 120)))
+    table = rng.normal(0.0, 0.5, (120, 120))
+    psi = Potential.memory2(table)
     out = {}
 
     def routes():
@@ -740,7 +882,7 @@ def test_pressure_routes_memory_grows_with_states():
         out["est"], out["eig"] = est, eigendata()
 
     assert _traced_peak(routes) < 10 * 2**20
-    ref = math.log(np.abs(np.linalg.eigvals(np.exp(psi.params["values"]) * allow)).max())
+    ref = math.log(np.abs(np.linalg.eigvals(np.exp(table) * allow)).max())
     assert out["eig"].log_rho == pytest.approx(ref, abs=1e-10)
     assert out["eig"].matrix.nnz == 1_396_843
 
@@ -767,7 +909,7 @@ def test_measure_to_json_shape(golden_chain):
     with pytest.raises(BudgetError):
         measure_to_json(golden_chain, max_states=1)
     # memory 3 with dead-end letter pairs: rows shared by blocks
-    psi = Potential(lambda w: 0.1 * w[0] - 0.2 * w[1] + 0.05 * w[2], memory=3)
+    psi = Potential(lambda w: 0.1 * w[:, 0] - 0.2 * w[:, 1] + 0.05 * w[:, 2], memory=3)
     mu = gibbs_measure(psi, IncidenceMatrix.from_forbidden_pairs([(0, 2), (2, 2), (1, 1)]), 4)
     d = measure_to_json(mu)
     assert d["states"] == mu.states.tolist() and d["stationary"] == mu.pi.tolist()
