@@ -117,11 +117,6 @@ class BetaSystem:
     def digits(self) -> list[int]:
         return list(self._digits)
 
-    @property
-    def n_floors(self) -> int | None:
-        """Number of tower floors, or None when the expansion never terminates."""
-        return len(self._digits) if self.finite else None
-
     def digit(self, j: int) -> int:
         if j < 1:
             raise ConfigError("digit index is 1-based")

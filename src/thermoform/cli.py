@@ -548,10 +548,7 @@ def main(argv=None) -> int:
             payload = beta_mod.analyze(args.beta, args.depth, seed=args.seed)
         else:
             payload = run(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-    except (json.JSONDecodeError, OSError) as exc:
+    except (ConfigError, json.JSONDecodeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
     except ThermoformError as exc:

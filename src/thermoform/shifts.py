@@ -2,11 +2,13 @@
 
 Letters are nonnegative integers; a truncation keeps letters 0..N-1 and all
 computations happen on the truncated shift. Countable systems are handled by
-sweeping the truncation and watching the pressure stabilize. Words are plain
-tuples of letters. Potentials are locally constant with a declared memory m:
-the value on a word depends only on its first m letters, which makes Birkhoff
-sums over cylinders exact and turns the Ruelle operator into a finite weighted
-matrix on admissible m-words.
+sweeping the truncation and watching the pressure stabilize. A word is a
+tuple of letters; many words of one length n form a (W, n) integer array,
+which is how a Gibbs chain reads them (GibbsMarkovMeasure.lookup).
+Potentials are locally constant with a declared memory m: the value on a
+word depends only on its first m letters, which makes Birkhoff sums over
+cylinders exact and turns the Ruelle operator into a finite weighted matrix
+on admissible m-words.
 """
 
 from __future__ import annotations
@@ -105,26 +107,14 @@ def is_admissible(word: Sequence[int], A: IncidenceMatrix) -> bool:
 
 
 def enumerate_cylinders(n: int, N: int, A: IncidenceMatrix, cap: int = 2_000_000) -> list[Word]:
-    """All admissible words of length n over letters 0..N-1, lexicographic.
+    """All admissible words of length n over letters 0..N-1, lexicographic:
+    the states of memory n.
 
     Raises BudgetError when the count would exceed cap.
     """
     if n < 1:
         raise WordLengthError("cylinder length must be >= 1")
-    out: list[Word] = []
-    stack: list[Word] = [(e,) for e in reversed(range(N))]
-    while stack:
-        w = stack.pop()
-        if len(w) == n:
-            out.append(w)
-            if len(out) > cap:
-                raise BudgetError(f"cylinder enumeration exceeded cap {cap}")
-            continue
-        last = w[-1]
-        for e in reversed(range(N)):
-            if A.allows(last, e):
-                stack.append(w + (e,))
-    return out
+    return list(map(tuple, _state_graph(n, A, N, cap).states.tolist()))
 
 
 class Potential:
@@ -161,7 +151,7 @@ class Potential:
         when e starts none."""
         if self.memory == 1:
             return self.table(np.arange(N)[:, None])
-        states = _state_graph(self, A, N, math.inf).states
+        states = _state_graph(self.memory, A, N, math.inf).states
         out = np.full(N, -np.inf)
         if len(states):
             # states are lexicographic, so each first letter is one segment
@@ -271,13 +261,28 @@ def _psi_table(values, ndim: int) -> np.ndarray:
 
 def birkhoff_sum(psi: Potential, word: Sequence[int], n: int) -> float:
     """S_n psi along the cylinder word; needs len(word) >= n + memory - 1."""
+    return float(birkhoff_sums(psi, [word], n)[0])
+
+
+def birkhoff_sums(psi: Potential, words, n: int) -> np.ndarray:
+    """S_n psi along each row of an (W, k) letter array, its n windows added
+    left to right; needs k >= n + memory - 1."""
     m = psi.memory
-    if len(word) < n + m - 1:
+    words = np.asarray(words, dtype=np.intp)
+    if words.shape[1] < n + m - 1:
         raise WordLengthError(
             f"need {n + m - 1} letters for an order-{n} Birkhoff sum of a memory-{m} potential"
         )
-    windows = [word[k: k + m] for k in range(n)]
-    return float(sum(psi.table(windows).tolist()))
+    windows = np.lib.stride_tricks.sliding_window_view(words, m, axis=1)[:, :n]
+    return _row_sums(psi.table(windows.reshape(-1, m)).reshape(len(words), n))
+
+
+def _row_sums(vals: np.ndarray) -> np.ndarray:
+    """Each row of vals summed left to right from 0.0, as sum() adds a list."""
+    out = np.zeros(len(vals))
+    for col in vals.T:
+        out += col
+    return out
 
 
 @dataclass
@@ -464,9 +469,8 @@ class StateGraph:
     truncation: int
 
 
-def _state_graph(psi: Potential, A: IncidenceMatrix, N: int, state_cap: int) -> StateGraph:
-    """States (admissible m-words of psi's memory) in lexicographic order, with
-    their blocks; psi itself is not evaluated.
+def _state_graph(m: int, A: IncidenceMatrix, N: int, state_cap: int) -> StateGraph:
+    """States (admissible m-words) in lexicographic order, with their blocks.
 
     Level k holds the admissible k-words whose last letter can still take m-k
     steps, so no level outgrows the last one and the state cap is checked as
@@ -476,7 +480,6 @@ def _state_graph(psi: Potential, A: IncidenceMatrix, N: int, state_cap: int) -> 
     state u are the children of its suffix in the last level, one contiguous
     block, so the last level's suffix indices are the blocks the states read.
     """
-    m = psi.memory
     if m == 1 and N > state_cap:
         # every letter is a state; fail before evaluating the N^2 incidence
         raise BudgetError(f"more than {state_cap} admissible 1-words at truncation {N}")
@@ -576,8 +579,8 @@ def _pressure_routes(psi: Potential, A: IncidenceMatrix, N: int, n_max: int, sta
     if A.is_full and m == 1:
         vals = psi.table(np.arange(N)[:, None])  # the states' values, in order
         return (_full_shift_pressure(vals, N, n_max),
-                lambda: _eigendata(_state_graph(psi, A, N, state_cap), vals))
-    graph = _state_graph(psi, A, N, state_cap)
+                lambda: _eigendata(_state_graph(m, A, N, state_cap), vals))
+    graph = _state_graph(m, A, N, state_cap)
     vals = psi.table(graph.states)
     return _level_pressure(graph, vals, n_max), lambda: _eigendata(graph, vals)
 
@@ -712,7 +715,7 @@ def rpf_eigendata(
     admissible transition out of u. Requires the truncated state graph to be
     strongly connected.
     """
-    graph = _state_graph(psi, A, N, state_cap)
+    graph = _state_graph(psi.memory, A, N, state_cap)
     return _eigendata(graph, psi.table(graph.states), tol, max_iter)
 
 
@@ -768,7 +771,7 @@ def _pressure_equation(psi: Potential, A: IncidenceMatrix, N: int, state_cap: in
     """
     if A.is_full and psi.memory == 1:
         return np.arange(N)[:, None], lambda vals: _full_shift_pressure(vals, N, 1).value
-    graph = _state_graph(psi, A, N, state_cap)
+    graph = _state_graph(psi.memory, A, N, state_cap)
     return graph.states, lambda vals: _eigendata(graph, vals).log_rho
 
 
@@ -805,11 +808,6 @@ class BlockKernel:
         b = self.blocks.cls[u]
         lo, hi = (self.blocks.ptr[b], self.blocks.ptr[b + 1]) if b >= 0 else (0, 0)
         return self.blocks.states_of(np.arange(lo, hi)), self.p[lo:hi]
-
-    def prob(self, u: int, v: int) -> float:
-        cols, probs = self.row(u)
-        k = int(np.searchsorted(cols, v))
-        return float(probs[k]) if k < cols.size and cols[k] == v else 0.0
 
 
 class ChainSampler:
@@ -918,14 +916,61 @@ class ChainSampler:
         return np.concatenate([np.empty((0, np.size(s)), dtype=np.intp), *parts])
 
 
+class WordLookup:
+    """Reads (W, n) arrays of letters in 0..N-1 against a chain's m-word states.
+
+    The states sharing a j-prefix are one run, as the states are
+    lexicographic. keys[j] holds first(u) * N + u[j] per state u, first(u)
+    the start of u's j-prefix run: it ascends and stays below S * N, so one
+    searchsorted per column narrows a word's run. Kernel entry k of block b is
+    keyed b * N + the last letter of its state, which ascends within a block
+    at every memory: a state reading b moves on letter e by the entry b * N + e.
+    """
+
+    def __init__(self, states: np.ndarray, blocks: Blocks, N: int):
+        self.N, self.cls, self.states_of = N, blocks.cls, blocks.states_of
+        first, self.keys = np.zeros(len(states), dtype=np.intp), []
+        for col in states.T:
+            self.keys.append(first * N + col)
+            first = self.keys[-1].searchsorted(self.keys[-1])
+        block = np.repeat(np.arange(blocks.n_blocks), blocks.sizes)
+        self.entry_keys = block * N + states[blocks.states_of(np.arange(block.size)), -1]
+
+    def runs(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The run lo..hi-1 of the states that begin with each row of a
+        (W, k <= m) letter array; lo == hi when none does."""
+        lo, hi = np.zeros(len(words), dtype=np.intp), np.full(len(words), len(self.keys[0]))
+        for key, col in zip(self.keys, words.T):
+            target, empty = lo * self.N + col, lo == hi
+            lo, hi = key.searchsorted(target), key.searchsorted(target, "right")
+            hi[empty] = lo[empty]
+        return lo, hi
+
+    def paths(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The states along each row of a (W, n >= m) letter array, (W, n-m+1),
+        and the kernel entries between them, (W, n-m); both are -1 from where
+        the row leaves the chain."""
+        m = len(self.keys)
+        lo, hi = self.runs(words[:, :m])
+        path = np.empty((len(words), words.shape[1] - m + 1), dtype=np.intp)
+        path[:, 0] = np.where(lo < hi, lo, -1)
+        entries = np.empty((len(words), path.shape[1] - 1), dtype=np.intp)
+        for j, u in enumerate(path[:, :-1].T):
+            target = np.where(u >= 0, self.cls[u] * self.N + words[:, m + j], -1)
+            k = np.minimum(self.entry_keys.searchsorted(target), self.entry_keys.size - 1)
+            entries[:, j] = np.where(self.entry_keys[k] == target, k, -1)
+            path[:, j + 1] = np.where(entries[:, j] >= 0, self.states_of(k), -1)
+        return path, entries
+
+
 class GibbsMarkovMeasure:
     """Stationary Markov chain on m-word states realizing the Gibbs state.
 
     kernel p(u -> v) = M[u,v] h(v) / (rho h(u)) = h(v) / (E h)[c(u)] over the
     block c(u) that u reads, so one row per block is kept; stationary
     pi(u) = nu(u) h(u). states holds the m-words, one (S, m) row each, and
-    index maps a word to its row. forward and backward sample the chain and
-    its time reversal.
+    lookup reads arrays of words against them and the kernel. forward and
+    backward sample the chain and its time reversal.
     """
 
     def __init__(self, eig: EigenData):
@@ -942,9 +987,8 @@ class GibbsMarkovMeasure:
         return len(self.states)
 
     @cached_property
-    def index(self) -> dict:
-        """word tuple -> its state, for readers of single words."""
-        return dict(zip(map(tuple, self.states.tolist()), range(self.n_states)))
+    def lookup(self) -> WordLookup:
+        return WordLookup(self.states, self.kernel.blocks, self.truncation)
 
     def reversed_kernel(self) -> BlockKernel:
         """Time reversal: p_rev(v -> u) = pi(u) p(u -> v) / pi(v).
@@ -964,52 +1008,50 @@ class GibbsMarkovMeasure:
         return ChainSampler(self.reversed_kernel(), self.pi)
 
 
-def gibbs_measure(
-    psi: Potential,
-    A: IncidenceMatrix,
-    N: int,
-    **eig_kwargs,
-) -> GibbsMarkovMeasure:
+def gibbs_measure(psi: Potential, A: IncidenceMatrix, N: int, **eig_kwargs) -> GibbsMarkovMeasure:
     return GibbsMarkovMeasure(rpf_eigendata(psi, A, N, **eig_kwargs))
 
 
-def _state_path(mu: GibbsMarkovMeasure, word: Sequence[int]):
-    m = mu.memory
-    path = []
-    for k in range(len(word) - m + 1):
-        i = mu.index.get(tuple(word[k: k + m]))
-        if i is None:
-            return None
-        path.append(i)
-    return path
+def _logs(x: np.ndarray) -> np.ndarray:
+    """math.log of each entry, -inf where it is not positive (np.log can
+    differ from math.log in the last bit)."""
+    return np.array([math.log(v) if v > 0 else -math.inf for v in x.ravel().tolist()]).reshape(x.shape)
 
 
-def _starts_with(mu: GibbsMarkovMeasure, word: Sequence[int]) -> np.ndarray:
-    """Which states begin with the given word (no longer than the memory)."""
-    return (mu.states[:, : len(word)] == np.asarray(word)).all(axis=1)
+def _exps(x: np.ndarray) -> np.ndarray:
+    """math.exp of each entry, for the same reason."""
+    return np.array([math.exp(v) for v in x.tolist()])
+
+
+def cylinder_log_measures(mu: GibbsMarkovMeasure, words) -> np.ndarray:
+    """log mu([w]) for each row w of an (W, n) letter array; -inf for
+    inadmissible or out-of-truncation rows. A row's logs are added left to
+    right: log pi of its first state, then log p of each transition."""
+    words = _word_rows(words, 1)
+    inside = ((words >= 0) & (words < mu.truncation)).all(axis=1)
+    words = np.where(inside[:, None], words, 0)
+    if words.shape[1] < mu.memory:
+        lo, hi = mu.lookup.runs(words)
+        # the pi of each run, added one at a time in state order
+        key = mu.lookup.keys[words.shape[1] - 1]
+        totals = np.bincount(key.searchsorted(key), mu.pi, minlength=mu.n_states + 1)
+        logs = _logs(np.where(lo < hi, totals[lo], 0.0))
+    else:
+        path, entries = mu.lookup.paths(words)
+        vals = np.column_stack((np.where(path[:, 0] >= 0, mu.pi[path[:, 0]], 0.0),
+                                np.where(entries >= 0, mu.kernel.p[entries], 0.0)))
+        logs = _row_sums(_logs(vals))
+    return np.where(inside, logs, -np.inf)
 
 
 def cylinder_log_measure(mu: GibbsMarkovMeasure, word: Sequence[int]) -> float:
     """log mu([word]); -inf for inadmissible or out-of-truncation words."""
     if len(word) == 0:
         raise WordLengthError("cylinder needs a nonempty word")
+    # checked ahead of the intp conversion, which 10**30 would overflow
     if any(e < 0 or e >= mu.truncation for e in word):
         return -math.inf
-    m = mu.memory
-    if len(word) < m:
-        # bincount adds the matching pi in state order, one at a time
-        total = np.bincount(_starts_with(mu, word), mu.pi, minlength=2)[1]
-        return math.log(total) if total > 0 else -math.inf
-    path = _state_path(mu, word)
-    if path is None:
-        return -math.inf
-    acc = math.log(mu.pi[path[0]]) if mu.pi[path[0]] > 0 else -math.inf
-    for a, b in zip(path[:-1], path[1:]):
-        p = mu.kernel.prob(a, b)
-        if p <= 0.0:
-            return -math.inf
-        acc += math.log(p)
-    return acc
+    return float(cylinder_log_measures(mu, np.array([word], dtype=np.intp))[0])
 
 
 def cylinder_measure(mu: GibbsMarkovMeasure, word: Sequence[int]) -> float:
@@ -1036,24 +1078,28 @@ def sample_past(
     m = mu.memory
     if len(future_prefix) < m:
         raise WordLengthError(f"future prefix must carry at least memory={m} letters")
-    start = mu.index.get(tuple(future_prefix[:m]))
-    if start is None:
+    lo = hi = 0
+    if all(0 <= e < mu.truncation for e in future_prefix[:m]):
+        lo, hi = mu.lookup.runs(np.array([future_prefix[:m]], dtype=np.intp))
+    if not lo < hi:
         raise WordLengthError("future prefix is not admissible at this truncation")
     rng = task_rng(seed)
-    path = mu.backward.walk(np.array([start]), rng, length)[::-1, 0]
+    path = mu.backward.walk(lo, rng, length)[::-1, 0]
     return tuple(mu.states[path, 0].tolist())
 
 
-def _greedy_extension(mu: GibbsMarkovMeasure, word: Sequence[int], extra: int) -> Word:
-    """Extend by the most probable next letter; deterministic and admissible."""
-    i = _state_path(mu, word)[-1]
-    out = list(word)
-    for _ in range(extra):
-        cols, vals = mu.kernel.row(i)
-        j = int(cols[vals == vals.max()].min())  # ties go to the smallest state
-        out.append(int(mu.states[j, -1]))
-        i = j
-    return tuple(out)
+def _greedy_letters(mu: GibbsMarkovMeasure, u: np.ndarray, steps: int) -> np.ndarray:
+    """The letters of steps moves from the states u, each to the most probable
+    next state (ties to the smallest): deterministic and admissible."""
+    B, p = mu.kernel.blocks, mu.kernel.p
+    # the first entry at its block's max (an irreducible chain has no empty block)
+    top = p == np.repeat(B.entry_sums(p, np.maximum, -np.inf)[:-1], B.sizes)
+    best = B.states_of(np.minimum.reduceat(np.where(top, np.arange(p.size), p.size), B.ptr[:-1]))
+    out = np.empty((len(u), steps), dtype=np.intp)
+    for j in range(steps):
+        u = best[B.cls[u]]
+        out[:, j] = mu.states[u, -1]
+    return out
 
 
 @dataclass
@@ -1089,42 +1135,32 @@ class GibbsAudit:
 
     @property
     def d_exact(self) -> float:
-        vals = [
-            max(r.exact_max, 1.0 / r.exact_min)
-            for r in self.rows
-            if r.exact_min is not None
-        ]
+        vals = [max(r.exact_max, 1.0 / r.exact_min) for r in self.rows if r.exact_min is not None]
         if not vals:
             raise WordLengthError("no audited lengths reach the potential memory")
         return max(vals)
 
     def trend(self) -> float:
         """Slope of log d_literal against n over the stabilized lengths."""
-        pts = [(r.n, math.log(r.d_literal)) for r in self.rows]
-        if len(pts) < 4:
+        if len(self.rows) < 4:
             return 0.0
-        pts = pts[2:]
-        xs = np.array([p[0] for p in pts], dtype=float)
-        ys = np.array([p[1] for p in pts], dtype=float)
-        return float(np.polyfit(xs, ys, 1)[0])
+        rows = self.rows[2:]
+        return float(np.polyfit([float(r.n) for r in rows], [math.log(r.d_literal) for r in rows], 1)[0])
 
 
-def gibbs_audit(
-    mu: GibbsMarkovMeasure,
-    psi: Potential,
-    n_range: Sequence[int] = range(1, 13),
-    *,
-    sample_size: int = 512,
-    seed: int = 0,
-) -> GibbsAudit:
-    m = mu.memory
-    P = mu.pressure
-    eig = mu.eig
+def gibbs_audit(mu: GibbsMarkovMeasure, psi: Potential, n_range: Sequence[int] = range(1, 13),
+                *, sample_size: int = 512, seed: int = 0) -> GibbsAudit:
+    """One row per length n: every admissible n-word, or past sample_size of
+    them the distinct words of sample_size stationary walks. tau is the word
+    (below the memory, the first state it starts) extended greedily."""
+    if len(n_range) == 0:
+        raise ConfigError("a Gibbs audit needs at least one cylinder length")
+    m, P, eig = mu.memory, mu.pressure, mu.eig
     A = _mu_incidence(mu)
     rows = []
     for t, n in enumerate(n_range):
         try:
-            words = enumerate_cylinders(n, mu.truncation, A, cap=sample_size)
+            words = _state_graph(n, A, mu.truncation, sample_size).states
         except BudgetError:
             # sample_size stationary walks of max(n, m) letters, cut to n;
             # np.unique sorts the distinct words lexicographically
@@ -1132,42 +1168,24 @@ def gibbs_audit(
             s = mu.forward.start(rng, sample_size)
             path = mu.forward.walk(s, rng, max(n, m) - m)
             letters = np.concatenate((mu.states[s], mu.states[path, -1].T), axis=1)[:, :n]
-            words = list(map(tuple, np.unique(letters, axis=0).tolist()))
-        r_min, r_max = math.inf, -math.inf
-        e_min, e_max = math.inf, -math.inf
-        count = 0
-        for w in words:
-            lm = cylinder_log_measure(mu, w)
-            if lm == -math.inf:
-                continue
-            count += 1
-            tau = _greedy_extension(mu, w, m - 1) if len(w) >= m else _pad_short(mu, w)
-            sn = birkhoff_sum(psi, tau, n)
-            r = math.exp(lm - (sn - P * n))
-            r_min, r_max = min(r_min, r), max(r_max, r)
-            if n >= m:
-                path = _state_path(mu, w)
-                s_trans = float(sum(eig.psi_vals[i] for i in path[:-1]))
-                log_pred = (
-                    math.log(eig.nu[path[0]])
-                    + math.log(eig.h[path[-1]])
-                    + s_trans
-                    - P * (n - m)
-                )
-                rex = math.exp(lm - log_pred)
-                e_min, e_max = min(e_min, rex), max(e_max, rex)
-        if count == 0:
+            words = np.unique(letters, axis=0)
+        lm = cylinder_log_measures(mu, words)
+        words, lm = words[lm > -np.inf], lm[lm > -np.inf]
+        if not len(words):
             raise ConvergenceError(f"no admissible cylinders of length {n}")
-        rows.append(
-            GibbsAuditRow(
-                n,
-                count,
-                r_min,
-                r_max,
-                e_min if n >= m else None,
-                e_max if n >= m else None,
-            )
-        )
+        if n >= m:
+            path, _ = mu.lookup.paths(words)
+            head, last = words, path[:, -1]
+            log_pred = (_logs(eig.nu[path[:, 0]]) + _logs(eig.h[last])
+                        + _row_sums(eig.psi_vals[path[:, :-1]]) - P * (n - m))
+            rex = _exps(lm - log_pred)
+            exact = (float(rex.min()), float(rex.max()))
+        else:
+            last = mu.lookup.runs(words)[0]
+            head, exact = mu.states[last], (None, None)
+        tau = np.concatenate((head, _greedy_letters(mu, last, m - 1)), axis=1)[:, : n + m - 1]
+        r = _exps(lm - (birkhoff_sums(psi, tau, n) - P * n))
+        rows.append(GibbsAuditRow(n, len(words), float(r.min()), float(r.max()), *exact))
     return GibbsAudit(rows)
 
 
@@ -1180,19 +1198,9 @@ def _mu_incidence(mu: GibbsMarkovMeasure) -> IncidenceMatrix:
         allowed[np.repeat(np.arange(B.n_blocks), B.sizes), B.members] = True
     else:
         # candidate words only; inadmissible ones are filtered downstream
-        # when cylinder_log_measure returns -inf
+        # when cylinder_log_measures returns -inf
         allowed[mu.states[:, :-1], mu.states[:, 1:]] = True
     return IncidenceMatrix.from_table(allowed, name="from-chain")
-
-
-def _pad_short(mu: GibbsMarkovMeasure, word: Word) -> Word:
-    """Complete a below-memory word to memory + its Birkhoff horizon."""
-    m = mu.memory
-    hits = np.flatnonzero(_starts_with(mu, word))
-    if hits.size == 0:
-        raise WordLengthError("word extends to no admissible state")
-    st = tuple(mu.states[hits[0]].tolist())
-    return _greedy_extension(mu, st, m - 1)[: len(word) + m - 1] if m > 1 else st
 
 
 def entropy_from_pressure(mu: GibbsMarkovMeasure) -> float:

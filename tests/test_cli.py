@@ -285,6 +285,29 @@ def test_gibbs_over_state_cap_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_empty_audit_range_exits_3(tmp_path, capsys):
+    from thermoform import cli
+
+    # n_lo above n_hi leaves no length to audit
+    cfg = write_config(tmp_path, {**INCIDENCE_BASE["gibbs"], "audit": {"n_lo": 5, "n_hi": 3}})
+    assert cli.main(["gibbs", "--config", cfg, "--stable"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err
+
+
+def test_cylinder_letters_past_the_truncation_weigh_nothing(tmp_path, capsys):
+    from thermoform import cli
+
+    # 10**30 and 2**64 have no intp form; 2 is past the truncation at 2 letters
+    words = [[0, 10**30], [2**64], [2], [0, 1]]
+    cfg = write_config(tmp_path, {**INCIDENCE_BASE["gibbs"], "cylinders": words})
+    assert cli.main(["gibbs", "--config", cfg, "--stable"]) == 0
+    got = json.loads(capsys.readouterr().out)["results"]["cylinders"]
+    assert [c["word"] for c in got] == words
+    assert [c["measure"] for c in got[:3]] == [0.0] * 3 and got[3]["measure"] > 0
+
+
 def test_pressure_reports_route_gap(tmp_path, capsys):
     from thermoform import cli
 

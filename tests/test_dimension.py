@@ -33,7 +33,7 @@ from thermoform.dimension import (
     temperature,
     temperature_sweep,
 )
-from thermoform.errors import ConfigError, ConvergenceError, WordLengthError
+from thermoform.errors import ConfigError, ConvergenceError
 from thermoform.gdms import affine_system, gauss_cf, geometric_potential
 from thermoform.rng import task_rng
 from thermoform.shifts import (
@@ -274,6 +274,17 @@ def _memory3_chain():
     return induced_cell_chain(1.8, psi, 5, {"forbidden_pairs": [[0, 2], [2, 2], [4, 1]]})
 
 
+def _greedy_reference(mu, i, steps):
+    """The last letters of steps moves from state i, each to its most
+    probable successor, ties to the smallest state."""
+    out = []
+    for _ in range(steps):
+        cols, vals = mu.kernel.row(i)
+        i = int(cols[vals == vals.max()].min())
+        out.append(int(mu.states[i, -1]))
+    return out
+
+
 @pytest.mark.parametrize("chain", ["golden", "memory2", "memory3"])
 def test_state_array_reads_match_state_loops(chain, chain400):
     """The array reads of mu.states against the loops over state tuples
@@ -301,18 +312,21 @@ def test_state_array_reads_match_state_loops(chain, chain400):
     assert np.array_equal(shifts._mu_incidence(mu).submatrix(N), table)
     for k in range(1, m):
         for pref in [(a,) + s[1:k] for s in states[:: max(1, len(states) // 7)] for a in range(N)]:
-            total, first = 0.0, None
+            total, hits = 0.0, []
             for i, s in enumerate(states):
                 if s[:k] == pref:
                     total += mu.pi[i]
-                    first = s if first is None else first
+                    hits.append(i)
             assert cylinder_log_measure(mu, pref) == (math.log(total) if total > 0 else -math.inf)
-            if first is None:
-                with pytest.raises(WordLengthError):
-                    shifts._pad_short(mu, pref)
+            # the run of states the prefix starts, and the greedy letters
+            # that complete a below-memory word from its first state
+            lo, hi = mu.lookup.runs(np.array([pref]))
+            if not hits:
+                assert lo[0] == hi[0]
             else:
-                assert shifts._pad_short(mu, pref) == \
-                    shifts._greedy_extension(mu, first, m - 1)[: k + m - 1]
+                assert list(range(lo[0], hi[0])) == hits
+                assert shifts._greedy_letters(mu, lo, m - 1).tolist() == \
+                    [_greedy_reference(mu, hits[0], m - 1)]
     assert all(type(e) is int for e in sample_forward(mu, 50, seed=1) + sample_past(mu, states[0], 50))
 
 
@@ -528,7 +542,7 @@ def _per_step_forward(mu, length, seed):
 
 def _per_step_past(mu, future, length, seed):
     rng = task_rng(seed)
-    out, i = [], mu.index[tuple(future[: mu.memory])]
+    out, i = [], mu.states.tolist().index(list(future[: mu.memory]))
     for u in rng.random(length):
         i = _step(mu.backward, i, u)
         out.append(mu.states[i][0])

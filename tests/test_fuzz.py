@@ -3,7 +3,8 @@
 Every config, however malformed, must end in exit 0 (a report), 2 (a numeric
 failure or an exceeded cap) or 3 (a config error), with a one-line message
 and no traceback. The trees mix valid shapes with wrong types, out-of-range
-letters, ragged tables and non-finite numbers.
+letters (2**64 among them), ragged tables, empty audit ranges and non-finite
+numbers.
 """
 
 import contextlib
@@ -65,23 +66,38 @@ pressure_cfg = st.fixed_dictionaries(
         "unknown": junk,
     },
 )
+# 2**64 has no intp form; an n_lo above n_hi leaves no length to audit
+cylinders = st.lists(st.lists(st.one_of(letter, st.just(2**64)), max_size=4), max_size=3)
+audit = st.fixed_dictionaries({}, optional={
+    "n_lo": st.integers(min_value=0, max_value=5),
+    "n_hi": st.integers(min_value=0, max_value=5),
+    "sample_size": st.integers(min_value=0, max_value=8),
+})
 gibbs_cfg = st.fixed_dictionaries(
     {"psi": psi, "n_letters": letter},
     optional={
         "incidence": incidence,
         "max_states": st.integers(min_value=0, max_value=30),
-        "cylinders": st.lists(st.lists(letter, max_size=4), max_size=3),
-        "audit": st.fixed_dictionaries({}, optional={
-            "n_lo": st.integers(min_value=0, max_value=3),
-            "n_hi": st.integers(min_value=0, max_value=5),
-            "sample_size": st.integers(min_value=0, max_value=8),
-        }),
+        "cylinders": cylinders,
+        "audit": audit,
     },
+)
+# a valid chain, so that the cylinders and the audit are always reached
+chain_cfg = st.fixed_dictionaries(
+    {"psi": st.fixed_dictionaries({"type": st.just("memory1-table"),
+                                   "values": st.lists(st.floats(min_value=-3.0, max_value=3.0),
+                                                      min_size=5, max_size=5)}),
+     "n_letters": st.integers(min_value=1, max_value=5),
+     "cylinders": cylinders,
+     "audit": st.fixed_dictionaries({"n_lo": st.integers(min_value=1, max_value=5),
+                                     "n_hi": st.integers(min_value=1, max_value=5)})},
+    optional={"incidence": st.sampled_from(["full", "golden"])},
 )
 # a tree that is not an object at all, or an object that is mostly junk
 config = st.one_of(
     st.tuples(st.just("pressure"), pressure_cfg),
     st.tuples(st.just("gibbs"), gibbs_cfg),
+    st.tuples(st.just("gibbs"), chain_cfg),
     st.tuples(st.sampled_from(["pressure", "gibbs"]),
               st.one_of(junk, st.dictionaries(st.sampled_from(["psi", "n_letters"]), junk))),
 )

@@ -1,5 +1,6 @@
 """Incidence matrices, potentials, pressure, and Gibbs chains."""
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -15,6 +16,7 @@ from thermoform.shifts import (
     Potential,
     birkhoff_sum,
     cylinder_log_measure,
+    cylinder_log_measures,
     cylinder_measure,
     entropy_from_pressure,
     enumerate_cylinders,
@@ -133,6 +135,23 @@ def test_cylinder_counts_follow_transfer_matrix():
         assert all(is_admissible(w, A) for w in words)
     full = enumerate_cylinders(5, 3, IncidenceMatrix.full())
     assert len(full) == 3**5
+
+
+@pytest.mark.parametrize("kind,N", [("full", 4), ("golden", 3), ("half", 6), ("dead-end", 5),
+                                    ("one-pair", 3), ("empty", 3)])
+def test_enumerate_cylinders_filters_all_words_in_order(kind, N):
+    """The words against a filter of all N^n words: the same words in the
+    same order, and BudgetError exactly when there are more than cap."""
+    A = _incidence(kind, N)
+    for n in range(1, 6):
+        ref = [w for w in itertools.product(range(N), repeat=n) if is_admissible(w, A)]
+        assert enumerate_cylinders(n, N, A) == ref
+        for cap in {max(0, len(ref) - 1), len(ref)}:
+            if len(ref) > cap:
+                with pytest.raises(BudgetError):
+                    enumerate_cylinders(n, N, A, cap=cap)
+            else:
+                assert enumerate_cylinders(n, N, A, cap=cap) == ref
 
 
 # --- potentials
@@ -257,7 +276,7 @@ def test_state_graph_does_not_evaluate_the_potential():
         raise AssertionError("the state graph read psi")
 
     psi = Potential(refuse, memory=3)
-    graph = shifts._state_graph(psi, IncidenceMatrix.golden_mean(), 2, 100)
+    graph = shifts._state_graph(psi.memory, IncidenceMatrix.golden_mean(), 2, 100)
     assert graph.states.tolist() == [[0, 0, 0], [0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 0, 1]]
     with pytest.raises(AssertionError):
         psi.table(graph.states)
@@ -311,9 +330,12 @@ def _poly_potential(m):
 
 
 def _loop_state_graph(psi, A, N, state_cap):
-    """Reference builder: one predicate call per candidate transition."""
+    """Reference builder: one predicate call per candidate transition, on
+    the admissible words among all N^m in lexicographic order."""
     m = psi.memory
-    states = enumerate_cylinders(m, N, A, cap=state_cap)
+    states = [w for w in itertools.product(range(N), repeat=m) if is_admissible(w, A)]
+    if len(states) > state_cap:
+        raise BudgetError(f"{len(states)} states pass the cap {state_cap}")
     index = {w: i for i, w in enumerate(states)}
     psi_vals = np.array([psi.value(w) for w in states], dtype=float)
     rows, cols = [], []
@@ -377,7 +399,7 @@ def _assemble_csr(blocks):
 def _reference_graph(psi, A, N, state_cap):
     """_state_graph with its state rows as tuples and its blocks assembled
     into the transition CSR."""
-    g = shifts._state_graph(psi, A, N, state_cap)
+    g = shifts._state_graph(psi.memory, A, N, state_cap)
     return list(map(tuple, g.states.tolist())), psi.table(g.states), _assemble_csr(g.blocks)
 
 
@@ -386,7 +408,7 @@ def test_state_graph_matches_loop_builder(kind, N, m):
     A = _incidence(kind, N)
     psi = _poly_potential(m)
     ref = _loop_state_graph(psi, A, N, 10**6)
-    graph = shifts._state_graph(psi, A, N, 10**6)
+    graph = shifts._state_graph(psi.memory, A, N, 10**6)
     got = _reference_graph(psi, A, N, 10**6)
     # the states are one (S, m) array of letters, in the loop builder's order
     assert graph.states.dtype == np.intp and graph.states.shape == (len(ref[0]), m)
@@ -403,9 +425,10 @@ def test_state_graph_matches_loop_builder(kind, N, m):
     assert stored <= 2 * len(ref[0]) + 1 + (ref[3].nnz if m == 1 else 0)
     S = len(ref[0])
     if S:
-        for build in (_loop_state_graph, shifts._state_graph):
-            with pytest.raises(BudgetError):
-                build(psi, A, N, S - 1)
+        with pytest.raises(BudgetError):
+            _loop_state_graph(psi, A, N, S - 1)
+        with pytest.raises(BudgetError):
+            shifts._state_graph(m, A, N, S - 1)
 
 
 # --- pressure
@@ -718,6 +741,19 @@ def test_cylinder_additivity_sweep(golden_chain, n):
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
+def test_letters_past_the_truncation_weigh_nothing(golden_chain):
+    mu = golden_chain
+    # 10**30 has no intp form, so the letters are checked before conversion
+    for w in [(0, 10**30), (10**30,), (-1,), (0, -1, 0), (2,), (-(10**30), 1), (0, 2**64)]:
+        assert cylinder_log_measure(mu, w) == -math.inf
+        assert cylinder_measure(mu, w) == 0.0
+    got = cylinder_log_measures(mu, np.array([[0, 2], [-1, 0], [0, 1], [1, 1]]))
+    assert got[[0, 1, 3]].tolist() == [-math.inf] * 3 and got[2] > -math.inf
+    for future in [(2, 0), (10**30, 0), (-1, 1)]:
+        with pytest.raises(shifts.WordLengthError):
+            sample_past(mu, future, 5)
+
+
 def test_cylinder_additivity_full3_memory1():
     psi = Potential.memory1([0.1, -0.4, 0.25])
     mu = gibbs_measure(psi, IncidenceMatrix.full(), 3)
@@ -815,6 +851,137 @@ def test_audit_samples_past_the_enumeration_cap():
     assert 1.0 <= aud.d_exact <= 1.0 + 1e-9
     assert gibbs_audit(mu, psi, range(2, 9), sample_size=16, seed=4).rows == aud.rows
     assert gibbs_audit(mu, psi, range(2, 9), sample_size=16, seed=5).rows != aud.rows
+
+
+# --- batched cylinder reads against per-word loops
+
+
+def _parity_chain(name):
+    """psi, incidence, letters, audited lengths and sample size of a chain."""
+    if name == "golden":
+        return Potential.constant(0.0), IncidenceMatrix.golden_mean(), 2, range(1, 13), 512
+    if name == "full3-memory1":
+        return Potential.memory1([0.1, -0.4, 0.25]), IncidenceMatrix.full(), 3, range(1, 13), 512
+    if name == "forbidden-memory1":
+        A = IncidenceMatrix.from_forbidden_pairs([(0, 2), (2, 2), (4, 1), (3, 3)])
+        return Potential.memory1([0.3, -0.2, 0.1, 0.05, -0.4]), A, 5, range(1, 9), 64
+    if name == "symbolic-memory2":
+        # the full-shift table of the symbolic benchmark at seed 901: N = 100,
+        # 10^4 states, every length past the enumeration cap
+        rng = np.random.default_rng(901)
+        rng.normal(0.0, 0.5, (150, 150)), rng.random((150, 150))
+        return (Potential.memory2(rng.normal(0.0, 0.5, (100, 100))), IncidenceMatrix.full(),
+                100, range(2, 9), 256)
+    # sparse memory 3: about 45 % of the pairs forbidden, a -> a+1 mod 7 kept
+    forbidden = np.argwhere(np.random.default_rng(5).random((7, 7)) < 0.45).tolist()
+    A = IncidenceMatrix.from_forbidden_pairs([p for p in forbidden if p[1] != (p[0] + 1) % 7])
+    psi = Potential(lambda w: 0.2 * w[:, 0] - 0.1 * w[:, 1] * w[:, 2] + 0.05 * w[:, 2], memory=3)
+    return psi, A, 7, range(1, 10), 128
+
+
+class _PerWord:
+    """One word at a time, as the chain was read before word arrays: a dict
+    from state tuples to states, K[u, v] from u's kernel row (the dense
+    kernel's row u), and each log added left to right in Python floats."""
+
+    def __init__(self, mu):
+        self.mu = mu
+        self.states = list(map(tuple, mu.states.tolist()))
+        self.index = {s: i for i, s in enumerate(self.states)}
+
+    def path(self, w):
+        m = self.mu.memory
+        return [self.index.get(tuple(w[k: k + m])) for k in range(len(w) - m + 1)]
+
+    def kernel(self, u, v):
+        cols, probs = self.mu.kernel.row(u)
+        hit = np.flatnonzero(cols == v)
+        return float(probs[hit[0]]) if hit.size else 0.0
+
+    def greedy(self, i, steps):
+        out = ()
+        for _ in range(steps):
+            cols, vals = self.mu.kernel.row(i)
+            i = int(cols[vals == vals.max()].min())
+            out += (self.states[i][-1],)
+        return out
+
+    def log_measure(self, w):
+        mu = self.mu
+        if any(e < 0 or e >= mu.truncation for e in w):
+            return -math.inf
+        if len(w) < mu.memory:
+            total = 0.0
+            for i, s in enumerate(self.states):
+                if s[: len(w)] == tuple(w):
+                    total += mu.pi[i]
+            return math.log(total) if total > 0 else -math.inf
+        path = self.path(w)
+        if None in path:
+            return -math.inf
+        vals = [mu.pi[path[0]]] + [self.kernel(u, v) for u, v in zip(path, path[1:])]
+        if min(vals) <= 0:
+            return -math.inf
+        acc = math.log(vals[0])
+        for p in vals[1:]:
+            acc += math.log(p)
+        return acc
+
+    def audit_row(self, psi, n, words):
+        mu, m, eig = self.mu, self.mu.memory, self.mu.eig
+        r, rex = [], []
+        for w in words:
+            lm = self.log_measure(w)
+            if lm == -math.inf:
+                continue
+            if n >= m:
+                path = self.path(w)
+                tau = tuple(w) + self.greedy(path[-1], m - 1)
+                s_trans = sum(eig.psi_vals[i] for i in path[:-1])
+                log_pred = (math.log(eig.nu[path[0]]) + math.log(eig.h[path[-1]]) + s_trans
+                            - mu.pressure * (n - m))
+                rex.append(math.exp(lm - log_pred))
+            else:
+                first = next(i for i, s in enumerate(self.states) if s[:n] == tuple(w))
+                tau = (self.states[first] + self.greedy(first, m - 1))[: n + m - 1]
+            sn = 0
+            for k in range(n):
+                sn += psi.value(tau[k: k + psi.memory])
+            r.append(math.exp(lm - (sn - mu.pressure * n)))
+        exact = (min(rex), max(rex)) if n >= m else (None, None)
+        return shifts.GibbsAuditRow(n, len(r), min(r), max(r), *exact)
+
+
+@pytest.mark.parametrize("name", ["golden", "full3-memory1", "forbidden-memory1",
+                                  "symbolic-memory2", "sparse-memory3"])
+def test_batched_reads_match_per_word_loops(name):
+    """Audit rows and cylinder log-measures equal, bit for bit, the per-word
+    loops the word arrays replaced."""
+    psi, A, N, n_range, size = _parity_chain(name)
+    mu = gibbs_measure(psi, A, N)
+    ref = _PerWord(mu)
+    audit = gibbs_audit(mu, psi, n_range, sample_size=size, seed=3)
+    chain_A = shifts._mu_incidence(mu)
+    for t, (n, row) in enumerate(zip(n_range, audit.rows)):
+        try:
+            words = enumerate_cylinders(n, N, chain_A, cap=size)
+        except BudgetError:
+            # the audit's walks, one word per walker, as sorted distinct tuples
+            rng = shifts.task_rng(3 * 100003 + t * 1009)
+            s = mu.forward.start(rng, size)
+            path = mu.forward.walk(s, rng, max(n, mu.memory) - mu.memory)
+            words = sorted({(ref.states[s[i]] + tuple(mu.states[path[:, i], -1].tolist()))[:n]
+                            for i in range(size)})
+        assert row == ref.audit_row(psi, n, words)
+    rng = np.random.default_rng(1)
+    for n in range(1, 7):
+        # random words, mostly inadmissible or past the truncation, and
+        # prefixes of chain walks
+        walks = [sample_forward(mu, max(n, mu.memory), seed=i)[:n] for i in range(20)]
+        words = np.concatenate((rng.integers(-1, N + 1, (40, n)), np.array(walks)))
+        expect = [ref.log_measure(w) for w in words.tolist()]
+        assert cylinder_log_measures(mu, words).tolist() == expect
+        assert [cylinder_log_measure(mu, w) for w in words.tolist()] == expect
 
 
 # --- entropy
