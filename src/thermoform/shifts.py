@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -778,15 +778,24 @@ def _pressure_equation(psi: Potential, A: IncidenceMatrix, N: int, state_cap: in
 # doubles per uniform block drawn by ChainSampler.blocks (8 bytes each); time per
 # step was flat from 2**15 to 2**18, and smaller blocks keep less heap resident
 WALK_BLOCK = 2**15
-# Largest blocks x walkers at which ChainSampler.blocks speculates. Speculation
-# multiplies the work per step by the number of blocks and saves interpreter
-# steps, so it pays only on tiny chains. Measured per step, serial ->
-# speculative (2 vCPUs, numpy 2.4), when the sampler still kept one row per
-# state and the width was states x walkers, at 64: 32 walkers on 2 states
-# 4.7 -> 3.3 us, 16 on 4 states 4.5 -> 3.3 us, one walker on 64 states
-# 3.7 -> 2.3 us; at 96: 5.2 -> 4.9, 4.7 -> 4.7, 3.8 -> 3.6 us (even); at 128:
-# 5.8 -> 6.4, 3.4 -> 4.2 us (a loss).
-SPECULATE_WIDTH = 64
+# Largest blocks x walkers that ChainSampler.blocks walks by a scan; wider
+# walks step serially. The scan's work per step grows with blocks x walkers,
+# the serial step's hardly. Measured per step, serial -> scan (2 vCPUs, numpy
+# 2.4, best of 3), at 64: golden with 32 walkers 3.5 -> 1.1 us, the 4-block
+# memory-2 chain with 16 walkers 3.7 -> 1.2 us, 8 letters with 8 walkers
+# 3.3 -> 2.0 us, 16 letters with 4 walkers 1.9 -> 1.9 us, 60 letters with one
+# walker 2.9 -> 2.7 us; at 128: 3.1 -> 2.0, 4.6 -> 2.5, 4.3 -> 4.1, 2.6 -> 3.6
+# and 3.1 -> 4.4 us; at 256 the scan loses from 8 letters on.
+SCAN_WIDTH = 64
+# Table entries (blocks x steps x walkers) per scan sub-block. Golden with 32
+# walkers, per step: 2**13 1.4 us, 2**14 1.1 us, 2**15 1.0 us; at 2**15 the
+# Birkhoff walk gained nothing and the scan buffers doubled.
+SCAN_TABLE = 2**14
+# Blocks of at most this many entries are tabulated by counting, larger ones
+# by searchsorted. Per step with one walker, search -> count: 4 letters
+# 0.16 -> 0.10 us, 8 letters 0.31 -> 0.27 us, 12 letters 0.49 -> 0.55 us,
+# 16 letters 0.60 -> 0.87 us.
+COUNT_DEGREE = 8
 
 
 @dataclass
@@ -810,21 +819,34 @@ class BlockKernel:
         return self.blocks.states_of(np.arange(lo, hi)), self.p[lo:hi]
 
 
+@lru_cache
+def _bit_reversal(n: int) -> np.ndarray:
+    """The permutation of range(n), n a power of 2, that reverses the bits of
+    each index; it is its own inverse."""
+    rev = np.zeros(1, dtype=np.intp)
+    while rev.size < n:
+        rev = np.concatenate((2 * rev, 2 * rev + 1))
+    rev.flags.writeable = False  # the cache hands the same array to every caller
+    return rev
+
+
 class ChainSampler:
     """Draws of a Markov chain from its block kernel.
 
     Each block's cumulative sums, in member order, are stored in one flat
     array shifted by 2*block, with the block's last entry pinned to exactly
     1.0, so a block sum that rounding left short of 1 cannot send a draw past
-    it. A uniform u in [0, 1) moves a walker reading block b to the first
-    entry of b whose cumulative sum reaches u: one searchsorted of 2*b + u over
-    every block at once. Block b owns the band [2b, 2b + 1], which a rounded
-    2b + u never leaves. Walkers carry 2*b as a float, the exact double that
-    2b + u adds to, and target2 holds twice the block each entry's state
-    reads, so a step is a search and a gather. Walks come out as the cdf
-    entries each step found; states_of maps them to states and per_entry
-    tabulates a per-state quantity by entry, so a block of entries is mapped
-    once. Start states come from the stationary cdf, pinned the same way.
+    it. A uniform u in [0, 1) moves a walker reading block k to the first
+    entry of k whose cumulative sum reaches u: the searchsorted-left of the
+    double 2k + u in flat. Block k owns the band [2k, 2k + 1], which a rounded
+    2k + u never leaves, so the entry is also block k's first entry plus the
+    count of its unpinned entries below 2k + u. target2 holds twice the block
+    each entry's state reads. blocks steps wide walks one search at a time
+    and small ones by a log-depth scan over per-step block tables (_scan),
+    with the same result. Walks come out as the cdf entries each step found;
+    states_of maps them to states and per_entry tabulates a per-state
+    quantity by entry, so a block of entries is mapped once. Start states
+    come from the stationary cdf, pinned the same way.
     """
 
     def __init__(self, kernel: BlockKernel, pi: np.ndarray):
@@ -844,9 +866,33 @@ class ChainSampler:
         self.target2 = 2.0 * B.cls[B.states_of(np.arange(cum.size))]
         self.states_of = B.states_of
         self._n_blocks = B.n_blocks
+        self._twice = 2.0 * np.arange(B.n_blocks)
+        self._ptr = B.ptr
         pic = np.cumsum(pi)
         pic[-1] = 1.0
         self._pic = pic
+
+    @cached_property
+    def _count_tables(self):
+        """The blocks the scan counts in and those it searches, and for the
+        counted ones their first entries and the thresholds below: u >
+        below[j, i] exactly when the (j+1)-th entry of the i-th counted block
+        k lies below the double 2k + u. 2k + u rounds monotonically in u, so
+        bisecting the bit patterns of [0, 1) finds the last u for which it
+        does not; +inf past a block's unpinned entries leaves u = 1 - ulp."""
+        first, deg = self._ptr[:-1], np.diff(self._ptr)
+        low = deg <= COUNT_DEGREE
+        j = np.arange(int(deg[low].max(initial=1)) - 1)[:, None]
+        at = np.minimum(first[low] + j, self.flat.size - 1)
+        entry = np.where(j < deg[low] - 1, self.flat[at], np.inf)
+        lo = np.zeros(entry.shape, dtype=np.int64)
+        hi = np.full(entry.shape, np.float64(1.0).view(np.int64))
+        while (hi - lo > 1).any():
+            mid = (lo + hi) // 2
+            above = self._twice[low] + mid.view(np.float64) > entry
+            lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+        below = lo.view(np.float64)[..., None, None]
+        return np.flatnonzero(low), np.flatnonzero(~low), first[low][:, None, None], below
 
     def start(self, rng, n: int) -> np.ndarray:
         """n states drawn from the stationary law."""
@@ -862,51 +908,106 @@ class ChainSampler:
         Each block is a fresh time-major (b, W) intp array, one row per step,
         of at most max(WALK_BLOCK, W) entries. Uniforms are drawn as
         rng.random((b, W)) per block, the same stream as one rng.random(W) per
-        step, and each step is the same search, so the path equals the serial
-        walk bit for bit. A state's next step depends only on the block it
-        reads, so on a small chain a block of b steps is cut into C chunks of
-        length L: chunks 0..C-2 first run from every block at once and keep
-        only their ends, which stitch into each chunk's true start; then all C
-        chunks run together from those starts. That costs about 2L + C
-        vectorized steps instead of b. Speculation multiplies the work per
-        step by the number of blocks, so past SPECULATE_WIDTH blocks x walkers
-        C stays 1 and the second loop alone is the serial walk.
+        step, and every step finds the entry the serial search would, so the
+        path equals the serial walk bit for bit. A walker's next block is a
+        function of its block and its uniform, so when blocks x walkers is at
+        most SCAN_WIDTH a block's steps are walked by a scan over sub-blocks
+        of at most SCAN_TABLE table entries (see _scan); wider walks search
+        one step at a time.
         """
         s = np.asarray(s, dtype=np.intp)
         W = s.size
-        n_blocks = self._n_blocks
-        cols = np.arange(W)
         rows = max(1, WALK_BLOCK // W)
-        y = 2.0 * self.cls[s][None]  # one row per chunk: its doubled block
+        K = self._n_blocks
+        scan = K * W <= SCAN_WIDTH
+        # the scan carries each walker's block, the serial walk twice it
+        k, y = self.cls[s], 2.0 * self.cls[s]
+        if scan:
+            sub = 1 << max(0, (SCAN_TABLE // (K * W)).bit_length() - 1)
+            # the tables and levels of a sub-block, and its ramp, starts and
+            # gather positions (see _scan)
+            buf = np.empty((K, 2 * sub, W), dtype=np.intp)
+            work = np.empty((3, sub, W), dtype=np.intp)
+            work[0] = np.arange(sub * W).reshape(sub, W)
+            next_scaled = self.cls[self.states_of(np.arange(self.flat.size))] * buf[0].size
         for t0 in range(0, n_steps, rows):
             u = rng.random((min(rows, n_steps - t0), W))
-            b = u.shape[0]
-            C = 1 if n_blocks * W > SPECULATE_WIDTH else math.isqrt(2 * b)
-            L = -(-b // C)
-            C = -(-b // L)
-            short = b - (C - 1) * L  # length of the last chunk; the others are full
-            if C > 1:
-                ends = np.broadcast_to(2.0 * np.arange(n_blocks)[:, None], (C - 1, n_blocks, W))
-                head = u[: (C - 1) * L].reshape(C - 1, L, 1, W)
-                for j in range(L):
-                    ends = self.target2[self.flat.searchsorted(ends + head[:, j])]
-                ends = ends.astype(np.intp) >> 1
-                starts = [y[0].astype(np.intp) >> 1]
-                for c in range(C - 1):
-                    starts.append(ends[c, starts[-1], cols])
-                y = 2.0 * np.stack(starts)
-            # each step records its cdf entries in the block and reads them
-            # back from there, so no other W-entry array outlives the step
-            block = np.empty((b, W), dtype=np.intp)
-            for j in range(L):
-                if j < short:
-                    block[j::L] = self.flat.searchsorted(y + u[j::L])
-                    y = self.target2[block[j::L]]
-                else:  # the last chunk is done and y[-1] keeps its end
-                    block[j::L] = self.flat.searchsorted(y[:-1] + u[j::L])
-                    y[:-1] = self.target2[block[j::L]]
-            y = y[-1:]
+            block = np.empty(u.shape, dtype=np.intp)
+            if scan:
+                for a in range(0, len(u), sub):
+                    k = self._scan(k, u[a : a + sub], block[a : a + sub], buf, work, next_scaled)
+            else:
+                for j in range(len(u)):
+                    block[j] = self.flat.searchsorted(y + u[j])
+                    y = self.target2[block[j]]
             yield block
+
+    def _entries(self, u: np.ndarray, out: np.ndarray) -> None:
+        """Fill the (K, P, W) out with the cdf entry a walker reading block k
+        finds with the uniform u[p, w], K the number of blocks."""
+        G, H, first, below = self._count_tables
+        if G.size:
+            counted = np.empty((G.size,) + u.shape, dtype=np.intp) if H.size else out
+            counted[...] = first
+            for row in below:
+                counted += row < u
+            if H.size:
+                out[G] = counted
+        if H.size:
+            # the needles run k-fastest, so each walker's searches ascend
+            out[H] = self.flat.searchsorted(u[..., None] + self._twice[H]).transpose(2, 0, 1)
+
+    def _scan(self, k, u, out, buf, work, next_scaled) -> np.ndarray:
+        """Walk the len(u) steps of the uniforms u from the blocks k into out,
+        and return the blocks the walkers read after them.
+
+        Each step maps every block to the block after it, a (K, W) table; the
+        walk is the exclusive prefix scan of these maps under composition
+        (Blelloch 1990). Up the scan, adjacent maps compose pairwise level by
+        level; down it, the blocks at the start of each composed segment give
+        those at the start of its halves, until every step's block is known
+        and its entry is gathered. Time runs in bit-reversed order, padded to
+        a power of 2 with repeats of the last uniforms, so each level's pairs
+        are its two halves and every pass is contiguous.
+
+        buf is (K, 2 * sub, W), K the blocks and sub >= P the sub-block. Its
+        columns 0..P-1 hold the entry table, through which the maps of single
+        steps are read, and the composed levels follow from column sub on. A
+        block k is held as k * stride, stride the size of buf[k], so
+        buf[k, c + p, w] is at k * stride + ramp[p, w] in the flat buf from
+        c * W on, ramp[p, w] = p * W + w being work[0]. Every gather is one
+        take from a contiguous slice of the flat buf.
+        """
+        r, W = u.shape
+        P = 1 << (r - 1).bit_length()
+        rev = _bit_reversal(P)
+        flat, ramp, start, at = buf.reshape(-1), work[0], work[1, :P], work[2, :P]
+        self._entries(u.take(rev, axis=0, mode="clip"), buf[:, :P])
+        # (c, n): the level of n segments, in columns c..c+n-1
+        levels, h = [], P // 2
+        if h >= 2:
+            pair = next_scaled.take(buf[:, :h], mode="clip") + ramp[:h]
+            c = buf.shape[1] // 2
+            next_scaled.take(flat[h * W :].take(pair), out=buf[:, c : c + h], mode="clip")
+            levels.append((c, h))
+        while levels and levels[-1][1] > 2:
+            c, n = levels[-1]
+            h = n // 2
+            pair = buf[:, c : c + h] + ramp[:h]
+            flat[(c + h) * W :].take(pair, out=buf[:, c + n : c + n + h], mode="clip")
+            levels.append((c + n, h))
+        start[0] = k * buf[0].size
+        for c, n in reversed(levels):
+            h = n // 2
+            np.add(start[:h], ramp[:h], out=at[:h])
+            flat[c * W :].take(at[:h], out=start[h : 2 * h], mode="clip")
+        h = P // 2
+        np.add(start[:h], ramp[:h], out=at[:h])
+        next_scaled.take(flat.take(at[:h]), out=start[h : 2 * h], mode="clip")
+        np.add(start, ramp[:P], out=at)
+        flat.take(at, out=start, mode="clip")
+        start.take(rev[:r], axis=0, out=out, mode="clip")
+        return self.cls[self.states_of(out[-1])]
 
     def walk(self, s, rng, n_steps: int) -> np.ndarray:
         """The (n_steps, W) states after each step of blocks(s, rng, n_steps)."""
@@ -1027,9 +1128,17 @@ def cylinder_log_measures(mu: GibbsMarkovMeasure, words) -> np.ndarray:
     """log mu([w]) for each row w of an (W, n) letter array; -inf for
     inadmissible or out-of-truncation rows. A row's logs are added left to
     right: log pi of its first state, then log p of each transition."""
+    return _cylinder_logs(mu, words)[0]
+
+
+def _cylinder_logs(mu: GibbsMarkovMeasure, words) -> tuple[np.ndarray, np.ndarray | None]:
+    """cylinder_log_measures of the rows, and for rows of at least memory
+    letters the state paths they were read along (WordLookup.paths; rows
+    past the truncation read as zeros), else None."""
     words = _word_rows(words, 1)
     inside = ((words >= 0) & (words < mu.truncation)).all(axis=1)
     words = np.where(inside[:, None], words, 0)
+    path = None
     if words.shape[1] < mu.memory:
         lo, hi = mu.lookup.runs(words)
         # the pi of each run, added one at a time in state order
@@ -1041,7 +1150,7 @@ def cylinder_log_measures(mu: GibbsMarkovMeasure, words) -> np.ndarray:
         vals = np.column_stack((np.where(path[:, 0] >= 0, mu.pi[path[:, 0]], 0.0),
                                 np.where(entries >= 0, mu.kernel.p[entries], 0.0)))
         logs = _row_sums(_logs(vals))
-    return np.where(inside, logs, -np.inf)
+    return np.where(inside, logs, -np.inf), path
 
 
 def cylinder_log_measure(mu: GibbsMarkovMeasure, word: Sequence[int]) -> float:
@@ -1152,10 +1261,14 @@ def gibbs_audit(mu: GibbsMarkovMeasure, psi: Potential, n_range: Sequence[int] =
                 *, sample_size: int = 512, seed: int = 0) -> GibbsAudit:
     """One row per length n: every admissible n-word, or past sample_size of
     them the distinct words of sample_size stationary walks. tau is the word
-    (below the memory, the first state it starts) extended greedily."""
+    (below the memory, the first state it starts) extended greedily. A
+    range with no length at or past the memory, where the exact form has no
+    row, is refused before any row is computed."""
     if len(n_range) == 0:
         raise ConfigError("a Gibbs audit needs at least one cylinder length")
     m, P, eig = mu.memory, mu.pressure, mu.eig
+    if max(n_range) < m:
+        raise ConfigError(f"a Gibbs audit needs a cylinder length of at least the memory {m}")
     A = _mu_incidence(mu)
     rows = []
     for t, n in enumerate(n_range):
@@ -1169,12 +1282,13 @@ def gibbs_audit(mu: GibbsMarkovMeasure, psi: Potential, n_range: Sequence[int] =
             path = mu.forward.walk(s, rng, max(n, m) - m)
             letters = np.concatenate((mu.states[s], mu.states[path, -1].T), axis=1)[:, :n]
             words = np.unique(letters, axis=0)
-        lm = cylinder_log_measures(mu, words)
-        words, lm = words[lm > -np.inf], lm[lm > -np.inf]
+        lm, path = _cylinder_logs(mu, words)
+        keep = lm > -np.inf
+        words, lm = words[keep], lm[keep]
         if not len(words):
             raise ConvergenceError(f"no admissible cylinders of length {n}")
         if n >= m:
-            path, _ = mu.lookup.paths(words)
+            path = path[keep]
             head, last = words, path[:, -1]
             log_pred = (_logs(eig.nu[path[:, 0]]) + _logs(eig.h[last])
                         + _row_sums(eig.psi_vals[path[:, :-1]]) - P * (n - m))

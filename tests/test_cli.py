@@ -296,6 +296,21 @@ def test_empty_audit_range_exits_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_audit_below_the_memory_exits_3(tmp_path, capsys):
+    from thermoform import cli
+
+    # memory 2, and the one audited length is 1: no exact-form row
+    cfg = write_config(tmp_path, {
+        "psi": {"type": "memory2-table", "values": [[0.0, -1.0], [-0.5, 0.0]]},
+        "n_letters": 2,
+        "audit": {"n_lo": 1, "n_hi": 1},
+    })
+    assert cli.main(["gibbs", "--config", cfg, "--stable"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err
+
+
 def test_cylinder_letters_past_the_truncation_weigh_nothing(tmp_path, capsys):
     from thermoform import cli
 

@@ -37,6 +37,7 @@ from thermoform.errors import ConfigError, ConvergenceError
 from thermoform.gdms import affine_system, gauss_cf, geometric_potential
 from thermoform.rng import task_rng
 from thermoform.shifts import (
+    SCAN_WIDTH,
     WALK_BLOCK,
     Potential,
     cylinder_log_measure,
@@ -330,19 +331,32 @@ def test_state_array_reads_match_state_loops(chain, chain400):
     assert all(type(e) is int for e in sample_forward(mu, 50, seed=1) + sample_past(mu, states[0], 50))
 
 
+def _scan_chain(name):
+    """A chain the scan walks: golden (blocks of degree 2 and 1), the 16-state
+    memory-2 chain (four blocks of degree 4, counted) or 20 letters (blocks of
+    degree 20, searched)."""
+    if name == "golden":
+        mu, _ = induced_cell_chain(PHI, incidence="golden")
+    elif name == "memory2":
+        mu, _ = _memory2_chain(4)
+    else:
+        mu, _ = induced_cell_chain(1.8, Potential.memory1(np.linspace(-1, 0, 20)), 20)
+    sampler = mu.forward
+    assert (sampler._count_tables[1].size > 0) == (name == "searched")
+    return mu, sampler
+
+
 @pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)])
-@pytest.mark.parametrize("chain", ["golden", "memory2"])
+@pytest.mark.parametrize("chain", ["golden", "memory2", "searched"])
 def test_chain_step_lands_on_kernel_nonzero(chain, u):
     # golden row 1 sums to 1 - 1.7e-15: a draw above that must still go to 0;
-    # 40 steps from every golden state take the speculative chunked walk
-    if chain == "golden":
-        mu, _ = induced_cell_chain(PHI, incidence="golden")
-    else:
-        mu, _ = _memory2_chain(4)
-    s = np.arange(mu.n_states)
-    path = np.vstack([s, mu.forward.walk(s, _ConstantRng(u), 40)])
-    assert ((path >= 0) & (path < mu.n_states)).all()
-    assert (_dense(mu.kernel)[path[:-1], path[1:]] > 0).all()
+    # 40 steps from every state, as few walkers at a time as the scan takes
+    mu, sampler = _scan_chain(chain)
+    per_walk = max(1, SCAN_WIDTH // mu.kernel.blocks.n_blocks)
+    for s in np.array_split(np.arange(mu.n_states), -(-mu.n_states // per_walk)):
+        path = np.vstack([s, sampler.walk(s, _ConstantRng(u), 40)])
+        assert ((path >= 0) & (path < mu.n_states)).all()
+        assert (_dense(mu.kernel)[path[:-1], path[1:]] > 0).all()
 
 
 def test_chain_orbit_matches_dense_reference(chain400):
@@ -483,20 +497,11 @@ def test_birkhoff_burn_in_and_one_orbit_match_per_step_loop(driver, n_orbits, bu
     assert (est.value, est.stderr) == ref
 
 
-@pytest.mark.parametrize("walkers", [1, 3, 32, 100])
-@pytest.mark.parametrize("chain", ["golden", "memory2"])
-def test_walk_matches_step_loop(chain, walkers):
-    # speculation runs up to SPECULATE_WIDTH blocks x walkers: golden (2
-    # blocks) up to 32 walkers, the 16-state chain (4 blocks) up to 16; wider
-    # walks are serial. Two
-    # full blocks (ending in a short chunk at 3 and 32 walkers) are followed
-    # by a one-step block, which walks serially from the carried state.
-    if chain == "golden":
-        mu, _ = induced_cell_chain(PHI, incidence="golden")
-    else:
-        mu, _ = _memory2_chain(4)
-    sampler = mu.forward
-    steps = 2 * (WALK_BLOCK // walkers) + 1
+def _walk_matches_step_loop(chain, walkers, steps):
+    mu, sampler = _scan_chain(chain)
+    if walkers in ("at", "past"):
+        walkers = SCAN_WIDTH // mu.kernel.blocks.n_blocks + (walkers == "past")
+    steps = steps(walkers)
     rng = task_rng(8)
     got = sampler.walk(sampler.start(rng, walkers), rng, steps)
     rng = task_rng(8)
@@ -507,8 +512,27 @@ def test_walk_matches_step_loop(chain, walkers):
     assert np.array_equal(got, ref)
 
 
+@pytest.mark.parametrize("walkers", [1, 3, 32, 100, "at", "past"])
+@pytest.mark.parametrize("chain", ["golden", "memory2", "searched"])
+def test_walk_matches_step_loop(chain, walkers):
+    # blocks x walkers up to SCAN_WIDTH are scanned: golden (2 blocks) up to
+    # 32 walkers, the 16-state chain (4 blocks) up to 16, 20 letters up to 3;
+    # "at" sits on that width and "past" one walker beyond it, which walks
+    # serially. Two full blocks are followed by a one-step block, which scans
+    # a sub-block of one step from the carried state.
+    _walk_matches_step_loop(chain, walkers, lambda W: 2 * (WALK_BLOCK // W) + 1)
+
+
+@pytest.mark.parametrize("walkers", [1, 3, "at", "past"])
+@pytest.mark.parametrize("chain", ["golden", "memory2", "searched"])
+def test_odd_walk_matches_step_loop(chain, walkers):
+    # 777 steps are odd, so no multiple of a sub-block: the last sub-block is
+    # padded to a power of 2 with repeats of its last uniforms
+    _walk_matches_step_loop(chain, walkers, lambda W: 777)
+
+
 @pytest.mark.parametrize("walkers,steps", [
-    (16, 2 * (WALK_BLOCK // 16) + 5),  # speculative blocks of 2,048 rows, then 5
+    (16, 2 * (WALK_BLOCK // 16) + 5),  # scanned blocks of 2,048 rows, then 5
     (100, 3 * (WALK_BLOCK // 100) + 1),  # serial blocks of 327 rows, then 1
     (WALK_BLOCK + 3, 3),  # one row per block
 ])
@@ -563,7 +587,7 @@ def test_words_and_clouds_match_per_step_loops(chain, chain400):
         mu, part = induced_cell_chain(PHI, incidence="golden")
     elif chain == "memory2":
         mu, part = chain400
-    else:  # full60 is speculated on for the single walker of a word; full300
+    else:  # full60 is scanned for the single walker of a word; full300
         # has more letters than a byte holds, so its clouds gather uint16
         k = int(chain[4:])
         mu, part = induced_cell_chain(1.8, Potential.memory1(np.linspace(-1, 0, k)), k)
@@ -595,7 +619,8 @@ def test_birkhoff_block_buffers_stay_small():
     mu, part = induced_cell_chain(PHI, incidence="golden")
     orbit = ChainOrbit(mu, gls_return_observable(mu, part))
     peak = _traced_peak(lambda: lyapunov_birkhoff(orbit, n_steps=100_000, n_orbits=32, seed=0))
-    # a few (WALK_BLOCK / 32, 32) blocks at a time, ~1.1 MB; the steps never add up
+    # a few (WALK_BLOCK / 32, 32) blocks at a time and the scan's sub-block
+    # buffers, ~1.7 MB under tracemalloc; the steps never add up
     assert peak < 2 * 2**20
 
 

@@ -984,6 +984,39 @@ def test_batched_reads_match_per_word_loops(name):
         assert [cylinder_log_measure(mu, w) for w in words.tolist()] == expect
 
 
+@pytest.mark.parametrize("name", ["golden", "symbolic-memory2", "sparse-memory3"])
+def test_audit_reuses_the_log_measure_paths(name, monkeypatch):
+    """The exact form reads the state paths of the log-measure pass: one
+    WordLookup.paths call per length at or past the memory, and the rows the
+    route that looked the paths up a second time gives, bit for bit."""
+    psi, A, N, n_range, size = _parity_chain(name)
+    mu = gibbs_measure(psi, A, N)
+    m, eig = mu.memory, mu.eig
+    read, lookup_paths = [], shifts.WordLookup.paths
+    monkeypatch.setattr(shifts.WordLookup, "paths",
+                        lambda self, words: read.append(words) or lookup_paths(self, words))
+    audit = gibbs_audit(mu, psi, n_range, sample_size=size, seed=3)
+    assert [words.shape[1] for words in read] == [n for n in n_range if n >= m]
+    monkeypatch.undo()
+    rows = [row for row in audit.rows if row.n >= m]
+    for row, words in zip(rows, read):
+        lm = cylinder_log_measures(mu, words)
+        words, lm = words[lm > -np.inf], lm[lm > -np.inf]
+        path, _ = mu.lookup.paths(words)
+        log_pred = (shifts._logs(eig.nu[path[:, 0]]) + shifts._logs(eig.h[path[:, -1]])
+                    + shifts._row_sums(eig.psi_vals[path[:, :-1]]) - mu.pressure * (row.n - m))
+        rex = shifts._exps(lm - log_pred)
+        assert (row.exact_min, row.exact_max) == (float(rex.min()), float(rex.max()))
+
+
+def test_audit_below_the_memory_is_refused_before_any_row(monkeypatch):
+    psi, A, N, _, _ = _parity_chain("sparse-memory3")
+    mu = gibbs_measure(psi, A, N)
+    monkeypatch.setattr(shifts, "_cylinder_logs", lambda *a: pytest.fail("a row was computed"))
+    with pytest.raises(ConfigError, match="memory 3"):
+        gibbs_audit(mu, psi, range(1, 3))
+
+
 # --- entropy
 
 
