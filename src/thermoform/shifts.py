@@ -778,24 +778,23 @@ def _pressure_equation(psi: Potential, A: IncidenceMatrix, N: int, state_cap: in
 # doubles per uniform block drawn by ChainSampler.blocks (8 bytes each); time per
 # step was flat from 2**15 to 2**18, and smaller blocks keep less heap resident
 WALK_BLOCK = 2**15
-# Largest blocks x walkers that ChainSampler.blocks walks by a scan; wider
-# walks step serially. The scan's work per step grows with blocks x walkers,
-# the serial step's hardly. Measured per step, serial -> scan (2 vCPUs, numpy
-# 2.4, best of 3), at 64: golden with 32 walkers 3.5 -> 1.1 us, the 4-block
-# memory-2 chain with 16 walkers 3.7 -> 1.2 us, 8 letters with 8 walkers
-# 3.3 -> 2.0 us, 16 letters with 4 walkers 1.9 -> 1.9 us, 60 letters with one
-# walker 2.9 -> 2.7 us; at 128: 3.1 -> 2.0, 4.6 -> 2.5, 4.3 -> 4.1, 2.6 -> 3.6
-# and 3.1 -> 4.4 us; at 256 the scan loses from 8 letters on.
+# Largest blocks x walkers that ChainSampler.blocks walks by a scan, and
+# largest blocks x walkers x block degree, as the scan counts through every
+# block's entries; other walks step serially. Measured per step, serial ->
+# scan (2 vCPUs, numpy 2.4, best of 3), at blocks x walkers 64: golden with
+# 32 walkers 3.5 -> 1.1 us, the 4-block memory-2 chain with 16 walkers 3.7 ->
+# 1.2 us; at 128: 3.1 -> 2.0 and 4.6 -> 2.5 us, but 8 letters with 16
+# walkers 4.3 -> 4.1 us, and at 256 the scan loses from 8 letters on. By
+# work: 8 letters with 8 walkers (512) 3.6 -> 2.8 us, 12 with 4 (576) 3.1 ->
+# 1.9 us, 20 with one (400) 2.8 -> 1.4 us; from 720 to 900 (12 letters with
+# 5 or 6 walkers, 16 with 3, 20 with 2, 30 with 1) the two are even, and 16
+# letters with 4 walkers (1024) 3.2 -> 3.6 us, 60 with one 2.8 -> 9.8 us.
 SCAN_WIDTH = 64
+SCAN_WORK = 640
 # Table entries (blocks x steps x walkers) per scan sub-block. Golden with 32
 # walkers, per step: 2**13 1.4 us, 2**14 1.1 us, 2**15 1.0 us; at 2**15 the
 # Birkhoff walk gained nothing and the scan buffers doubled.
 SCAN_TABLE = 2**14
-# Blocks of at most this many entries are tabulated by counting, larger ones
-# by searchsorted. Per step with one walker, search -> count: 4 letters
-# 0.16 -> 0.10 us, 8 letters 0.31 -> 0.27 us, 12 letters 0.49 -> 0.55 us,
-# 16 letters 0.60 -> 0.87 us.
-COUNT_DEGREE = 8
 
 
 @dataclass
@@ -863,36 +862,15 @@ class ChainSampler:
         cum += np.repeat(2 * np.arange(B.n_blocks), deg)
         self.flat = cum
         self.cls = B.cls
-        self.target2 = 2.0 * B.cls[B.states_of(np.arange(cum.size))]
+        self._next = B.cls[B.states_of(np.arange(cum.size))]
+        self.target2 = 2.0 * self._next
         self.states_of = B.states_of
         self._n_blocks = B.n_blocks
         self._twice = 2.0 * np.arange(B.n_blocks)
-        self._ptr = B.ptr
+        self._ptr, self._deg = B.ptr, deg
         pic = np.cumsum(pi)
         pic[-1] = 1.0
         self._pic = pic
-
-    @cached_property
-    def _count_tables(self):
-        """The blocks the scan counts in and those it searches, and for the
-        counted ones their first entries and the thresholds below: u >
-        below[j, i] exactly when the (j+1)-th entry of the i-th counted block
-        k lies below the double 2k + u. 2k + u rounds monotonically in u, so
-        bisecting the bit patterns of [0, 1) finds the last u for which it
-        does not; +inf past a block's unpinned entries leaves u = 1 - ulp."""
-        first, deg = self._ptr[:-1], np.diff(self._ptr)
-        low = deg <= COUNT_DEGREE
-        j = np.arange(int(deg[low].max(initial=1)) - 1)[:, None]
-        at = np.minimum(first[low] + j, self.flat.size - 1)
-        entry = np.where(j < deg[low] - 1, self.flat[at], np.inf)
-        lo = np.zeros(entry.shape, dtype=np.int64)
-        hi = np.full(entry.shape, np.float64(1.0).view(np.int64))
-        while (hi - lo > 1).any():
-            mid = (lo + hi) // 2
-            above = self._twice[low] + mid.view(np.float64) > entry
-            lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
-        below = lo.view(np.float64)[..., None, None]
-        return np.flatnonzero(low), np.flatnonzero(~low), first[low][:, None, None], below
 
     def start(self, rng, n: int) -> np.ndarray:
         """n states drawn from the stationary law."""
@@ -902,6 +880,13 @@ class ChainSampler:
         """values[state] for the state each cdf entry moves to."""
         return values[self.states_of(np.arange(self.flat.size))]
 
+    @property
+    def scan_walkers(self) -> int:
+        """The most walkers blocks walks by a scan: blocks x walkers at most
+        SCAN_WIDTH, and that times the largest block degree at most SCAN_WORK."""
+        K = self._n_blocks
+        return min(SCAN_WIDTH // K, SCAN_WORK // (K * int(self._deg.max())))
+
     def blocks(self, s, rng, n_steps: int):
         """Yield the cdf entries of the n_steps steps from the W states s, a block at a time.
 
@@ -910,79 +895,76 @@ class ChainSampler:
         rng.random((b, W)) per block, the same stream as one rng.random(W) per
         step, and every step finds the entry the serial search would, so the
         path equals the serial walk bit for bit. A walker's next block is a
-        function of its block and its uniform, so when blocks x walkers is at
-        most SCAN_WIDTH a block's steps are walked by a scan over sub-blocks
-        of at most SCAN_TABLE table entries (see _scan); wider walks search
-        one step at a time.
+        function of its block and its uniform, so up to scan_walkers walkers
+        a block's steps are walked by a scan over sub-blocks of at most
+        SCAN_TABLE table entries (see _scan); more search one step at a time.
         """
         s = np.asarray(s, dtype=np.intp)
         W = s.size
         rows = max(1, WALK_BLOCK // W)
-        K = self._n_blocks
-        scan = K * W <= SCAN_WIDTH
+        K, deg = self._n_blocks, self._deg
+        scan = W <= self.scan_walkers
         # the scan carries each walker's block, the serial walk twice it
         k, y = self.cls[s], 2.0 * self.cls[s]
         if scan:
             sub = 1 << max(0, (SCAN_TABLE // (K * W)).bit_length() - 1)
-            # the tables and levels of a sub-block, and its ramp, starts and
-            # gather positions (see _scan)
+            # the tables and levels of a sub-block, its needles, and its ramp,
+            # starts and gather positions (see _scan)
             buf = np.empty((K, 2 * sub, W), dtype=np.intp)
             work = np.empty((3, sub, W), dtype=np.intp)
             work[0] = np.arange(sub * W).reshape(sub, W)
-            next_scaled = self.cls[self.states_of(np.arange(self.flat.size))] * buf[0].size
+            # below[i, k]: the (i+1)-th entry of block k, +inf past its unpinned ones
+            i = np.arange(int(deg.max()) - 1)[:, None]
+            first = self._ptr[:-1]
+            below = np.where(i < deg - 1, self.flat.take(first + i, mode="clip"), np.inf)
+            needles = np.empty((K, sub, W))
+            tables = (buf, work, needles, first, below, self._next * buf[0].size)
         for t0 in range(0, n_steps, rows):
             u = rng.random((min(rows, n_steps - t0), W))
             block = np.empty(u.shape, dtype=np.intp)
             if scan:
                 for a in range(0, len(u), sub):
-                    k = self._scan(k, u[a : a + sub], block[a : a + sub], buf, work, next_scaled)
+                    k = self._scan(k, u[a : a + sub], block[a : a + sub], *tables)
             else:
                 for j in range(len(u)):
                     block[j] = self.flat.searchsorted(y + u[j])
                     y = self.target2[block[j]]
             yield block
 
-    def _entries(self, u: np.ndarray, out: np.ndarray) -> None:
-        """Fill the (K, P, W) out with the cdf entry a walker reading block k
-        finds with the uniform u[p, w], K the number of blocks."""
-        G, H, first, below = self._count_tables
-        if G.size:
-            counted = np.empty((G.size,) + u.shape, dtype=np.intp) if H.size else out
-            counted[...] = first
-            for row in below:
-                counted += row < u
-            if H.size:
-                out[G] = counted
-        if H.size:
-            # the needles run k-fastest, so each walker's searches ascend
-            out[H] = self.flat.searchsorted(u[..., None] + self._twice[H]).transpose(2, 0, 1)
-
-    def _scan(self, k, u, out, buf, work, next_scaled) -> np.ndarray:
+    def _scan(self, k, u, out, buf, work, needles, first, below, next_scaled) -> np.ndarray:
         """Walk the len(u) steps of the uniforms u from the blocks k into out,
         and return the blocks the walkers read after them.
 
         Each step maps every block to the block after it, a (K, W) table; the
         walk is the exclusive prefix scan of these maps under composition
-        (Blelloch 1990). Up the scan, adjacent maps compose pairwise level by
-        level; down it, the blocks at the start of each composed segment give
-        those at the start of its halves, until every step's block is known
-        and its entry is gathered. Time runs in bit-reversed order, padded to
-        a power of 2 with repeats of the last uniforms, so each level's pairs
-        are its two halves and every pass is contiguous.
+        (Blelloch 1990). The entry a walker reading block k finds with the
+        uniform u is first[k] plus the count of the unpinned entries below[:,
+        k] under the double 2k + u, the serial search's needle. Up the scan,
+        adjacent maps compose pairwise level by level; down it, the blocks at
+        the start of each composed segment give those at the start of its
+        halves, until every step's block is known and its entry is gathered.
+        Time runs in bit-reversed order, padded to a power of 2 with repeats of
+        the last uniforms, so each level's pairs are its two halves and every
+        pass is contiguous.
 
-        buf is (K, 2 * sub, W), K the blocks and sub >= P the sub-block. Its
-        columns 0..P-1 hold the entry table, through which the maps of single
-        steps are read, and the composed levels follow from column sub on. A
-        block k is held as k * stride, stride the size of buf[k], so
-        buf[k, c + p, w] is at k * stride + ramp[p, w] in the flat buf from
-        c * W on, ramp[p, w] = p * W + w being work[0]. Every gather is one
-        take from a contiguous slice of the flat buf.
+        buf is (K, 2 * sub, W), K the blocks and sub >= P the sub-block, and
+        needles is (K, sub, W) doubles. Columns 0..P-1 of buf hold the entry table,
+        through which the maps of single steps are read, and the composed
+        levels follow from column sub on. A block k is held as k * stride,
+        stride the size of buf[k], so buf[k, c + p, w] is at k * stride +
+        ramp[p, w] in the flat buf from c * W on, ramp[p, w] = p * W + w being
+        work[0]; next_scaled holds the block after each entry so scaled. Every
+        gather is one take from a contiguous slice of the flat buf.
         """
         r, W = u.shape
         P = 1 << (r - 1).bit_length()
         rev = _bit_reversal(P)
         flat, ramp, start, at = buf.reshape(-1), work[0], work[1, :P], work[2, :P]
-        self._entries(u.take(rev, axis=0, mode="clip"), buf[:, :P])
+        table, needle = buf[:, :P], needles[:, :P]
+        np.add(self._twice[:, None, None], u.take(rev, axis=0, mode="clip"), out=needle)
+        table[...] = first[:, None, None]
+        for row in below:
+            table += row[:, None, None] < needle
         # (c, n): the level of n segments, in columns c..c+n-1
         levels, h = [], P // 2
         if h >= 2:
@@ -1007,7 +989,7 @@ class ChainSampler:
         np.add(start, ramp[:P], out=at)
         flat.take(at, out=start, mode="clip")
         start.take(rev[:r], axis=0, out=out, mode="clip")
-        return self.cls[self.states_of(out[-1])]
+        return self._next[out[-1]]
 
     def walk(self, s, rng, n_steps: int) -> np.ndarray:
         """The (n_steps, W) states after each step of blocks(s, rng, n_steps)."""

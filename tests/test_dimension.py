@@ -37,8 +37,8 @@ from thermoform.errors import ConfigError, ConvergenceError
 from thermoform.gdms import affine_system, gauss_cf, geometric_potential
 from thermoform.rng import task_rng
 from thermoform.shifts import (
-    SCAN_WIDTH,
     WALK_BLOCK,
+    ChainSampler,
     Potential,
     cylinder_log_measure,
     pressure,
@@ -333,26 +333,33 @@ def test_state_array_reads_match_state_loops(chain, chain400):
 
 def _scan_chain(name):
     """A chain the scan walks: golden (blocks of degree 2 and 1), the 16-state
-    memory-2 chain (four blocks of degree 4, counted) or 20 letters (blocks of
-    degree 20, searched)."""
+    memory-2 chain (four blocks of degree 4), 8 letters whose rows keep the
+    letters from i // 2 on (blocks of degrees 8, 8, 7, 7, 6, 6, 5, 5), or 20
+    letters (twenty blocks of degree 20, so the scan's work bound stops it
+    at one walker)."""
     if name == "golden":
         mu, _ = induced_cell_chain(PHI, incidence="golden")
     elif name == "memory2":
         mu, _ = _memory2_chain(4)
+    elif name == "uneven":
+        forbidden = [[i, j] for i in range(8) for j in range(i // 2)]
+        mu, _ = induced_cell_chain(1.8, Potential.memory1(np.linspace(-1, 0, 8)), 8,
+                                   {"forbidden_pairs": forbidden})
+        assert mu.kernel.blocks.sizes.tolist() == [8, 8, 7, 7, 6, 6, 5, 5]
     else:
         mu, _ = induced_cell_chain(1.8, Potential.memory1(np.linspace(-1, 0, 20)), 20)
     sampler = mu.forward
-    assert (sampler._count_tables[1].size > 0) == (name == "searched")
+    assert sampler.scan_walkers == {"golden": 32, "memory2": 16, "uneven": 8, "letters20": 1}[name]
     return mu, sampler
 
 
 @pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)])
-@pytest.mark.parametrize("chain", ["golden", "memory2", "searched"])
+@pytest.mark.parametrize("chain", ["golden", "memory2", "uneven", "letters20"])
 def test_chain_step_lands_on_kernel_nonzero(chain, u):
     # golden row 1 sums to 1 - 1.7e-15: a draw above that must still go to 0;
-    # 40 steps from every state, as few walkers at a time as the scan takes
+    # 40 steps from every state, at most scan_walkers at a time so all scan
     mu, sampler = _scan_chain(chain)
-    per_walk = max(1, SCAN_WIDTH // mu.kernel.blocks.n_blocks)
+    per_walk = sampler.scan_walkers
     for s in np.array_split(np.arange(mu.n_states), -(-mu.n_states // per_walk)):
         path = np.vstack([s, sampler.walk(s, _ConstantRng(u), 40)])
         assert ((path >= 0) & (path < mu.n_states)).all()
@@ -497,13 +504,16 @@ def test_birkhoff_burn_in_and_one_orbit_match_per_step_loop(driver, n_orbits, bu
     assert (est.value, est.stderr) == ref
 
 
-def _walk_matches_step_loop(chain, walkers, steps):
+def _walk_matches_step_loop(chain, walkers, steps, monkeypatch):
     mu, sampler = _scan_chain(chain)
     if walkers in ("at", "past"):
-        walkers = SCAN_WIDTH // mu.kernel.blocks.n_blocks + (walkers == "past")
+        walkers = sampler.scan_walkers + (walkers == "past")
     steps = steps(walkers)
+    scans, scan = [], ChainSampler._scan
+    monkeypatch.setattr(ChainSampler, "_scan", lambda self, *a: scans.append(a) or scan(self, *a))
     rng = task_rng(8)
     got = sampler.walk(sampler.start(rng, walkers), rng, steps)
+    assert bool(scans) == (walkers <= sampler.scan_walkers)
     rng = task_rng(8)
     s = sampler.start(rng, walkers)
     ref = np.empty((steps, walkers), dtype=np.intp)
@@ -513,22 +523,22 @@ def _walk_matches_step_loop(chain, walkers, steps):
 
 
 @pytest.mark.parametrize("walkers", [1, 3, 32, 100, "at", "past"])
-@pytest.mark.parametrize("chain", ["golden", "memory2", "searched"])
-def test_walk_matches_step_loop(chain, walkers):
-    # blocks x walkers up to SCAN_WIDTH are scanned: golden (2 blocks) up to
-    # 32 walkers, the 16-state chain (4 blocks) up to 16, 20 letters up to 3;
-    # "at" sits on that width and "past" one walker beyond it, which walks
-    # serially. Two full blocks are followed by a one-step block, which scans
-    # a sub-block of one step from the carried state.
-    _walk_matches_step_loop(chain, walkers, lambda W: 2 * (WALK_BLOCK // W) + 1)
+@pytest.mark.parametrize("chain", ["golden", "memory2", "uneven", "letters20"])
+def test_walk_matches_step_loop(chain, walkers, monkeypatch):
+    # up to scan_walkers walkers are scanned: golden up to 32, the 16-state
+    # chain up to 16, the uneven one up to 8, 20 letters only one; "at" sits on
+    # that count and "past" one walker beyond it, which walks serially. Two
+    # full blocks are followed by a one-step block, which scans a sub-block
+    # of one step from the carried state.
+    _walk_matches_step_loop(chain, walkers, lambda W: 2 * (WALK_BLOCK // W) + 1, monkeypatch)
 
 
 @pytest.mark.parametrize("walkers", [1, 3, "at", "past"])
-@pytest.mark.parametrize("chain", ["golden", "memory2", "searched"])
-def test_odd_walk_matches_step_loop(chain, walkers):
+@pytest.mark.parametrize("chain", ["golden", "memory2", "uneven", "letters20"])
+def test_odd_walk_matches_step_loop(chain, walkers, monkeypatch):
     # 777 steps are odd, so no multiple of a sub-block: the last sub-block is
     # padded to a power of 2 with repeats of its last uniforms
-    _walk_matches_step_loop(chain, walkers, lambda W: 777)
+    _walk_matches_step_loop(chain, walkers, lambda W: 777, monkeypatch)
 
 
 @pytest.mark.parametrize("walkers,steps", [
@@ -587,7 +597,7 @@ def test_words_and_clouds_match_per_step_loops(chain, chain400):
         mu, part = induced_cell_chain(PHI, incidence="golden")
     elif chain == "memory2":
         mu, part = chain400
-    else:  # full60 is scanned for the single walker of a word; full300
+    else:  # full60 is past the scan's work bound at one walker; full300
         # has more letters than a byte holds, so its clouds gather uint16
         k = int(chain[4:])
         mu, part = induced_cell_chain(1.8, Potential.memory1(np.linspace(-1, 0, k)), k)
@@ -620,7 +630,7 @@ def test_birkhoff_block_buffers_stay_small():
     orbit = ChainOrbit(mu, gls_return_observable(mu, part))
     peak = _traced_peak(lambda: lyapunov_birkhoff(orbit, n_steps=100_000, n_orbits=32, seed=0))
     # a few (WALK_BLOCK / 32, 32) blocks at a time and the scan's sub-block
-    # buffers, ~1.7 MB under tracemalloc; the steps never add up
+    # buffers, ~1.8 MB under tracemalloc; the steps never add up
     assert peak < 2 * 2**20
 
 
