@@ -81,8 +81,8 @@ class BetaSystem:
     """
 
     def __init__(self, beta: float, depth: int = 64, max_depth: int = 1 << 16):
-        if beta <= 1.0:
-            raise ConfigError(f"beta={beta} must exceed 1")
+        if not 1.0 < beta < math.inf:
+            raise ConfigError(f"beta={beta} must be finite and exceed 1")
         self.beta = float(beta)
         self.max_depth = max_depth
         self._digits, self.finite = expansion_of_one(beta, depth)

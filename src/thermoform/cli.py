@@ -29,6 +29,10 @@ INCIDENCE_SCHEMA = {"oneOf": [
      "required": ["forbidden_pairs"], "additionalProperties": False},
 ]}
 
+# j ranges of the radii 2^-j and root brackets: [lo, hi]
+INT_PAIR = {"type": "array", "items": {"type": "integer"}, "minItems": 2, "maxItems": 2}
+NUMBER_PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
+
 SCHEMAS = {
     "pressure": {
         "type": "object",
@@ -103,7 +107,7 @@ SCHEMAS = {
                 "properties": {
                     "M": {"type": "integer", "minimum": 1000},
                     "depth": {"type": "integer", "minimum": 1},
-                    "j_range": {"type": "array", "items": {"type": "integer"}},
+                    "j_range": INT_PAIR,
                     "n_centers": {"type": "integer", "minimum": 4},
                 },
                 "additionalProperties": False,
@@ -113,8 +117,8 @@ SCHEMAS = {
                 "properties": {
                     "M": {"type": "integer", "minimum": 1000},
                     "depth": {"type": "integer", "minimum": 1},
-                    "j_range_2d": {"type": "array", "items": {"type": "integer"}},
-                    "j_range_1d": {"type": "array", "items": {"type": "integer"}},
+                    "j_range_2d": INT_PAIR,
+                    "j_range_1d": INT_PAIR,
                     "n_centers": {"type": "integer", "minimum": 4},
                 },
                 "additionalProperties": False,
@@ -125,7 +129,7 @@ SCHEMAS = {
                     "n_steps": {"type": "integer", "minimum": 1},
                     "n_orbits": {"type": "integer", "minimum": 2},
                     "cloud_points": {"type": "integer", "minimum": 1000},
-                    "j_range": {"type": "array", "items": {"type": "integer"}},
+                    "j_range": INT_PAIR,
                 },
                 "additionalProperties": False,
             },
@@ -136,7 +140,7 @@ SCHEMAS = {
                     "theta": {"type": "object"},
                     "q": {"type": "number"},
                     "p_theta": {"type": "number"},
-                    "bracket": {"type": "array", "items": {"type": "number"}},
+                    "bracket": NUMBER_PAIR,
                     "truncation": {"type": "integer", "minimum": 1},
                     "memory": {"type": "integer", "minimum": 1},
                 },
@@ -147,7 +151,7 @@ SCHEMAS = {
                 "type": "object",
                 "properties": {
                     "system": {"type": "object"},
-                    "bracket": {"type": "array", "items": {"type": "number"}},
+                    "bracket": NUMBER_PAIR,
                     "truncation": {"type": "integer", "minimum": 1},
                     "memory": {"type": "integer", "minimum": 1},
                 },
@@ -160,26 +164,16 @@ SCHEMAS = {
 }
 
 
-def _to_jsonable(obj):
+def _json_default(obj):
+    """json.dumps hook for what json cannot encode: numpy values and result
+    dataclasses (to_dict() when a class trims its fields, else asdict)."""
     import numpy as np
 
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        if hasattr(obj, "to_dict"):
-            return _to_jsonable(obj.to_dict())
-        return _to_jsonable(dataclasses.asdict(obj))
-    if isinstance(obj, dict):
-        return {str(k): _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+        return obj.to_dict() if hasattr(obj, "to_dict") else dataclasses.asdict(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +348,7 @@ def cmd_dimension(config: dict, seed: int):
                 n_cells=n_cells,
                 incidence=incidence,
                 depth=ccfg.get("depth"),
-                j_range=tuple(ccfg["j_range"]) if "j_range" in ccfg else None,
+                j_range=ccfg.get("j_range"),
                 n_centers=int(ccfg.setdefault("n_centers", 64)),
                 keep_cloud=True,
             )
@@ -370,8 +364,8 @@ def cmd_dimension(config: dict, seed: int):
                 n_cells=n_cells,
                 incidence=incidence,
                 depth=gcfg.get("depth"),
-                j_range_2d=tuple(gcfg["j_range_2d"]) if "j_range_2d" in gcfg else None,
-                j_range_1d=tuple(gcfg["j_range_1d"]) if "j_range_1d" in gcfg else None,
+                j_range_2d=gcfg.get("j_range_2d"),
+                j_range_1d=gcfg.get("j_range_1d"),
                 n_centers=int(gcfg.setdefault("n_centers", 64)),
                 keep_cloud=True,
             )
@@ -387,11 +381,7 @@ def cmd_dimension(config: dict, seed: int):
             seed=seed,
         )
         acim = dim.gauss_acim_cloud(int(gcfg.setdefault("cloud_points", 200_000)), seed)
-        est = dim.local_dimension(
-            acim,
-            j_range=tuple(gcfg["j_range"]) if "j_range" in gcfg else None,
-            seed=seed + 1,
-        )
+        est = dim.local_dimension(acim, j_range=gcfg.get("j_range"), seed=seed + 1)
         results["gauss"] = {"lyapunov": birk, "acim_dimension": est, "h_over_chi": est.mean}
         if cloud is None:
             cloud = acim
@@ -507,10 +497,12 @@ def run(args) -> dict:
     import jsonschema
 
     config = _load_config(args)
-    try:
-        jsonschema.validate(config, SCHEMAS[args.command])
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config: {exc.message}") from None
+    # jsonschema.validate minus check_schema: the schemas are constant and tested
+    schema = SCHEMAS[args.command]
+    validator = jsonschema.validators.validator_for(schema)(schema)
+    error = jsonschema.exceptions.best_match(validator.iter_errors(config))
+    if error is not None:
+        raise ConfigError(f"config: {error.message}")
 
     # the handlers import their module lazily; load it first so wall_time_s
     # measures the command and not the numpy/scipy import
@@ -555,7 +547,7 @@ def main(argv=None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
 
-    text = json.dumps(_to_jsonable(payload), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -50,15 +50,6 @@ class LyapunovEstimate:
     n_steps: int = 0
     n_orbits: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "stderr": self.stderr,
-            "method": self.method,
-            "n_steps": self.n_steps,
-            "n_orbits": self.n_orbits,
-        }
-
 
 class MapOrbit:
     """Float orbits of an interval map, vectorized across orbits.
@@ -256,6 +247,7 @@ class LocalDimensionEstimate:
     method: str
 
     def to_dict(self) -> dict:
+        """Report fields: every field but the per-center slopes."""
         return {
             "mean": self.mean,
             "std": self.std,
@@ -323,6 +315,8 @@ def local_dimension(
         # max_frac; 2^-10 starves min_count in 2D at desk-scale M
         j_range = (3, 9) if two_d else (4, 15)
     js = np.arange(j_range[0], j_range[1] + 1)
+    if js.size == 0:
+        raise ConfigError(f"empty radius range j_range={list(j_range)}")
     radii = 2.0 ** (-js.astype(float))
 
     rng = task_rng(seed)
@@ -598,14 +592,6 @@ class TemperatureResult:
     t: float
     bracket: tuple[float, float]
     residual: float
-
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "t": self.t,
-            "bracket": list(self.bracket),
-            "residual": self.residual,
-        }
 
 
 def _tail_ratio(system, t, q, theta, p_theta, A, N) -> float:

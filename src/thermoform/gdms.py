@@ -71,6 +71,8 @@ class Gdms:
     ):
         if not vertices:
             raise ConfigError("a system needs at least one vertex interval")
+        if n_edges == 0:
+            raise ConfigError("a system needs at least one edge")
         self.vertices = [(float(lo), float(hi)) for lo, hi in vertices]
         for lo, hi in self.vertices:
             if not lo < hi:
@@ -833,6 +835,9 @@ def parabolic_asymptotics(
 # ---------------------------------------------------------------------------
 # geometric potentials on the edge alphabet
 
+# width below which the nested images pin a state's coding point
+CODING_TOL = 1e-14
+
 
 class _GeometricPotential(Potential):
     """t * log|phi'_(first letter)| at the tail coding point, plus optional
@@ -843,13 +848,12 @@ class _GeometricPotential(Potential):
     per word, and tabulate() reweights it for any other t."""
 
     def __init__(self, S: Gdms, t: float, q: float, theta: Potential | None,
-                 p_theta: float, memory: int, tol: float):
+                 p_theta: float, memory: int):
         self.system = S
         self.t = float(t)
         self.q = float(q)
         self.theta = theta
         self.p_theta = float(p_theta)
-        self.tol = tol
         mem = memory if theta is None else max(memory, theta.memory)
         super().__init__(None, memory=mem, label="geometric")
         self._log_derivs: dict[tuple, float] = {}
@@ -882,7 +886,7 @@ class _GeometricPotential(Potential):
             S = self.system
             tail = word[1:] if len(word) > 1 else word
             labels = [S.edge(k).label for k in tail]
-            x = coding_point(S, tail_extension(S, labels), tol=self.tol)
+            x = coding_point(S, tail_extension(S, labels), tol=CODING_TOL)
             L = self._log_derivs[word] = math.log(abs(S.edge(word[0]).deriv(x)))
         return L
 
@@ -912,21 +916,30 @@ def geometric_potential(
     p_theta: float = 0.0,
     *,
     memory: int = 1,
-    tol: float = 1e-14,
 ) -> Potential:
     if q != 0.0 and theta is None and p_theta == 0.0:
         raise ConfigError("q != 0 needs a theta potential (or an explicit p_theta)")
-    return _GeometricPotential(S, t, q, theta, p_theta, memory, tol)
+    return _GeometricPotential(S, t, q, theta, p_theta, memory)
 
 
 # ---------------------------------------------------------------------------
 # declarative construction
 
 
+def _label(x):
+    """A label from JSON: a list names a tuple label."""
+    return tuple(x) if isinstance(x, list) else x
+
+
+def _edge_label(x, edges: dict):
+    label = _label(x)
+    if label not in edges:
+        raise ConfigError(f"label {label!r} names no edge")
+    return label
+
+
 def _branch_from_config(e: dict) -> Branch:
-    label = e["label"]
-    if isinstance(label, list):
-        label = tuple(label)
+    label = _label(e["label"])
     dom = int(e.get("source", 0))
     img = int(e.get("target", 0))
     kind = e["kind"]
@@ -963,47 +976,50 @@ def system_from_config(cfg: dict) -> Gdms:
             raise ConfigError(f"unknown builtin system {name!r}")
         try:
             S = _BUILTINS[name](cfg)
+            n_cap = int(cfg["jump"].get("n_cap", 1024)) if "jump" in cfg else None
         except KeyError as missing:
             raise ConfigError(f"builtin system {name!r} needs {missing}") from None
-        except (TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"builtin system {name!r}: {exc}") from None
-        if "jump" in cfg:
-            if not isinstance(S, ParabolicSystem):
-                raise ConfigError(f"builtin {name!r} has no parabolic structure to jump")
-            S = jump_transform(S, n_cap=int(cfg["jump"].get("n_cap", 1024)))
-        return S
+        if n_cap is None:
+            return S
+        if not isinstance(S, ParabolicSystem):
+            raise ConfigError(f"builtin {name!r} has no parabolic structure to jump")
+        return jump_transform(S, n_cap=n_cap)
     try:
         vertices = [tuple(iv) for iv in cfg["vertices"]]
         branches = [_branch_from_config(e) for e in cfg["edges"]]
+        if any(not (0 <= v < len(vertices)) for br in branches for v in (br.dom, br.img)):
+            raise ConfigError("an edge source or target names no vertex")
+        edges = {br.label: br for br in branches}
+        if len(edges) != len(branches):
+            raise ConfigError("duplicate edge labels")
+        forbidden = set()
+        for pair in cfg.get("forbidden_pairs", []):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ConfigError(f"forbidden pair {pair!r} is not two labels")
+            forbidden.add((_edge_label(pair[0], edges), _edge_label(pair[1], edges)))
+        parab = {}
+        for entry in cfg.get("parabolic", []):
+            if isinstance(entry, dict):
+                label, x_fix = _edge_label(entry["label"], edges), float(entry["fixed_point"])
+                beta_e = entry.get("beta")
+            else:
+                label, x_fix, beta_e = _edge_label(entry, edges), None, None
+            if x_fix is None:
+                br = edges[label]
+                lo, hi = vertices[br.dom]
+                x_fix = float(brentq(lambda x: br.fn(x) - x, lo, hi))
+            parab[label] = (x_fix, beta_e)
+        base = dict(
+            vertices=vertices,
+            edge_factory=lambda k: branches[k],
+            n_edges=len(branches),
+            pair_allowed=(lambda a, b: (a, b) not in forbidden) if forbidden else None,
+            name=cfg.get("name", "config"),
+        )
+        return ParabolicSystem(base, parab) if parab else Gdms(**base)
     except KeyError as missing:
         raise ConfigError(f"system config lacks {missing}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ConfigError(f"system config: {exc}") from None
-    labels = [br.label for br in branches]
-    if len(set(labels)) != len(labels):
-        raise ConfigError("duplicate edge labels")
-    forbidden = {tuple(p) for p in cfg.get("forbidden_pairs", [])}
-    pair = (lambda a, b: (a, b) not in forbidden) if forbidden else None
-    base = dict(
-        vertices=vertices,
-        edge_factory=lambda k: branches[k],
-        n_edges=len(branches),
-        pair_allowed=pair,
-        name=cfg.get("name", "config"),
-    )
-    parab_labels = cfg.get("parabolic", [])
-    if not parab_labels:
-        return Gdms(**base)
-    parab = {}
-    for entry in parab_labels:
-        if isinstance(entry, dict):
-            label, x_fix = entry["label"], float(entry["fixed_point"])
-            beta_e = entry.get("beta")
-        else:
-            label, x_fix, beta_e = entry, None, None
-        if x_fix is None:
-            br = next(b for b in branches if b.label == label)
-            lo, hi = vertices[br.dom]
-            x_fix = float(brentq(lambda x: br.fn(x) - x, lo, hi))
-        parab[label] = (x_fix, beta_e)
-    return ParabolicSystem(base, parab)

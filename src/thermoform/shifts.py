@@ -676,6 +676,11 @@ class EigenData:
     truncation: int
 
 
+# _power_iteration's relative tolerance and step cap for every eigensolve
+EIG_TOL = 1e-13
+EIG_MAX_ITER = 10**6
+
+
 def _power_iteration(apply: Callable[[np.ndarray], np.ndarray], S: int, shift: float,
                      tol: float, max_iter: int):
     """Leading eigenpair of the nonnegative operator apply, iterating apply + shift."""
@@ -705,8 +710,6 @@ def rpf_eigendata(
     A: IncidenceMatrix,
     N: int,
     *,
-    tol: float = 1e-13,
-    max_iter: int = 10**6,
     state_cap: int = 200_000,
 ) -> EigenData:
     """Leading (rho, h, nu) for M[u -> w] = exp(psi(u + last(w))).
@@ -716,11 +719,10 @@ def rpf_eigendata(
     strongly connected.
     """
     graph = _state_graph(psi.memory, A, N, state_cap)
-    return _eigendata(graph, psi.table(graph.states), tol, max_iter)
+    return _eigendata(graph, psi.table(graph.states))
 
 
-def _eigendata(graph: StateGraph, psi_vals: np.ndarray, tol: float = 1e-13,
-               max_iter: int = 10**6) -> EigenData:
+def _eigendata(graph: StateGraph, psi_vals: np.ndarray) -> EigenData:
     S, N, B = len(graph.states), graph.truncation, graph.blocks
     if S == 0:
         raise ConvergenceError("no admissible states at this truncation")
@@ -738,8 +740,8 @@ def _eigendata(graph: StateGraph, psi_vals: np.ndarray, tol: float = 1e-13,
     M = BlockMatrix(B, weights)
     shift = 0.5 * float(weights[moves].max())  # half the largest entry of M
 
-    rho_s, h, its_r = _power_iteration(M.matvec, S, shift, tol, max_iter)
-    rho_l, nu, its_l = _power_iteration(M.rmatvec, S, shift, tol, max_iter)
+    rho_s, h, its_r = _power_iteration(M.matvec, S, shift, EIG_TOL, EIG_MAX_ITER)
+    rho_l, nu, its_l = _power_iteration(M.rmatvec, S, shift, EIG_TOL, EIG_MAX_ITER)
 
     nu = nu / nu.sum()
     h = h / float(nu @ h)
@@ -1091,8 +1093,8 @@ class GibbsMarkovMeasure:
         return ChainSampler(self.reversed_kernel(), self.pi)
 
 
-def gibbs_measure(psi: Potential, A: IncidenceMatrix, N: int, **eig_kwargs) -> GibbsMarkovMeasure:
-    return GibbsMarkovMeasure(rpf_eigendata(psi, A, N, **eig_kwargs))
+def gibbs_measure(psi: Potential, A: IncidenceMatrix, N: int) -> GibbsMarkovMeasure:
+    return GibbsMarkovMeasure(rpf_eigendata(psi, A, N))
 
 
 def _logs(x: np.ndarray) -> np.ndarray:

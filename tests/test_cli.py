@@ -380,3 +380,143 @@ def test_pressure_on_reducible_graph_keeps_level_sums(tmp_path, capsys):
         "error": "NotIrreducibleError",
         "message": "state graph has 2 strongly connected components at truncation 3",
     }
+
+
+AFFINE = {"builtin": "affine", "branches": [[1 / 3, 0.0], [1 / 3, 2 / 3]]}
+# an explicit system of two labels, 0 and 1: with a neutral fixed point at 0
+# (parabolic) and without (hyperbolic)
+PARABOLIC = {"vertices": [[0, 1]], "edges": [
+    {"label": 0, "kind": "mp-branch", "params": {"alpha": 0.5, "bracket": [0, 0.5]}},
+    {"label": 1, "kind": "affine", "params": {"a": 0.5, "b": 0.5}}]}
+HYPERBOLIC = {"vertices": [[0, 1]], "edges": [
+    {"label": 0, "kind": "affine", "params": {"a": 0.4, "b": 0.0}},
+    {"label": 1, "kind": "affine", "params": {"a": 0.4, "b": 0.6}}]}
+GAUSS_SMALL = {"n_steps": 100, "n_orbits": 2, "cloud_points": 1000}
+BAD_DIMENSION_CONFIGS = {
+    "hd_limit_set_bracket_one_end": {"hd_limit_set": {"system": AFFINE, "bracket": [0.5]}},
+    "temperature_bracket_one_end": {"temperature": {"system": AFFINE, "bracket": [0.5]}},
+    "gauss_j_range_one_end": {"gauss": {**GAUSS_SMALL, "j_range": [3]}},
+    "gauss_j_range_empty": {"gauss": {**GAUSS_SMALL, "j_range": [9, 3]}},
+    "jump_not_object": {"hd_limit_set": {"system": {"builtin": "backward_cf", "jump": 5},
+                                         "truncation": 4}},
+    "jump_n_cap_not_int": {"hd_limit_set": {"system": {"builtin": "backward_cf",
+                                                       "jump": {"n_cap": "x"}},
+                                            "truncation": 4}},
+    "parabolic_not_list": {"hd_limit_set": {"system": {**PARABOLIC, "parabolic": 5}}},
+    "parabolic_names_no_edge": {"hd_limit_set": {"system": {**PARABOLIC, "parabolic": [5]}}},
+    "parabolic_without_fixed_point": {"hd_limit_set": {"system": {**PARABOLIC,
+                                                                  "parabolic": [{"label": 0}]}}},
+    "forbidden_pairs_not_list": {"hd_limit_set": {"system": {**HYPERBOLIC, "forbidden_pairs": 5}}},
+    "forbidden_pair_names_no_edge": {"hd_limit_set": {"system": {
+        **HYPERBOLIC, "forbidden_pairs": [[[1, 2], 0]]}}},
+    "forbidden_pair_one_label": {"hd_limit_set": {"system": {**HYPERBOLIC,
+                                                             "forbidden_pairs": [[1]]}}},
+    "jump_n_cap_infinite": {"hd_limit_set": {"system": {"builtin": "backward_cf",
+                                                        "jump": {"n_cap": math.inf}},
+                                             "truncation": 4}},
+    "vertex_of_three_numbers": {"hd_limit_set": {"system": {**HYPERBOLIC,
+                                                            "vertices": [[0, 0.5, 1]]}}},
+    "edge_source_names_no_vertex": {"hd_limit_set": {"system": {**HYPERBOLIC, "edges": [
+        {**HYPERBOLIC["edges"][0], "source": 1}, HYPERBOLIC["edges"][1]]}}},
+    "affine_without_branches": {"hd_limit_set": {"system": {"builtin": "affine",
+                                                            "branches": []}}},
+    "beta_infinite": {"beta": math.inf},
+    "beta_nan": {"beta": math.nan},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DIMENSION_CONFIGS))
+def test_bad_dimension_config_exits_3(tmp_path, capsys, case):
+    from thermoform import cli
+
+    cfg = write_config(tmp_path, BAD_DIMENSION_CONFIGS[case])
+    assert cli.main(["dimension", "--config", cfg, "--stable"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_non_finite_beta_exits_3(tmp_path, capsys, value):
+    from thermoform import cli
+
+    # both pass the schema's exclusiveMinimum of 1
+    cfg = write_config(tmp_path, {"beta": value})
+    assert cli.main(["beta", "--config", cfg, "--stable"]) == 3
+    assert capsys.readouterr().err.startswith("config error: beta=")
+
+
+def test_forbidden_pair_list_labels_name_tuple_edges():
+    from thermoform.gdms import system_from_config
+
+    # a list label is a tuple label, in the edges and in the forbidden pairs
+    edges = [{**e, "label": [e["label"], 9]} for e in HYPERBOLIC["edges"]]
+    S = system_from_config({**HYPERBOLIC, "edges": edges, "forbidden_pairs": [[[1, 9], [1, 9]]]})
+    assert S.is_admissible_word([(0, 9), (1, 9)])
+    assert not S.is_admissible_word([(1, 9), (1, 9)])
+
+
+def test_schemas_are_valid():
+    import jsonschema
+
+    from thermoform import cli
+
+    # run() skips check_schema, so every schema is checked here once
+    assert sorted(cli.SCHEMAS) == sorted(cli.COMMANDS)
+    for schema in cli.SCHEMAS.values():
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def _to_jsonable(obj):
+    """The recursive copy that reports went through before json.dumps took a
+    default hook; the reference for cli._json_default."""
+    import dataclasses
+
+    import numpy as np
+
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        if hasattr(obj, "to_dict"):
+            return _to_jsonable(obj.to_dict())
+        return _to_jsonable(dataclasses.asdict(obj))
+    if isinstance(obj, dict):
+        return {str(k): _to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_to_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_to_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    return obj
+
+
+def test_json_default_matches_the_recursive_copy():
+    import numpy as np
+
+    from thermoform import cli
+    from thermoform.dimension import LocalDimensionEstimate, LyapunovEstimate, TemperatureResult
+
+    local = LocalDimensionEstimate(np.array([0.9, 1.1]), np.float64(1.0), 0.1, 0.07,
+                                   np.float64(0.98), (3, 9), np.int64(2), "sorted-1d")
+    tree = {
+        "array": np.arange(6, dtype=np.int32).reshape(2, 3),
+        "floats": np.array([0.1, np.nan, -np.inf]),
+        "int64": np.int64(2**40),
+        "float32": np.float32(0.1),
+        "bool": np.bool_(True),
+        "bools": np.array([True, False]),
+        "non_finite": [math.nan, math.inf, -math.inf, np.float64(np.nan)],
+        "tuple": (1, np.float64(2.5), "x"),
+        "local": local,
+        "lyapunov": LyapunovEstimate(np.float64(0.48), 1e-3, "birkhoff", 1000, np.int64(4)),
+        "temperature": TemperatureResult(0.5, np.float64(0.62), (1e-3, 2.0), 0.0),
+        "nested": [{"estimates": [local, (np.int64(1), None)]}],
+    }
+    want = json.dumps(_to_jsonable(tree), sort_keys=True, indent=2)
+    assert json.dumps(tree, sort_keys=True, indent=2, default=cli._json_default) == want
+    assert "slopes" not in want and '"bracket": [\n' in want
+    with pytest.raises(TypeError):
+        json.dumps({"x": object()}, default=cli._json_default)

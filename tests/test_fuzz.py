@@ -1,16 +1,18 @@
-"""Fuzzed pressure and gibbs configs keep the CLI's exit-code contract.
+"""Fuzzed configs of all four commands keep the CLI's exit-code contract.
 
 Every config, however malformed, must end in exit 0 (a report), 2 (a numeric
 failure or an exceeded cap) or 3 (a config error), with a one-line message
 and no traceback. The trees mix valid shapes with wrong types, out-of-range
-letters (2**64 among them), ragged tables, empty audit ranges and non-finite
-numbers.
+letters (2**64 among them), ragged tables, empty audit and radius ranges,
+malformed brackets, systems and non-finite numbers. Beta and dimension trees
+keep every walk, cloud and truncation small, so each run stays cheap.
 """
 
 import contextlib
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -103,19 +105,116 @@ config = st.one_of(
 )
 
 
+# beta and dimension trees: mostly valid, so that runs get past the schema,
+# with small steps, the schema's least M and cloud_points, truncations up to 4
+
+
+def mostly(valid, bad):
+    """valid three draws in four"""
+    return st.tuples(st.integers(0, 3), valid, bad).map(lambda t: t[2] if t[0] == 3 else t[1])
+
+
+PHI = (1 + math.sqrt(5)) / 2
+beta_cfg = st.fixed_dictionaries({"beta": mostly(st.sampled_from([PHI, 1.8, math.pi]), number)},
+                                 optional={
+    "depth": st.integers(min_value=1, max_value=12),
+    "identity_samples": st.integers(min_value=1, max_value=8),
+    "partition_cells": st.integers(min_value=1, max_value=6),
+})
+j_range = mostly(st.lists(st.integers(min_value=2, max_value=12), min_size=2, max_size=2),
+                 st.one_of(st.lists(letter, max_size=3), junk))
+bracket = mostly(st.lists(st.floats(min_value=1e-3, max_value=2.0), min_size=2, max_size=2),
+                 st.one_of(st.lists(number, max_size=3), junk))
+label = st.one_of(st.integers(min_value=-1, max_value=2), st.lists(letter, max_size=2), junk)
+labels = st.lists(label, max_size=2)
+explicit_system = st.fixed_dictionaries(
+    {"vertices": mostly(st.just([[0.0, 1.0]]),
+                        st.one_of(st.lists(st.lists(number, max_size=3), max_size=2), junk)),
+     # affine branches only: an unjumped parabolic branch costs each run
+     # seconds in coding_point before it exits 2 (the builtin backward_cf
+     # covers that exit); [1, 2] is the tuple label (1, 2)
+     "edges": st.sampled_from([
+         [{"label": 0, "kind": "affine", "params": {"a": 0.4, "b": 0.0}},
+          {"label": 1, "kind": "affine", "params": {"a": 0.4, "b": 0.6}}],
+         [{"label": 0, "kind": "affine", "params": {"a": 0.5, "b": 0.0}},
+          {"label": [1, 2], "kind": "affine", "params": {"a": -0.5, "b": 1.0}}],
+     ])},
+    optional={
+        "parabolic": st.one_of(
+            labels, junk, st.lists(st.fixed_dictionaries({"label": label}, optional={
+                "fixed_point": number, "beta": number}), max_size=2)),
+        "forbidden_pairs": st.one_of(st.lists(labels, max_size=3), junk),
+    },
+)
+jump = mostly(st.fixed_dictionaries({}, optional={"n_cap": st.integers(min_value=1, max_value=6)}),
+              st.one_of(junk, st.fixed_dictionaries({"n_cap": junk})))
+builtin_system = st.one_of(
+    st.fixed_dictionaries({"builtin": st.just("affine"), "branches": mostly(
+        st.just([[1 / 3, 0.0], [1 / 3, 2 / 3]]), st.lists(st.lists(number, max_size=3),
+                                                          max_size=3))}),
+    st.fixed_dictionaries({"builtin": st.just("gls"), "cells": mostly(
+        st.just([[0.0, 0.5], [0.5, 1.0]]), st.lists(st.lists(number, max_size=3),
+                                                    max_size=3))}),
+    st.fixed_dictionaries({"builtin": st.sampled_from(["gauss_cf", "backward_cf"])},
+                          optional={"jump": jump}),
+)
+root_optional = {
+    "bracket": bracket,
+    "truncation": mostly(st.integers(min_value=1, max_value=4), st.integers(max_value=0)),
+    "memory": st.integers(min_value=1, max_value=2),
+}
+root = st.fixed_dictionaries({"system": mostly(st.one_of(builtin_system, explicit_system), junk)},
+                             optional=root_optional)
+temperature = st.fixed_dictionaries({"system": st.one_of(builtin_system, explicit_system)},
+                                    optional={**root_optional, "q": number, "p_theta": number,
+                                              "theta": mostly(st.just(
+                                                  {"type": "constant", "value": -1.0}), psi)})
+cloud = {"M": st.just(1000), "n_centers": st.integers(min_value=4, max_value=8)}
+beta_block = st.fixed_dictionaries(
+    {"beta": mostly(st.sampled_from([PHI, 1.8]), number)},
+    optional={
+        "psi": mostly(st.just({"type": "constant", "value": 0.0}), psi),
+        "incidence": mostly(st.sampled_from(["full", "golden"]), incidence),
+        "n_cells": st.integers(min_value=1, max_value=5),
+        "lyapunov": st.fixed_dictionaries({"n_steps": st.integers(min_value=1, max_value=64),
+                                           "n_orbits": st.integers(min_value=1, max_value=3)}),
+        "conditional": st.fixed_dictionaries(cloud, optional={
+            "depth": st.integers(min_value=1, max_value=6), "j_range": j_range}),
+        "global": st.fixed_dictionaries(cloud, optional={
+            "depth": st.integers(min_value=1, max_value=6), "j_range_2d": j_range,
+            "j_range_1d": j_range}),
+    },
+)
+gauss_block = st.fixed_dictionaries({"gauss": st.fixed_dictionaries(
+    {"n_steps": st.integers(min_value=1, max_value=64), "cloud_points": st.just(1000)},
+    optional={"n_orbits": st.integers(min_value=2, max_value=3), "j_range": j_range})})
+dimension_cfg = st.one_of(
+    beta_block,
+    gauss_block,
+    st.fixed_dictionaries({"temperature": temperature}),
+    st.fixed_dictionaries({"hd_limit_set": root}),
+)
+other_config = st.one_of(
+    st.tuples(st.just("beta"), beta_cfg),
+    st.tuples(st.just("dimension"), dimension_cfg),  # twice: it has more shapes
+    st.tuples(st.just("dimension"), dimension_cfg),
+    st.tuples(st.sampled_from(["beta", "dimension"]),
+              st.one_of(junk, st.dictionaries(st.sampled_from(["beta", "gauss", "hd_limit_set"]),
+                                              junk))),
+)
+
+
 @pytest.fixture(scope="module")
 def cfg_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "cfg.json"
 
 
-@settings(max_examples=150, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(case=config)
-def test_fuzzed_configs_keep_exit_codes(cfg_path, case):
-    command, tree = case
+def _check_exit_code(cfg_path, command, tree):
     cfg_path.write_text(json.dumps(tree))
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # slow tail decay of truncated roots
         rc = cli.main([command, "--config", str(cfg_path), "--stable"])
     assert rc in (0, 2, 3), (rc, err.getvalue())
     assert "Traceback" not in err.getvalue()
@@ -123,3 +222,17 @@ def test_fuzzed_configs_keep_exit_codes(cfg_path, case):
         assert json.loads(out.getvalue())["command"] == command
     else:
         assert err.getvalue().startswith(("config error: ", "numeric failure: "))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=config)
+def test_fuzzed_configs_keep_exit_codes(cfg_path, case):
+    _check_exit_code(cfg_path, *case)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=other_config)
+def test_fuzzed_beta_and_dimension_configs_keep_exit_codes(cfg_path, case):
+    _check_exit_code(cfg_path, *case)
