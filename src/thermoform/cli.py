@@ -19,13 +19,10 @@ import time
 from . import __version__
 from .errors import ConfigError, ThermoformError
 
-# "full", "golden", or {"forbidden_pairs": [[a, b], ...]}: IncidenceMatrix.from_config
+# "full", "golden", or {"forbidden_pairs": [[a, b], ...]}: IncidenceMatrix.from_config checks the pairs
 INCIDENCE_SCHEMA = {"oneOf": [
     {"enum": ["full", "golden"]},
-    {"type": "object",
-     "properties": {"forbidden_pairs": {"type": "array", "items": {
-         "type": "array", "items": {"type": "integer", "minimum": 0},
-         "minItems": 2, "maxItems": 2}}},
+    {"type": "object", "properties": {"forbidden_pairs": {"type": "array"}},
      "required": ["forbidden_pairs"], "additionalProperties": False},
 ]}
 

@@ -616,22 +616,20 @@ def temperature(
 ) -> TemperatureResult:
     """Root in t of the pressure of t*log|branch'| + q*(theta - p_theta).
 
-    The pressure must change sign over the bracket. For countable systems the
-    top-half tail of the letter sums is probed at the endpoints (divergence
-    raises) and at a few interior points (slow decay only warns: the root of
-    the truncated pressure is still well defined, the ideal-system reading is
-    what becomes shaky).
+    q != 0 needs theta or a nonzero p_theta. The pressure must change sign over
+    the bracket. For countable systems the top-half tail of the letter sums is
+    probed at the endpoints (divergence raises) and at a few interior points
+    (slow decay only warns: the root of the truncated pressure is still well
+    defined, the ideal-system reading is what becomes shaky).
 
     Cost: log|branch'| at each state's coding point depends on neither t nor
-    q, so a root builds the state graph and computes one coding point per
-    state, once; each solver step then only reweights the states and runs the
+    q, so a root builds the state graph and computes one coding point per tail
+    word, once; each solver step then only reweights the states and runs the
     eigensolve (or, on a full shift at memory 1, the closed form).
     """
     a, b = float(bracket[0]), float(bracket[1])
     if not a < b:
         raise ConfigError(f"empty bracket {bracket}")
-    if q != 0.0 and theta is None:
-        raise ConfigError("q != 0 needs a theta potential")
 
     countable = system.n_edges is None
     N = truncation if truncation is not None else system.n_edges

@@ -10,6 +10,7 @@ runs of a parabolic letter into a fresh uniformly contracting alphabet.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -698,6 +699,8 @@ class JumpSystem(Gdms):
 
 def jump_transform(P: ParabolicSystem, n_cap: int = 1024, *, check: bool = True) -> JumpSystem:
     """Hyperbolic system over the run alphabet; spot-checks contraction."""
+    if n_cap < 1:
+        raise ConfigError(f"jump n_cap must be at least 1, got {n_cap}")
     J = JumpSystem(P, n_cap)
     if check:
         probe = [J.edge(k) for k in range(min(24, n_cap))]
@@ -844,8 +847,8 @@ class _GeometricPotential(Potential):
     q * (theta - P(theta)). Uses every letter handed to it, not just the
     declared memory window, so longer words sharpen the tail point.
 
-    The log-derivative L(word) depends on neither t nor q: it is computed once
-    per word, and tabulate() reweights it for any other t."""
+    A row's coding point depends only on its tail (the letters after the first,
+    or the row itself if it has one): it is computed once per tail and kept."""
 
     def __init__(self, S: Gdms, t: float, q: float, theta: Potential | None,
                  p_theta: float, memory: int):
@@ -856,7 +859,8 @@ class _GeometricPotential(Potential):
         self.p_theta = float(p_theta)
         mem = memory if theta is None else max(memory, theta.memory)
         super().__init__(None, memory=mem, label="geometric")
-        self._log_derivs: dict[tuple, float] = {}
+        self._point = functools.cache(lambda tail: coding_point(
+            S, tail_extension(S, [S.edge(k).label for k in tail]), tol=CODING_TOL))
 
     def table(self, words) -> np.ndarray:
         return self.tabulate(words)(self.t)
@@ -864,9 +868,11 @@ class _GeometricPotential(Potential):
     def tabulate(self, words):
         """t -> the values on the rows of an (S, k) letter array, k >= memory,
         of this potential at t instead of self.t, as one array; every
-        log-derivative and theta value is read once, here."""
+        log|phi'_(first letter)| and theta value is read once, here."""
         words = _word_rows(words, self.memory)
-        L = np.array([self._log_deriv(tuple(w)) for w in words.tolist()])
+        edge, point = self.system.edge, self._point
+        L = np.array([math.log(abs(edge(w[0]).deriv(point(tuple(w[1:]) or tuple(w)))))
+                      for w in words.tolist()])
         if self.q != 0.0:
             th = self.theta.table(words) if self.theta else np.zeros(L.size)
 
@@ -879,16 +885,6 @@ class _GeometricPotential(Potential):
             return out
 
         return values
-
-    def _log_deriv(self, word: tuple) -> float:
-        L = self._log_derivs.get(word)
-        if L is None:
-            S = self.system
-            tail = word[1:] if len(word) > 1 else word
-            labels = [S.edge(k).label for k in tail]
-            x = coding_point(S, tail_extension(S, labels), tol=CODING_TOL)
-            L = self._log_derivs[word] = math.log(abs(S.edge(word[0]).deriv(x)))
-        return L
 
     def letter_sups(self, N: int, A) -> np.ndarray:
         """t * log|phi'_e| maximized over 33 points of each branch's domain,

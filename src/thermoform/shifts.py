@@ -66,11 +66,18 @@ class IncidenceMatrix:
 
     @staticmethod
     def from_forbidden_pairs(pairs: Iterable[Sequence[int]], name: str = "forbidden-pairs") -> "IncidenceMatrix":
+        """Letters are integers >= 0: numpy integers and 1.0 count, bools do not."""
+        def pair(p) -> tuple[int, int]:
+            if isinstance(p, (list, tuple)) and len(p) == 2 and all(
+                    (isinstance(x, (int, np.integer)) or isinstance(x, float) and x.is_integer())
+                    and not isinstance(x, bool) and x >= 0 for x in p):
+                return int(p[0]), int(p[1])
+            raise ConfigError(f"forbidden pair {p!r} is not two letters >= 0")
+
         try:
-            forb = frozenset((int(a), int(b)) for a, b in pairs)
-        except (TypeError, ValueError):
-            raise ConfigError("forbidden pairs must be letter pairs [a, b]") from None
-        return IncidenceMatrix(forb, name=name)
+            return IncidenceMatrix(map(pair, pairs), name=name)
+        except TypeError:
+            raise ConfigError("forbidden pairs must be a list of letter pairs [a, b]") from None
 
     @staticmethod
     def from_table(allowed: np.ndarray, name: str = "custom") -> "IncidenceMatrix":

@@ -217,8 +217,10 @@ INCIDENCE_BASE = {
 
 
 @pytest.mark.parametrize("command", sorted(INCIDENCE_BASE))
-@pytest.mark.parametrize("spec", [{"forbidden_pairs": [[0]]},
-                                  {"forbidden_pairs": [[0, 1, 2]]}, "bogus"])
+@pytest.mark.parametrize("spec", [
+    {"forbidden_pairs": [[0]]}, {"forbidden_pairs": [[0, 1, 2]]}, "bogus",
+    *({"forbidden_pairs": [[0, letter]]} for letter in (1.5, True, -1, "1", None, [0])),
+    {"forbidden_pairs": [[1, 1], 5]}, {"forbidden_pairs": 5}, {}])
 def test_bad_incidence_exits_3(tmp_path, capsys, command, spec):
     from thermoform import cli
 
@@ -227,6 +229,23 @@ def test_bad_incidence_exits_3(tmp_path, capsys, command, spec):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", sorted(INCIDENCE_BASE))
+@pytest.mark.parametrize("spec, same_as", [
+    ({"forbidden_pairs": [[1.0, 1]]}, "golden"),  # an integral float is a letter
+    ({"forbidden_pairs": [[1, 1], [10**30, 0]]}, "golden"),  # past the truncation
+    ({"forbidden_pairs": []}, "full"),
+])
+def test_accepted_forbidden_pairs_exit_0(tmp_path, capsys, command, spec, same_as):
+    from thermoform import cli
+
+    results = []
+    for incidence in (same_as, spec):
+        cfg = write_config(tmp_path, {**INCIDENCE_BASE[command], "incidence": incidence})
+        assert cli.main([command, "--config", cfg, "--stable"]) == 0
+        results.append(json.loads(capsys.readouterr().out)["results"])
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("command", sorted(INCIDENCE_BASE))
@@ -411,6 +430,10 @@ BAD_DIMENSION_CONFIGS = {
         **HYPERBOLIC, "forbidden_pairs": [[[1, 2], 0]]}}},
     "forbidden_pair_one_label": {"hd_limit_set": {"system": {**HYPERBOLIC,
                                                              "forbidden_pairs": [[1]]}}},
+    **{f"jump_n_cap_{cap}": {"hd_limit_set": {"system": {"builtin": "backward_cf",
+                                                         "jump": {"n_cap": cap}},
+                                              "truncation": 4}}
+       for cap in (0, -3)},
     "jump_n_cap_infinite": {"hd_limit_set": {"system": {"builtin": "backward_cf",
                                                         "jump": {"n_cap": math.inf}},
                                              "truncation": 4}},

@@ -34,7 +34,13 @@ from thermoform.dimension import (
     temperature_sweep,
 )
 from thermoform.errors import ConfigError, ConvergenceError
-from thermoform.gdms import affine_system, gauss_cf, geometric_potential
+from thermoform.gdms import (
+    affine_system,
+    gauss_cf,
+    geometric_potential,
+    jump_transform,
+    manneville_pomeau,
+)
 from thermoform.rng import task_rng
 from thermoform.shifts import (
     WALK_BLOCK,
@@ -797,6 +803,36 @@ def test_root_computes_one_coding_point_per_state(monkeypatch):
         warnings.simplefilter("ignore")
         hd_limit_set(gauss_cf(), truncation=2, memory=8)
     assert 0 < len(calls) <= 2**8
+
+
+@pytest.mark.parametrize("make, truncation, memory, points", [
+    (gauss_cf, 2, 8, 2**7),
+    (gauss_cf, 8, 2, 8),
+    (lambda: jump_transform(manneville_pomeau(0.5)), 8, 2, 8),
+])
+def test_root_computes_one_coding_point_per_tail(monkeypatch, make, truncation, memory, points):
+    # a state's coding point depends only on its tail, the letters after the
+    # first: at memory m the tails are the admissible (m-1)-words
+    calls = []
+    real = gdms.coding_point
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    system = make()
+    monkeypatch.setattr(gdms, "coding_point", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        hd_limit_set(system, truncation=truncation, memory=memory)
+    assert len(calls) == points
+
+
+def test_q_with_p_theta_and_no_theta_matches_closed_form():
+    # psi = t log(1/3) + (0 - 0.5) on two letters: P = log 2 - t log 3 - 0.5
+    S = affine_system([(1 / 3, 0.0), (1 / 3, 2 / 3)])
+    r = temperature(S, q=1.0, p_theta=0.5)
+    assert abs(r.t - (math.log(2) - 0.5) / math.log(3)) <= 1e-12
 
 
 def test_memory1_with_memory2_theta_solves(moran):

@@ -304,11 +304,16 @@ def _geometric_with_memory2_theta():
 def test_geometric_table_matches_per_row_reference():
     psi, theta = _geometric_with_memory2_theta()
     words = np.array([(a, b, c) for a in range(3) for b in range(3) for c in range(3)])
+    G = psi.system
     ref = []
     for w in words.tolist():
+        # log|phi'_(first letter)| at the coding point of the tail extension
+        tail = w[1:] if len(w) > 1 else w
+        x = coding_point(G, tail_extension(G, [G.edge(k).label for k in tail]),
+                         tol=gdms_module.CODING_TOL)
         # the additions the per-word value() made
         out = 0.0
-        out += psi.t * psi._log_deriv(tuple(w))
+        out += psi.t * math.log(abs(G.edge(w[0]).deriv(x)))
         out += psi.q * (theta.value(w[:2]) - psi.p_theta)
         ref.append(out)
     assert psi.memory == 2
@@ -403,6 +408,13 @@ def test_shift_view_matches_pairwise_rule(make, N):
     ref = _pairwise_view(S, N)
     assert np.array_equal(S.shift_view(N).submatrix(N), ref)
     assert S.shift_view(N).is_full == bool(ref.all())
+
+
+@pytest.mark.parametrize("n_cap", [0, -3])
+def test_jump_transform_refuses_a_cap_below_one(n_cap):
+    # a cap below 1 would emit no run edges and silently change the root
+    with pytest.raises(ConfigError, match="n_cap"):
+        jump_transform(backward_cf(), n_cap=n_cap)
 
 
 def test_shift_view_detects_full_shift():

@@ -79,6 +79,16 @@ def test_incidence_from_config():
             IncidenceMatrix.from_config(bad)
 
 
+def test_forbidden_pairs_parser_is_strict():
+    A = IncidenceMatrix.from_forbidden_pairs([[np.int64(1), 1.0], (np.uint8(0), 10**30)])
+    assert A.forbidden == {(1, 1), (0, 10**30)}
+    assert all(type(a) is int and type(b) is int for a, b in A.forbidden)
+    for bad in ([[0, 1.5]], [[0, True]], [[0, np.bool_(True)]], [[0, -1]], [[0, "1"]],
+                [[0, None]], [[[0], 1]], [[0]], [[0, 1, 2]], [np.array([0, 1])], [5], 5):
+        with pytest.raises(ConfigError):
+            IncidenceMatrix.from_forbidden_pairs(bad)
+
+
 def test_forbidden_pairs_matrix():
     A = IncidenceMatrix.from_forbidden_pairs([(0, 2), (2, 2)])
     assert not A.allows(0, 2) and not A.allows(2, 2)
@@ -89,7 +99,8 @@ def test_forbidden_pairs_matrix():
 
 
 def test_submatrix_ignores_pairs_outside_the_truncation():
-    A = IncidenceMatrix.from_forbidden_pairs([(-1, 0), (0, -1), (0, 4), (4, 0), (1, 2)])
+    # the parser refuses negative letters; the constructor takes any pairs
+    A = IncidenceMatrix({(-1, 0), (0, -1), (0, 4), (4, 0), (1, 2)})
     expect = np.ones((4, 4), dtype=bool)
     expect[1, 2] = False  # -1 does not wrap around to letter 3
     assert np.array_equal(A.submatrix(4), expect)
