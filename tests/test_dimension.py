@@ -790,19 +790,23 @@ def test_tabulated_roots_match_per_step_route(case):
     assert (got.t, got.residual) == _reference_root(make(), **kw)
 
 
-def test_root_computes_one_coding_point_per_state(monkeypatch):
+def _coding_points_of_root(monkeypatch, system, **kwargs) -> int:
     calls = []
     real = gdms.coding_point
 
-    def counted(*args, **kwargs):
+    def counted(*args, **kw):
         calls.append(1)
-        return real(*args, **kwargs)
+        return real(*args, **kw)
 
     monkeypatch.setattr(gdms, "coding_point", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        hd_limit_set(gauss_cf(), truncation=2, memory=8)
-    assert 0 < len(calls) <= 2**8
+        hd_limit_set(system, **kwargs)
+    return len(calls)
+
+
+def test_root_computes_one_coding_point_per_state(monkeypatch):
+    assert 0 < _coding_points_of_root(monkeypatch, gauss_cf(), truncation=2, memory=8) <= 2**8
 
 
 @pytest.mark.parametrize("make, truncation, memory, points", [
@@ -813,19 +817,8 @@ def test_root_computes_one_coding_point_per_state(monkeypatch):
 def test_root_computes_one_coding_point_per_tail(monkeypatch, make, truncation, memory, points):
     # a state's coding point depends only on its tail, the letters after the
     # first: at memory m the tails are the admissible (m-1)-words
-    calls = []
-    real = gdms.coding_point
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    system = make()
-    monkeypatch.setattr(gdms, "coding_point", counted)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        hd_limit_set(system, truncation=truncation, memory=memory)
-    assert len(calls) == points
+    assert _coding_points_of_root(monkeypatch, make(), truncation=truncation,
+                                  memory=memory) == points
 
 
 def test_q_with_p_theta_and_no_theta_matches_closed_form():
