@@ -376,11 +376,20 @@ def gauss_acim_cloud(n: int, seed: int = 0) -> np.ndarray:
 
 
 def _affine_fold(letters: np.ndarray, lefts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Apply the cells' y-contractions with column 0 outermost."""
-    y = np.full(letters.shape[0], 0.5)
+    """Apply the cells' y-contractions with column 0 outermost.
+
+    Each step is lefts[col] + lengths[col] * y on the letters col of one
+    column, cast to intp once and worked in reused buffers. Every letter
+    must index the tables: clip mode skips the bounds check.
+    """
+    n = letters.shape[0]
+    y, term, col = np.full(n, 0.5), np.empty(n), np.empty(n, dtype=np.intp)
     for j in range(letters.shape[1] - 1, -1, -1):
-        col = letters[:, j]
-        y = lefts[col] + lengths[col] * y
+        col[...] = letters[:, j]
+        np.take(lengths, col, out=term, mode="clip")
+        np.multiply(term, y, out=y)
+        np.take(lefts, col, out=term, mode="clip")
+        np.add(term, y, out=y)
     return y
 
 

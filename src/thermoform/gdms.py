@@ -47,6 +47,10 @@ class Branch:
         a, b = self.fn(iv[0]), self.fn(iv[1])
         return (a, b) if a <= b else (b, a)
 
+    def fn_and_deriv(self, x: float) -> tuple[float, float]:
+        """(fn(x), deriv(x))."""
+        return self.fn(x), self.deriv(x)
+
     def sup_deriv(self, iv: Interval, grid: int = 33) -> float:
         xs = np.linspace(iv[0], iv[1], grid)
         return float(max(abs(self.deriv(float(x))) for x in xs))
@@ -450,6 +454,21 @@ def backward_cf() -> ParabolicSystem:
     return ParabolicSystem(base, {2: (1.0, 1.0)})
 
 
+def _mp_slope(alpha: float, x: float) -> float:
+    """The derivative of an inverse of x -> x + x^(1+alpha) - offset at the
+    point it maps to x."""
+    return 1.0 / (1.0 + (1.0 + alpha) * x**alpha)
+
+
+class _MPBranch(Branch):
+    """An mp-branch, whose derivative is a function of its value, so
+    fn_and_deriv finds both with one root solve."""
+
+    def fn_and_deriv(self, y: float) -> tuple[float, float]:
+        x = self.fn(y)
+        return x, _mp_slope(self.params["alpha"], x)
+
+
 def _mp_branch(label, alpha: float, offset: float, lo: float, hi: float,
                dom: int = 0, img: int = 0) -> Branch:
     """Inverse of x -> x + x^(1+alpha) - offset on [lo, hi], by root finding."""
@@ -465,14 +484,13 @@ def _mp_branch(label, alpha: float, offset: float, lo: float, hi: float,
                             xtol=1e-15, rtol=4 * np.finfo(float).eps))
 
     def deriv(y: float) -> float:
-        x = fn(y)
-        return 1.0 / (1.0 + a1 * x**alpha)
+        return _mp_slope(alpha, fn(y))
 
     def inv(x: float) -> float:
         return x + x**a1 - offset
 
-    return Branch(label, dom, img, fn, deriv, inv, kind="mp-branch",
-                  params={"alpha": alpha, "offset": offset, "bracket": [lo, hi]})
+    return _MPBranch(label, dom, img, fn, deriv, inv, kind="mp-branch",
+                     params={"alpha": alpha, "offset": offset, "bracket": [lo, hi]})
 
 
 def manneville_pomeau(alpha: float) -> ParabolicSystem:
@@ -677,11 +695,10 @@ class JumpSystem(Gdms):
             return x
 
         def deriv(x: float) -> float:
-            d = bj.deriv(x)
-            x = bj.fn(x)
+            x, d = bj.fn_and_deriv(x)
             for _ in range(n):
-                d *= bi.deriv(x)
-                x = bi.fn(x)
+                x, di = bi.fn_and_deriv(x)
+                d *= di
             return d
 
         def inv(y: float) -> float:

@@ -804,6 +804,18 @@ SCAN_WORK = 640
 # walkers, per step: 2**13 1.4 us, 2**14 1.1 us, 2**15 1.0 us; at 2**15 the
 # Birkhoff walk gained nothing and the scan buffers doubled.
 SCAN_TABLE = 2**14
+# Most cdf entries, and fewest walkers, for which ChainSampler.blocks counts
+# the entries below each needle instead of searching for it; COUNT_WIDTH is
+# past any scanned width. Per walker-step, search -> count (2 vCPUs, numpy
+# 2.4, median of 5), by cdf entries: at 2e5 walkers 3: 31.6 -> 11.8 ns, 16:
+# 52.4 -> 27.2, 25: 58.4 -> 32.6, 36: 61.8 -> 43.9, 64: 76.2 -> 75.0; at
+# 4,096 walkers 3: 26.5 -> 11.9, 16: 48.8 -> 22.9, 25: 55.1 -> 34.1, 36:
+# 64.8 -> 45.7, 64: 70.8 -> 72.5. Below about 2,700 walkers the broadcast
+# comparison runs several times slower per entry: at 2,048 walkers 25
+# entries 60.1 -> 56.3 ns and 36 entries 61.0 -> 72.6, at 64 walkers 3
+# entries 62.7 -> 115.4 ns.
+COUNT_ENTRIES = 32
+COUNT_WIDTH = 4096
 
 
 @dataclass
@@ -847,10 +859,14 @@ class ChainSampler:
     it. A uniform u in [0, 1) moves a walker reading block k to the first
     entry of k whose cumulative sum reaches u: the searchsorted-left of the
     double 2k + u in flat. Block k owns the band [2k, 2k + 1], which a rounded
-    2k + u never leaves, so the entry is also block k's first entry plus the
-    count of its unpinned entries below 2k + u. target2 holds twice the block
-    each entry's state reads. blocks steps wide walks one search at a time
-    and small ones by a log-depth scan over per-step block tables (_scan),
+    2k + u never leaves: lower blocks' entries lie below 2k and higher
+    blocks' above 2k + 1, and within block k, whose sums ascend up to the
+    pinned 1.0, flat < 2k + u holds on a prefix. So the entry is also the
+    count of flat's entries below 2k + u, and block k's first entry plus the
+    count of its unpinned entries below it. target2 holds twice the block
+    each entry's state reads. blocks steps wide walks one step at a time, by
+    that count over short tables (_count) and by search over longer ones,
+    and small walks by a log-depth scan over per-step block tables (_scan),
     with the same result. Walks come out as the cdf entries each step found;
     states_of maps them to states and per_entry tabulates a per-state
     quantity by entry, so a block of entries is mapped once. Start states
@@ -906,13 +922,16 @@ class ChainSampler:
         path equals the serial walk bit for bit. A walker's next block is a
         function of its block and its uniform, so up to scan_walkers walkers
         a block's steps are walked by a scan over sub-blocks of at most
-        SCAN_TABLE table entries (see _scan); more search one step at a time.
+        SCAN_TABLE table entries (see _scan); more step one at a time, from
+        COUNT_WIDTH walkers on over at most COUNT_ENTRIES cdf entries by a
+        count (see _count), else by a search.
         """
         s = np.asarray(s, dtype=np.intp)
         W = s.size
         rows = max(1, WALK_BLOCK // W)
         K, deg = self._n_blocks, self._deg
         scan = W <= self.scan_walkers
+        count = W >= COUNT_WIDTH and self.flat.size <= COUNT_ENTRIES
         # the scan carries each walker's block, the serial walk twice it
         k, y = self.cls[s], 2.0 * self.cls[s]
         if scan:
@@ -928,6 +947,8 @@ class ChainSampler:
             below = np.where(i < deg - 1, self.flat.take(first + i, mode="clip"), np.inf)
             needles = np.empty((K, sub, W))
             tables = (buf, work, needles, first, below, self._next * buf[0].size)
+        elif count:
+            counts = (np.empty(W), np.empty((self.flat.size, W), dtype=bool))
         for t0 in range(0, n_steps, rows):
             u = rng.random((min(rows, n_steps - t0), W))
             block = np.empty(u.shape, dtype=np.intp)
@@ -936,9 +957,22 @@ class ChainSampler:
                     k = self._scan(k, u[a : a + sub], block[a : a + sub], *tables)
             else:
                 for j in range(len(u)):
-                    block[j] = self.flat.searchsorted(y + u[j])
-                    y = self.target2[block[j]]
+                    if count:
+                        self._count(y, u[j], block[j], *counts)
+                    else:
+                        block[j] = self.flat.searchsorted(y + u[j])
+                        y = self.target2[block[j]]
             yield block
+
+    def _count(self, y, u, out, needle, below) -> None:
+        """Step the walkers at twice their blocks y with the uniforms u: write
+        to out the count of flat's entries below each needle y + u, the entry
+        each finds, and twice the blocks they read next to y. needle is (W,)
+        doubles and below (flat.size, W) bools."""
+        np.add(y, u, out=needle)
+        np.less(self.flat[:, None], needle, out=below)
+        below.sum(axis=0, out=out)
+        self.target2.take(out, out=y, mode="clip")
 
     def _scan(self, k, u, out, buf, work, needles, first, below, next_scaled) -> np.ndarray:
         """Walk the len(u) steps of the uniforms u from the blocks k into out,
@@ -948,10 +982,11 @@ class ChainSampler:
         walk is the exclusive prefix scan of these maps under composition
         (Blelloch 1990). The entry a walker reading block k finds with the
         uniform u is first[k] plus the count of the unpinned entries below[:,
-        k] under the double 2k + u, the serial search's needle. Up the scan,
-        adjacent maps compose pairwise level by level; down it, the blocks at
-        the start of each composed segment give those at the start of its
-        halves, until every step's block is known and its entry is gathered.
+        k] under the double 2k + u, the serial search's needle (see the class
+        docstring). Up the scan, adjacent maps compose pairwise level by
+        level; down it, the blocks at the start of each composed segment give
+        those at the start of its halves, until every step's block is known
+        and its entry is gathered.
         Time runs in bit-reversed order, padded to a power of 2 with repeats of
         the last uniforms, so each level's pairs are its two halves and every
         pass is contiguous.

@@ -11,8 +11,8 @@ from scipy.optimize import brentq
 from thermoform import gdms, shifts
 from thermoform.dimension import (
     ChainOrbit,
-    _affine_fold,
     _cell_tables,
+    _cloud_tables,
     _fold_depth,
     beta_orbit,
     cell_weights,
@@ -43,6 +43,8 @@ from thermoform.gdms import (
 )
 from thermoform.rng import task_rng
 from thermoform.shifts import (
+    COUNT_ENTRIES,
+    COUNT_WIDTH,
     WALK_BLOCK,
     ChainSampler,
     Potential,
@@ -356,6 +358,7 @@ def _scan_chain(name):
         mu, _ = induced_cell_chain(1.8, Potential.memory1(np.linspace(-1, 0, 20)), 20)
     sampler = mu.forward
     assert sampler.scan_walkers == {"golden": 32, "memory2": 16, "uneven": 8, "letters20": 1}[name]
+    assert sampler.flat.size == {"golden": 3, "memory2": 16, "uneven": 52, "letters20": 400}[name]
     return mu, sampler
 
 
@@ -372,6 +375,30 @@ def test_chain_step_lands_on_kernel_nonzero(chain, u):
         assert (_dense(mu.kernel)[path[:-1], path[1:]] > 0).all()
 
 
+@pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)])
+@pytest.mark.parametrize("chain", ["golden", "memory2", "early_one"])
+def test_counted_step_matches_search_at_edges(chain, u, monkeypatch):
+    # COUNT_WIDTH walkers, from every state in turn, count; "early_one" walks
+    # back over three letters, the last of weight e^-40, so each block's
+    # cumulative sums reach 1.0 one entry before the pinned 1.0
+    if chain == "early_one":
+        mu, _ = induced_cell_chain(1.8, Potential.memory1(np.array([0.0, 0.0, -40.0])), 3)
+        sampler, kernel = mu.backward, mu.reversed_kernel()
+        assert (sampler.flat[1::3] == sampler.flat[2::3]).all()
+    else:
+        mu, sampler = _scan_chain(chain)
+        kernel = mu.kernel
+    assert sampler.flat.size <= COUNT_ENTRIES
+    counts, count = [], ChainSampler._count
+    monkeypatch.setattr(ChainSampler, "_count", lambda self, *a: counts.append(1) or count(self, *a))
+    s = np.resize(np.arange(mu.n_states), COUNT_WIDTH)
+    path = np.vstack([s, sampler.walk(s, _ConstantRng(u), 40)])
+    assert len(counts) == 40
+    for t in range(40):
+        assert np.array_equal(path[t + 1], _step(sampler, path[t], np.full(s.size, u)))
+    assert (_dense(kernel)[path[:-1], path[1:]] > 0).all()
+
+
 def test_chain_orbit_matches_dense_reference(chain400):
     mu, _ = chain400
     assert mu.n_states == 400
@@ -383,6 +410,16 @@ def test_chain_orbit_matches_dense_reference(chain400):
     ref_rng = task_rng(21)
     ref = _dense_walk(mu.kernel, _dense_start(mu, ref_rng, walkers), steps, ref_rng)
     assert np.array_equal(got, ref)
+
+
+def _horner_fold(letters, lefts, lengths):
+    # the one-line Horner loop that the in-place fold replaced, kept as the
+    # reference: the same operations in the same order, so clouds are equal
+    y = np.full(letters.shape[0], 0.5)
+    for j in range(letters.shape[1] - 1, -1, -1):
+        col = letters[:, j]
+        y = lefts[col] + lengths[col] * y
+    return y
 
 
 @pytest.mark.parametrize("chain", ["golden", "memory2"])
@@ -399,7 +436,7 @@ def test_clouds_match_dense_reference(chain, chain400):
     rng = task_rng(seed)
     s0 = np.full(n, int(np.argmax(mu.pi)), dtype=np.int64)
     past = _dense_walk(mu.reversed_kernel(), s0, depth, rng)
-    ref_fiber = _affine_fold(letter_of[past], lefts, lengths)
+    ref_fiber = _horner_fold(letter_of[past], lefts, lengths)
     assert np.array_equal(fiber_cloud(mu, part, n, None, seed), ref_fiber)
 
     rng = task_rng(seed)
@@ -407,8 +444,8 @@ def test_clouds_match_dense_reference(chain, chain400):
     fwd = _dense_walk(mu.kernel, s0, depth, rng)
     bwd = _dense_walk(mu.reversed_kernel(), s0, depth, rng)
     ref_joint = np.column_stack([
-        _affine_fold(letter_of[np.column_stack([s0, fwd])], lefts, lengths),
-        _affine_fold(letter_of[bwd], lefts, lengths),
+        _horner_fold(letter_of[np.column_stack([s0, fwd])], lefts, lengths),
+        _horner_fold(letter_of[bwd], lefts, lengths),
     ])
     assert np.array_equal(joint_cloud(mu, part, n, None, seed), ref_joint)
 
@@ -514,12 +551,19 @@ def _walk_matches_step_loop(chain, walkers, steps, monkeypatch):
     mu, sampler = _scan_chain(chain)
     if walkers in ("at", "past"):
         walkers = sampler.scan_walkers + (walkers == "past")
+    elif walkers in ("narrow", "wide"):
+        walkers = COUNT_WIDTH - (walkers == "narrow")
     steps = steps(walkers)
     scans, scan = [], ChainSampler._scan
     monkeypatch.setattr(ChainSampler, "_scan", lambda self, *a: scans.append(a) or scan(self, *a))
+    counts, count = [], ChainSampler._count
+    monkeypatch.setattr(ChainSampler, "_count", lambda self, *a: counts.append(a) or count(self, *a))
     rng = task_rng(8)
     got = sampler.walk(sampler.start(rng, walkers), rng, steps)
     assert bool(scans) == (walkers <= sampler.scan_walkers)
+    # golden's 3 and the 16-state chain's 16 cdf entries are at most
+    # COUNT_ENTRIES; the uneven chain's 52 and the 400 of 20 letters are more
+    assert bool(counts) == (walkers >= COUNT_WIDTH and chain in ("golden", "memory2"))
     rng = task_rng(8)
     s = sampler.start(rng, walkers)
     ref = np.empty((steps, walkers), dtype=np.intp)
@@ -528,14 +572,16 @@ def _walk_matches_step_loop(chain, walkers, steps, monkeypatch):
     assert np.array_equal(got, ref)
 
 
-@pytest.mark.parametrize("walkers", [1, 3, 32, 100, "at", "past"])
+@pytest.mark.parametrize("walkers", [1, 3, 32, 100, "at", "past", "narrow", "wide"])
 @pytest.mark.parametrize("chain", ["golden", "memory2", "uneven", "letters20"])
 def test_walk_matches_step_loop(chain, walkers, monkeypatch):
     # up to scan_walkers walkers are scanned: golden up to 32, the 16-state
     # chain up to 16, the uneven one up to 8, 20 letters only one; "at" sits on
-    # that count and "past" one walker beyond it, which walks serially. Two
-    # full blocks are followed by a one-step block, which scans a sub-block
-    # of one step from the carried state.
+    # that count and "past" one walker beyond it, which walks serially.
+    # Serial walks search, but from COUNT_WIDTH walkers ("wide", one more
+    # than "narrow") count over short tables. Two full blocks are followed by
+    # a one-step block, which scans a sub-block of one step from the carried
+    # state.
     _walk_matches_step_loop(chain, walkers, lambda W: 2 * (WALK_BLOCK // W) + 1, monkeypatch)
 
 
@@ -614,21 +660,35 @@ def test_words_and_clouds_match_per_step_loops(chain, chain400):
         assert sample_past(mu, future, length, seed=4) == _per_step_past(mu, future, length, 4)
     n, seed = 3000, 6
     letter_of = np.array([st[0] for st in mu.states])
+    # the clouds fold one byte per letter, full300's two
+    assert _cloud_tables(mu, part)[0].dtype == (np.uint16 if chain == "full300" else np.uint8)
     lefts, lengths = _cell_tables(part, int(letter_of.max()) + 1)
     depth = _fold_depth(part.beta)
     rng = task_rng(seed)
     s0 = np.full(n, int(np.argmax(mu.pi)), dtype=np.int64)
-    ref = _affine_fold(letter_of[_per_step_walk(mu.backward, s0, depth, rng)], lefts, lengths)
+    ref = _horner_fold(letter_of[_per_step_walk(mu.backward, s0, depth, rng)], lefts, lengths)
     assert np.array_equal(fiber_cloud(mu, part, n, None, seed), ref)
     rng = task_rng(seed)
     s0 = mu.forward.start(rng, n)
     fwd = _per_step_walk(mu.forward, s0, depth, rng)
     bwd = _per_step_walk(mu.backward, s0, depth, rng)
     ref = np.column_stack([
-        _affine_fold(letter_of[np.column_stack([s0, fwd])], lefts, lengths),
-        _affine_fold(letter_of[bwd], lefts, lengths),
+        _horner_fold(letter_of[np.column_stack([s0, fwd])], lefts, lengths),
+        _horner_fold(letter_of[bwd], lefts, lengths),
     ])
     assert np.array_equal(joint_cloud(mu, part, n, None, seed), ref)
+
+
+def test_joint_cloud_peak_is_its_letters_and_a_few_point_buffers():
+    # the README's "about 33 MB at M = 200,000": the (depth + 1, M) uint8
+    # letters and the (M, 2) result, plus at most 8 doubles per point for the
+    # walk's uniforms, entries and needles and the fold's buffers (7.65 MiB
+    # of 8.2 at M = 5e4)
+    mu, part = induced_cell_chain(PHI, incidence="golden")
+    mu.forward, mu.backward  # build the samplers outside the trace
+    M, depth = 50_000, _fold_depth(part.beta)
+    peak = _traced_peak(lambda: joint_cloud(mu, part, M, None, 0))
+    assert peak < (depth + 1) * M + 2 * 8 * M + 8 * 8 * M
 
 
 def test_birkhoff_block_buffers_stay_small():
@@ -819,6 +879,15 @@ def test_root_computes_one_coding_point_per_tail(monkeypatch, make, truncation, 
     # first: at memory m the tails are the admissible (m-1)-words
     assert _coding_points_of_root(monkeypatch, make(), truncation=truncation,
                                   memory=memory) == points
+
+
+def test_mp_jump_root_frozen():
+    # derived run edges solve each Manneville-Pomeau step once; the root is
+    # the one of two solves per step, to the last bit
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        t = hd_limit_set(jump_transform(manneville_pomeau(0.5)), truncation=20, memory=2)
+    assert t.hex() == "0x1.f78cc13b1d5fcp-1"
 
 
 def test_q_with_p_theta_and_no_theta_matches_closed_form():

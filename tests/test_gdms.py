@@ -199,6 +199,28 @@ def test_jump_edges_compose_parabolic_runs(jumped_backward):
             assert derived.fn(u) == pytest.approx(direct(u), abs=1e-11)
 
 
+def test_jump_run_deriv_solves_each_mp_step_once(jumped_mp, monkeypatch):
+    # a run edge i^n j steps through n + 1 Manneville-Pomeau branches; each
+    # gives its value and derivative from one brentq solve
+    runs = [br for br in (jumped_mp.edge(k) for k in range(24)) if br.kind == "jump-run"]
+    assert runs
+    calls, solve = [], gdms_module.brentq
+    monkeypatch.setattr(gdms_module, "brentq", lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+    P = jumped_mp.original
+    for br in runs:
+        bi, bj = P.branch(br.params["i"]), P.branch(br.params["j"])
+        for x in (0.15, 0.5, 0.85):
+            calls.clear()
+            d = br.deriv(x)
+            assert len(calls) == br.params["n"] + 1
+            ref = bj.deriv(x)  # the chain rule with deriv and fn apart
+            y = bj.fn(x)
+            for _ in range(br.params["n"]):
+                ref *= bi.deriv(y)
+                y = bi.fn(y)
+            assert d == ref
+
+
 def test_jump_contraction_backward():
     rep = jump_contraction_report(backward_cf(), n_cap=64)
     assert rep.worst < 1.0
