@@ -14,12 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     BoundaryPointError,
     BudgetError,
     ConfigError,
     ConvergenceError,
     DomainError,
+    ThermoformError,
 )
 from .rng import task_rng
 
@@ -421,28 +424,174 @@ def gls_natural_extension(partition, x: float, y: float) -> tuple[float, float]:
     return min(max(x_new, 0.0), math.nextafter(1.0, 0.0)), y_new
 
 
-def _max_gap(gap, sample_size: int, seed: int) -> float:
-    """Largest gap(x, y) over sample_size seeded uniform points of the square.
+class _Batch:
+    """Outcomes of a batch of ground-floor samples, indexed in draw order.
 
-    A point where gap raises BoundaryPointError is redrawn; past
-    50 * sample_size + 1000 redraws the run fails.
+    rejected marks samples whose digits pass within AMBIGUOUS of a carry; they
+    are redrawn. failed[j] indexes into errors the exception sample j raises,
+    -1 if none. The samples that fail at one check on one floor share one
+    exception, whose message names the first of them: only that one can be
+    the first failure in draw order.
+    """
+
+    def __init__(self, n: int):
+        self.gap = np.zeros(n)
+        self.rejected = np.zeros(n, dtype=bool)
+        self.failed = np.full(n, -1, dtype=np.intp)
+        self.errors: list[Exception] = []
+
+    def fail(self, idx: np.ndarray, exc: Exception):
+        self.failed[idx] = len(self.errors)
+        self.errors.append(exc)
+
+
+def _partition_route(bs: BetaSystem, x: np.ndarray, y: np.ndarray, batch: _Batch,
+                     budget: int = 4096) -> tuple[np.ndarray, np.ndarray]:
+    """gls_natural_extension over arrays, a floor at a time.
+
+    Every sample still riding the expansion of 1 takes its next digit with the
+    others. The tests, the per-floor digit lookup and the float expressions are
+    those of GlsPartition.locate, GlsPartition.cell and gls_natural_extension,
+    so the images are bit-identical; rejected and failing samples are marked
+    in batch, and their images are left at 0.
+    """
+    b = bs.beta
+    xa = np.zeros(x.size)
+    ya = np.zeros(x.size)
+    idx = np.arange(x.size)
+    xk = x
+    k = 0
+    while idx.size:
+        if k >= budget:
+            batch.fail(idx, BudgetError(f"no cell found within {budget} digits"))
+            break
+        w = b * xk
+        amb = (np.abs(w - np.rint(w)) < AMBIGUOUS) & (w > AMBIGUOUS)
+        batch.rejected[idx[amb]] = True
+        idx, w = idx[~amb], w[~amb]
+        if not idx.size:
+            break
+        d = np.floor(w)
+        try:
+            b_next = bs.digit(k + 1)
+        except ThermoformError as exc:
+            batch.fail(idx, exc)
+            break
+        over = d > b_next
+        if over.any():
+            batch.fail(idx[over], DomainError(
+                f"inadmissible digit {int(d[over][0])} at position {k + 1}; x may lie "
+                "beyond the greedy domain"))
+        out = d < b_next
+        if out.any():
+            j, dj = idx[out], d[out]
+            try:
+                length = b ** (-(k + 1))
+                left = bs.prefix_value(k) + dj * length
+                slope = b ** (k + 1)
+            except (ThermoformError, OverflowError) as exc:
+                batch.fail(j, exc)
+            else:
+                x_new = slope * (x[j] - left)
+                esc = ~((-SNAP <= x_new) & (x_new < 1.0 + SNAP))
+                if esc.any():
+                    batch.fail(j[esc], DomainError(
+                        f"branch image {float(x_new[esc][0])} escaped [0,1); "
+                        f"cell {bs.cum(k) + int(dj[esc][0]) + 1}"))
+                    j, x_new, left = j[~esc], x_new[~esc], left[~esc]
+                xa[j] = np.minimum(np.maximum(x_new, 0.0), math.nextafter(1.0, 0.0))
+                ya[j] = left + y[j] * length
+        up = d == b_next
+        idx, xk = idx[up], w[up] - d[up]
+        k += 1
+    return xa, ya
+
+
+def _tower_return(bs: BetaSystem, x: np.ndarray, y: np.ndarray, batch: _Batch,
+                  idx: np.ndarray, budget: int = 10_000) -> tuple[np.ndarray, np.ndarray]:
+    """first_return_time and the steps it counts, over the samples idx.
+
+    One pass a floor at a time: ExtensionPoint.validate as a mask, then the
+    digit, the drop to the ground floor or the climb, with the float
+    expressions of natural_extension_step. Returns where each sample lands.
+    """
+    b = bs.beta
+    xt = np.zeros(x.size)
+    yt = np.zeros(x.size)
+    xi, yi = x[idx], y[idx]
+    i = 0
+    while idx.size:
+        top = bs.tail(i)
+        wide = ~((0.0 <= xi) & (xi < top + SNAP))
+        if wide.any():
+            batch.fail(idx[wide], DomainError(
+                f"x={float(xi[wide][0])} outside [0, {top}) on floor {i}"))
+        tall = ~wide & ~((0.0 <= yi) & (yi < b ** (-i) + SNAP))
+        if tall.any():
+            batch.fail(idx[tall], DomainError(f"y={float(yi[tall][0])} too tall for floor {i}"))
+        ok = ~(wide | tall)
+        idx, xi, yi = idx[ok], xi[ok], yi[ok]
+        w = b * xi
+        d = np.floor(w)
+        x_new = w - d
+        b_next = bs.digit(i + 1)
+        over = d > b_next
+        if over.any():
+            batch.fail(idx[over], DomainError(
+                f"digit {int(d[over][0])} exceeds b_{i + 1}={b_next}: the point left its floor"))
+        drop = d < b_next
+        j = idx[drop]
+        xt[j] = x_new[drop]
+        yt[j] = bs.prefix_value(i) + d[drop] * b ** (-(i + 1)) + yi[drop] / b
+        up = d == b_next
+        idx, xi, yi = idx[up], x_new[up], yi[up] / b
+        i += 1
+        if idx.size and i >= budget:
+            batch.fail(idx, BudgetError(f"no return to the ground floor within {budget} steps"))
+            break
+    return xt, yt
+
+
+def _identity_batch(bs: BetaSystem, x: np.ndarray, y: np.ndarray) -> _Batch:
+    """Both routes of the identity for each sample (x[j], y[j]) and their gap."""
+    batch = _Batch(x.size)
+    xa, ya = _partition_route(bs, x, y, batch)
+    live = np.flatnonzero(~batch.rejected & (batch.failed < 0))
+    xt, yt = _tower_return(bs, x, y, batch, live)
+    batch.gap = np.maximum(np.abs(xa - xt), np.abs(ya - yt))
+    return batch
+
+
+def _max_gap(outcomes, sample_size: int, seed: int) -> float:
+    """Largest gap over sample_size seeded uniform points of the square.
+
+    outcomes(x, y) steps a batch of draws and returns its _Batch. Each round
+    draws 2 * remaining uniforms, x = u[0::2] and y = u[1::2]: the doubles a
+    loop reading x then y per point reads, and none past the last point it
+    could accept. The outcomes are read in draw order: rejected points are
+    redrawn, and the first error raises unless the rejection that takes the
+    count past 50 * sample_size + 1000 comes before it, which raises
+    ConvergenceError.
     """
     rng = task_rng(seed)
+    cap = 50 * sample_size + 1000
     worst = 0.0
-    accepted = 0
-    rejected = 0
+    accepted = rejected = 0
     while accepted < sample_size:
-        if rejected > 50 * sample_size + 1000:
+        m = sample_size - accepted
+        u = rng.random(2 * m)
+        batch = outcomes(u[0::2], u[1::2])
+        rej = np.flatnonzero(batch.rejected)
+        stop = rej[cap - rejected] if rejected + rej.size > cap else m
+        bad = np.flatnonzero(batch.failed >= 0)
+        if bad.size and bad[0] < stop:
+            raise batch.errors[batch.failed[bad[0]]]
+        if stop < m:
             raise ConvergenceError("too many boundary-adjacent samples rejected")
-        x = float(rng.random())
-        y = float(rng.random())
-        try:
-            dev = gap(x, y)
-        except BoundaryPointError:
-            rejected += 1
-            continue
-        worst = max(worst, dev)
-        accepted += 1
+        if rej.size < m:
+            worst = max(worst, float(batch.gap[~batch.rejected].max()))
+        accepted += m - rej.size
+        rejected += rej.size
     return worst
 
 
@@ -453,18 +602,14 @@ def identity_check(beta, sample_size: int = 10_000, seed: int = 0) -> float:
     Points whose digit runs pass within 1e-9 of a carry are redrawn; they sit
     on cell boundaries where neither route is defined. Accepts a prebuilt
     BetaSystem to run under a caller-imposed digit budget.
+
+    The samples are stepped together, a floor at a time, over arrays, and
+    redrawn and failed in draw order, so the result, or the exception, is the
+    one a per-sample loop over gls_natural_extension, first_return_time and
+    natural_extension_step gives. Those scalar functions are the reference.
     """
     bs = beta if isinstance(beta, BetaSystem) else BetaSystem(beta)
-    part = GlsPartition(bs)
-
-    def gap(x: float, y: float) -> float:
-        xa, ya = gls_natural_extension(part, x, y)
-        p = ExtensionPoint(x, y, 0)
-        for _ in range(first_return_time(bs, x, y)):
-            p = natural_extension_step(bs, p)
-        return max(abs(xa - p.x), abs(ya - p.y))
-
-    return _max_gap(gap, sample_size, seed)
+    return _max_gap(lambda x, y: _identity_batch(bs, x, y), sample_size, seed)
 
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -487,14 +632,20 @@ def golden_w_map(x: float, y: float) -> tuple[float, float]:
 def golden_conjugacy_deviation(sample_size: int = 4096, seed: int = 0) -> float:
     """Max gap of Psi(S(x,y)) vs T_W(Psi(x,y)) with Psi(x,y) = (x, y/beta)."""
     bs = BetaSystem(GOLDEN)
-    part = GlsPartition(bs)
+    b = GOLDEN
 
-    def gap(x: float, y: float) -> float:
-        sx, sy = gls_natural_extension(part, x, y)
-        wx, wy = golden_w_map(x, y / bs.beta)
-        return max(abs(sx - wx), abs(sy / bs.beta - wy))
+    def outcomes(x: np.ndarray, y: np.ndarray) -> _Batch:
+        batch = _Batch(x.size)
+        sx, sy = _partition_route(bs, x, y, batch)
+        # golden_w_map at (x, y / beta), branch by branch
+        yw = y / bs.beta
+        low = x < 1.0 / b
+        wx = np.where(low, b * x, b * b * x - b)
+        wy = np.where(low, yw / b, (yw + 1.0) / (b * b))
+        batch.gap = np.maximum(np.abs(sx - wx), np.abs(sy / bs.beta - wy))
+        return batch
 
-    return _max_gap(gap, sample_size, seed)
+    return _max_gap(outcomes, sample_size, seed)
 
 
 def analyze(beta: float, depth: int = 64, *, identity_samples: int = 2000,

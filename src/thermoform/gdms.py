@@ -193,8 +193,8 @@ def compose_branch(S: Gdms, labels: Sequence):
     for x in (lo, 0.5 * (lo + hi), hi):
         d = 1.0
         for br in reversed(brs):
-            d *= abs(br.deriv(x))
-            x = br.fn(x)
+            x, dx = br.fn_and_deriv(x)
+            d *= abs(dx)
         derivs.append(d)
     for br in reversed(brs):
         iv = br.image_of(iv)
@@ -373,8 +373,8 @@ def bdp_constant(
                 x = float(x)
                 d = 1.0
                 for br in reversed(word):
-                    d *= abs(br.deriv(x))
-                    x = br.fn(x)
+                    x, dx = br.fn_and_deriv(x)
+                    d *= abs(dx)
                 ds.append(d)
             lo_d, hi_d = min(ds), max(ds)
             if lo_d > 0:
@@ -755,11 +755,11 @@ def jump_contraction_report(
             lo, hi = P.domain_of(bj)
             bounds = np.zeros(n_cap)
             for y0 in np.linspace(lo, hi, grid):
-                x = bj.fn(float(y0))
-                logd = math.log(abs(bj.deriv(float(y0))))
+                x, d = bj.fn_and_deriv(float(y0))
+                logd = math.log(abs(d))
                 for n in range(1, n_cap + 1):
-                    logd += math.log(abs(bi.deriv(x)))
-                    x = bi.fn(x)
+                    x, d = bi.fn_and_deriv(x)
+                    logd += math.log(abs(d))
                     bounds[n - 1] = max(bounds[n - 1], math.exp(logd))
             per_run[(i, j)] = bounds
             worst = max(worst, float(bounds.max()))
@@ -820,8 +820,8 @@ def parabolic_asymptotics(
         logd = 0.0
         pos = 0
         for n in range(1, n_max + 1):
-            logd += math.log(abs(bi.deriv(x)))
-            x = bi.fn(x)
+            x, d = bi.fn_and_deriv(x)
+            logd += math.log(abs(d))
             if n in wanted:
                 logs[col, pos] = logd
                 pos += 1

@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from thermoform import beta as beta_mod
 from thermoform.beta import (
     GOLDEN,
     BetaSystem,
@@ -26,7 +28,9 @@ from thermoform.beta import (
 from thermoform.errors import (
     BoundaryPointError,
     BudgetError,
+    ConvergenceError,
     DomainError,
+    ThermoformError,
 )
 from thermoform.rng import task_rng
 
@@ -237,6 +241,204 @@ def test_identity_check_frozen_stream(beta):
 
 def test_golden_conjugacy_frozen_stream():
     assert golden_conjugacy_deviation(sample_size=4096, seed=0) == GOLDEN_CONJUGACY_SEED0
+
+
+# largest gaps at the bench's size: 10,000 samples, depth 256, seed 901,
+# frozen from the per-sample loop
+IDENTITY_BENCH_SEED901 = {GOLDEN: 3.3306690738754696e-16, 1.8: 1.3807954779565534e-11,
+                          math.pi: 3.4561242756581123e-13}
+
+
+@pytest.mark.parametrize("beta", BETAS)
+def test_identity_check_frozen_at_bench_size(beta):
+    bs = BetaSystem(beta, depth=256, max_depth=256)
+    assert identity_check(bs, sample_size=10_000, seed=901) == IDENTITY_BENCH_SEED901[beta]
+
+
+def _scalar_gap(bs, x, y):
+    """One sample through both routes, one ExtensionPoint at a time."""
+    xa, ya = gls_natural_extension(GlsPartition(bs), x, y)
+    p = ExtensionPoint(x, y, 0)
+    for _ in range(first_return_time(bs, x, y)):
+        p = natural_extension_step(bs, p)
+    return max(abs(xa - p.x), abs(ya - p.y))
+
+
+def _scalar_max_gap(gap, sample_size, seed):
+    """The per-sample loop identity_check replaced: draw x then y, redraw on
+    BoundaryPointError, give up past 50 * sample_size + 1000 redraws."""
+    rng = task_rng(seed)
+    worst, accepted, rejected = 0.0, 0, 0
+    while accepted < sample_size:
+        if rejected > 50 * sample_size + 1000:
+            raise ConvergenceError("too many boundary-adjacent samples rejected")
+        x, y = float(rng.random()), float(rng.random())
+        try:
+            dev = gap(x, y)
+        except BoundaryPointError:
+            rejected += 1
+            continue
+        worst = max(worst, dev)
+        accepted += 1
+    return worst
+
+
+def _scalar_identity_check(bs, sample_size, seed):
+    return _scalar_max_gap(lambda x, y: _scalar_gap(bs, x, y), sample_size, seed)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except Exception as exc:  # which exception, and for which draw, is the outcome
+        return type(exc), str(exc)
+
+
+# of the 48 capped runs per beta below, how many raise (BudgetError, once a
+# sample climbs past the digits of 1 the cap allows)
+RAISING_RUNS = {GOLDEN: 4, 1.8: 41, math.pi: 21, 2.5: 25, 1.1: 48}
+
+
+def _capped(beta, depth):
+    return BetaSystem(beta, depth=depth, max_depth=depth)
+
+
+@pytest.mark.parametrize("beta", list(RAISING_RUNS))
+def test_identity_check_matches_scalar_loop(beta):
+    raised = 0
+    for depth in range(1, 13):
+        for seed in range(4):
+            want = _outcome(lambda: _scalar_identity_check(_capped(beta, depth), 200, seed))
+            got = _outcome(lambda: identity_check(_capped(beta, depth), 200, seed))
+            assert got == want, (depth, seed)
+            raised += isinstance(want, tuple)
+    assert raised == RAISING_RUNS[beta]
+
+
+def test_identity_check_rejection_cap_matches_scalar_loop():
+    # beta * x is a float above 2^53, hence an integer, for every draw: all
+    # samples are ambiguous and the redraw cap is what ends the run
+    assert _outcome(lambda: _scalar_identity_check(BetaSystem(1e300), 200, 0))[0] \
+        is ConvergenceError
+    with pytest.raises(ConvergenceError):
+        identity_check(1e300, sample_size=200, seed=0)
+
+
+def test_identity_batch_rejects_boundary_points():
+    bs = BetaSystem(GOLDEN)
+    x = np.array([1 / GOLDEN, 0.3, 0.8, 0.0])
+    y = np.array([0.5, 0.25, 0.6, 0.9])
+    batch = beta_mod._identity_batch(bs, x, y)
+    # 1/phi sits on the boundary of the two cells: redrawn, not an error;
+    # 0 is no carry, so it stays
+    assert batch.rejected.tolist() == [True, False, False, False]
+    assert batch.failed.tolist() == [-1, -1, -1, -1]
+    with pytest.raises(BoundaryPointError):
+        _scalar_gap(bs, 1 / GOLDEN, 0.5)
+    for j in (1, 2, 3):
+        assert batch.gap[j] == _scalar_gap(bs, float(x[j]), float(y[j]))
+
+
+@pytest.mark.parametrize("beta", BETAS)
+def test_array_routes_match_scalar_routes_bitwise(beta):
+    bs = BetaSystem(beta, depth=256, max_depth=256)
+    part = GlsPartition(bs)
+    u = task_rng(11).random(2 * 3000)
+    # random points, which mostly exit on the lowest floors, and points inside
+    # each of the first 60 cells, which reach every floor up to theirs
+    cells = part.cells_up_to(60)
+    inner = [c.left + r * c.length for c in cells for r in (0.13, 0.5, 0.77)]
+    x = np.concatenate([u[0::2], inner])
+    y = np.concatenate([u[1::2], np.linspace(0.05, 0.95, len(inner))])
+    batch = beta_mod._Batch(x.size)
+    xa, ya = beta_mod._partition_route(bs, x, y, batch)
+    live = np.flatnonzero(~batch.rejected & (batch.failed < 0))
+    xt, yt = beta_mod._tower_return(bs, x, y, batch, live)
+    for j in range(x.size):
+        xj, yj = float(x[j]), float(y[j])
+        try:
+            want = gls_natural_extension(part, xj, yj)
+            p = ExtensionPoint(xj, yj, 0)
+            for _ in range(first_return_time(bs, xj, yj)):
+                p = natural_extension_step(bs, p)
+        except BoundaryPointError:
+            assert batch.rejected[j]
+            continue
+        except ThermoformError as exc:
+            # deep cells drift off their floor; the same point must fail alike
+            assert type(batch.errors[batch.failed[j]]) is type(exc)
+            continue
+        assert batch.failed[j] == -1 and not batch.rejected[j]
+        assert (xa[j], ya[j]) == want
+        assert (xt[j], yt[j]) == (p.x, p.y)
+
+
+def test_tower_return_validates_each_point():
+    # the off-floor points fail as ExtensionPoint.validate fails them
+    bs = BetaSystem(1.8)
+    x = np.array([0.5, 1.0 + 1e-11, 0.5])
+    y = np.array([0.5, 0.5, 1.0 + 1e-11])
+    batch = beta_mod._Batch(x.size)
+    beta_mod._tower_return(bs, x, y, batch, np.arange(x.size))
+    assert batch.failed[0] == -1
+    for j in (1, 2):
+        with pytest.raises(DomainError) as scalar:
+            first_return_time(bs, float(x[j]), float(y[j]))
+        assert str(batch.errors[batch.failed[j]]) == str(scalar.value)
+
+
+def _indexed(kinds):
+    """A scalar gap and a batch outcome function that agree draw by draw:
+    draw c overall is kinds(c), one of "ok" (gap x), "reject" or "fail"."""
+    calls = [0]
+
+    def gap(x, y):
+        c = calls[0]
+        calls[0] += 1
+        if kinds(c) == "reject":
+            raise BoundaryPointError(f"draw {c}")
+        if kinds(c) == "fail":
+            raise DomainError(f"draw {c}")
+        return x
+
+    drawn = [0]
+
+    def outcomes(x, y):
+        batch = beta_mod._Batch(x.size)
+        for j in range(x.size):
+            c = drawn[0] + j
+            if kinds(c) == "reject":
+                batch.rejected[j] = True
+            elif kinds(c) == "fail":
+                batch.fail(np.array([j]), DomainError(f"draw {c}"))
+        batch.gap = x.copy()
+        drawn[0] += x.size
+        return batch
+
+    return gap, outcomes
+
+
+# (sample size, kind of draw c): the cap for one sample is 1050 redraws
+DRAW_ORDER_CASES = [
+    (1, lambda c: "reject" if c < 1050 else "fail"),  # last draw before the cap
+    (1, lambda c: "reject" if c < 1051 else "fail"),  # cap passed first
+    (10, lambda c: "reject" if c % 2 else "ok"),
+    (10, lambda c: "fail" if c in (3, 5) else "reject" if c % 2 else "ok"),
+    (10, lambda c: "fail" if c == 40 else "reject" if c % 2 else "ok"),  # never read
+    (3, lambda c: "reject" if c < 1149 else "ok"),
+    (3, lambda c: "reject" if c < 1151 else "ok"),
+    # the cap for 100 samples is 6000 redraws, passed inside a round of 100
+    (100, lambda c: "reject" if c < 6000 else "fail"),
+    (100, lambda c: "reject" if c < 6001 else "fail"),
+]
+
+
+@pytest.mark.parametrize("case", range(len(DRAW_ORDER_CASES)))
+def test_max_gap_reads_outcomes_in_draw_order(case):
+    n, kinds = DRAW_ORDER_CASES[case]
+    gap, outcomes = _indexed(kinds)
+    want = _outcome(lambda: _scalar_max_gap(gap, n, seed=7))
+    assert _outcome(lambda: beta_mod._max_gap(outcomes, n, seed=7)) == want
 
 
 def test_induced_map_matches_affine_form():
