@@ -14,6 +14,7 @@ on admissible m-words.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
@@ -816,6 +817,27 @@ SCAN_TABLE = 2**14
 # entries 62.7 -> 115.4 ns.
 COUNT_ENTRIES = 32
 COUNT_WIDTH = 4096
+# Most walkers that ChainSampler.blocks walks in plain Python (_scalar) when
+# the scan does not take them; and the most blocks x largest block degree
+# for which a scanned walk of that few walkers stays scanned. Per step, the
+# current route -> scalar (2 vCPUs, numpy 2.4, best of 3). Searched: one
+# walker on 30 letters 1.63 -> 0.34 us, on 100 letters at memory 2 2.86 ->
+# 0.46; 4 walkers 2.22 -> 1.34 and 3.38 -> 1.74. Median of 7 interleaved
+# runs, 30 letters: 5 walkers 2.77 -> 1.82 (scalar faster in 7 of 7), 6
+# 2.59 -> 2.40 (6/7), 7 2.25 -> 2.40 (1/7), 8 2.60 -> 3.11 (1/7); 100
+# letters: 6 2.75 -> 2.54 (4/7), 7 2.65 -> 2.94 (2/7). Scanned, one walker
+# on k letters (blocks x degree k**2): golden 0.04 -> 0.20 us, 8 0.19 ->
+# 0.24, 9 0.33 -> 0.37, 10 0.37 -> 0.38, 11 0.43 -> 0.62 (2 walkers 0.83 ->
+# 0.67, 4 1.72 -> 1.31), 12 0.39 -> 0.27, 20 0.98 -> 0.32. Both grow about
+# linearly in the walkers (8 letters with 4 walkers 0.74 -> 0.98, 12 with 4
+# 1.56 -> 1.07), so the crossover sits near 100 whatever their number.
+SCALAR_WALKERS = 6
+SCALAR_TABLE = 100
+# Rows of uniforms a scalar walker converts to floats, and of entries it
+# writes back, at a time. One walker, 50,000 steps over 100 letters at
+# memory 2, tracemalloc peak above the entries and one block of uniforms:
+# 2**15 rows (a whole block) 2.09 MB, 2**11 rows 0.02 MB.
+SCALAR_ROWS = 2**11
 
 
 @dataclass
@@ -864,10 +886,13 @@ class ChainSampler:
     pinned 1.0, flat < 2k + u holds on a prefix. So the entry is also the
     count of flat's entries below 2k + u, and block k's first entry plus the
     count of its unpinned entries below it. target2 holds twice the block
-    each entry's state reads. blocks steps wide walks one step at a time, by
-    that count over short tables (_count) and by search over longer ones,
-    and small walks by a log-depth scan over per-step block tables (_scan),
-    with the same result. Walks come out as the cdf entries each step found;
+    each entry's state reads. blocks walks by one of four routes with the
+    same result: small walks by a log-depth scan over per-step block tables
+    (_scan); walks of a few walkers that the scan does not take, one walker
+    at a time in plain Python by bisect_left of 2k + u within block k's
+    entries (_scalar); and the rest one step at a time, wide walks by that
+    count over short tables (_count) and others by search. Walks come out
+    as the cdf entries each step found;
     states_of maps them to states and per_entry tabulates a per-state
     quantity by entry, so a block of entries is mapped once. Start states
     come from the stationary cdf, pinned the same way.
@@ -922,19 +947,26 @@ class ChainSampler:
         path equals the serial walk bit for bit. A walker's next block is a
         function of its block and its uniform, so up to scan_walkers walkers
         a block's steps are walked by a scan over sub-blocks of at most
-        SCAN_TABLE table entries (see _scan); more step one at a time, from
-        COUNT_WIDTH walkers on over at most COUNT_ENTRIES cdf entries by a
-        count (see _count), else by a search.
+        SCAN_TABLE table entries (see _scan). Up to SCALAR_WALKERS walkers
+        that the scan does not take, or whose blocks x largest degree exceeds
+        SCALAR_TABLE, walk in plain Python (see _scalar). More step one at a
+        time, from COUNT_WIDTH walkers on over at most COUNT_ENTRIES cdf
+        entries by a count (see _count), else by a search.
         """
         s = np.asarray(s, dtype=np.intp)
         W = s.size
         rows = max(1, WALK_BLOCK // W)
         K, deg = self._n_blocks, self._deg
         scan = W <= self.scan_walkers
+        scalar = W <= SCALAR_WALKERS and not (scan and K * int(deg.max()) <= SCALAR_TABLE)
         count = W >= COUNT_WIDTH and self.flat.size <= COUNT_ENTRIES
         # the scan carries each walker's block, the serial walk twice it
         k, y = self.cls[s], 2.0 * self.cls[s]
-        if scan:
+        if scalar:
+            # block k's needle base 2k and its entries ptr[k]..ptr[k+1]-1
+            ptr = self._ptr.tolist()
+            bands = list(zip(self._twice.tolist(), ptr[:-1], ptr[1:]))
+        elif scan:
             sub = 1 << max(0, (SCAN_TABLE // (K * W)).bit_length() - 1)
             # the tables and levels of a sub-block, its needles, and its ramp,
             # starts and gather positions (see _scan)
@@ -952,7 +984,9 @@ class ChainSampler:
         for t0 in range(0, n_steps, rows):
             u = rng.random((min(rows, n_steps - t0), W))
             block = np.empty(u.shape, dtype=np.intp)
-            if scan:
+            if scalar:
+                k = self._scalar(k, u, block, bands)
+            elif scan:
                 for a in range(0, len(u), sub):
                     k = self._scan(k, u[a : a + sub], block[a : a + sub], *tables)
             else:
@@ -963,6 +997,33 @@ class ChainSampler:
                         block[j] = self.flat.searchsorted(y + u[j])
                         y = self.target2[block[j]]
             yield block
+
+    def _scalar(self, k, u, out, bands) -> np.ndarray:
+        """Walk the len(u) steps of the uniforms u from the blocks k into out,
+        one walker at a time in plain Python, and return the blocks the
+        walkers read after them, in k.
+
+        A walker reading block k finds the entry bisect_left(flat, 2k + u,
+        ptr[k], ptr[k+1]), bands[k] holding 2k and the two bounds: block k
+        owns the band [2k, 2k + 1] and its pinned 1.0 closes it (see the class
+        docstring), so that is the entry the serial search finds, the first
+        of equal cdf entries included. flat and the blocks after each entry
+        are read through memoryviews, not copied; a walker's uniforms and
+        entries pass as lists SCALAR_ROWS rows at a time.
+        """
+        flat, nxt = memoryview(self.flat), memoryview(self._next)
+        for w in range(u.shape[1]):
+            y, lo, hi = bands[k[w]]
+            for a in range(0, len(u), SCALAR_ROWS):
+                found = []
+                add = found.append
+                for x in u[a : a + SCALAR_ROWS, w].tolist():
+                    e = bisect_left(flat, y + x, lo, hi)
+                    add(e)
+                    y, lo, hi = bands[nxt[e]]
+                out[a : a + SCALAR_ROWS, w] = found
+            k[w] = nxt[e]
+        return k
 
     def _count(self, y, u, out, needle, below) -> None:
         """Step the walkers at twice their blocks y with the uniforms u: write

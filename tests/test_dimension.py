@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -45,6 +46,8 @@ from thermoform.rng import task_rng
 from thermoform.shifts import (
     COUNT_ENTRIES,
     COUNT_WIDTH,
+    SCALAR_ROWS,
+    SCALAR_WALKERS,
     WALK_BLOCK,
     ChainSampler,
     Potential,
@@ -339,12 +342,24 @@ def test_state_array_reads_match_state_loops(chain, chain400):
     assert all(type(e) is int for e in sample_forward(mu, 50, seed=1) + sample_past(mu, states[0], 50))
 
 
+@lru_cache(maxsize=None)
+def _full100():
+    # the shape of the symbolic bench's Gibbs chain: a memory-2 full shift on
+    # 100 letters, 100 blocks of degree 100
+    table = np.random.default_rng(0).normal(0.0, 0.5, (100, 100))
+    return shifts.gibbs_measure(Potential.memory2(table), shifts.IncidenceMatrix.full(), 100)
+
+
 def _scan_chain(name):
     """A chain the scan walks: golden (blocks of degree 2 and 1), the 16-state
     memory-2 chain (four blocks of degree 4), 8 letters whose rows keep the
     letters from i // 2 on (blocks of degrees 8, 8, 7, 7, 6, 6, 5, 5), or 20
     letters (twenty blocks of degree 20, so the scan's work bound stops it
-    at one walker)."""
+    at one walker); or one it never walks, full100."""
+    if name == "full100":
+        mu = _full100()
+        assert mu.forward.scan_walkers == 0 and mu.forward.flat.size == 10_000
+        return mu, mu.forward
     if name == "golden":
         mu, _ = induced_cell_chain(PHI, incidence="golden")
     elif name == "memory2":
@@ -397,6 +412,25 @@ def test_counted_step_matches_search_at_edges(chain, u, monkeypatch):
     for t in range(40):
         assert np.array_equal(path[t + 1], _step(sampler, path[t], np.full(s.size, u)))
     assert (_dense(kernel)[path[:-1], path[1:]] > 0).all()
+
+
+@pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)])
+def test_scalar_step_matches_search_at_equal_entries(u, monkeypatch):
+    # "early_one" again: each block's last two cdf entries are equal, and
+    # bisect_left must find the first of them, as searchsorted does. The
+    # scan takes its three walkers; a zero table bound sends them scalar.
+    mu, _ = induced_cell_chain(1.8, Potential.memory1(np.array([0.0, 0.0, -40.0])), 3)
+    sampler = mu.backward
+    assert (sampler.flat[1::3] == sampler.flat[2::3]).all()
+    monkeypatch.setattr(shifts, "SCALAR_TABLE", 0)
+    scalars, scalar = [], ChainSampler._scalar
+    monkeypatch.setattr(ChainSampler, "_scalar", lambda self, *a: scalars.append(1) or scalar(self, *a))
+    s = np.arange(mu.n_states)
+    path = np.vstack([s, sampler.walk(s, _ConstantRng(u), 40)])
+    assert len(scalars) == 1
+    for t in range(40):
+        assert np.array_equal(path[t + 1], _step(sampler, path[t], np.full(s.size, u)))
+    assert (_dense(mu.reversed_kernel())[path[:-1], path[1:]] > 0).all()
 
 
 def test_chain_orbit_matches_dense_reference(chain400):
@@ -547,23 +581,40 @@ def test_birkhoff_burn_in_and_one_orbit_match_per_step_loop(driver, n_orbits, bu
     assert (est.value, est.stderr) == ref
 
 
+# the route each chain walks by, by walkers; the rest search. The scan keeps
+# the chains of at most SCALAR_TABLE blocks x largest degree (golden's 4, the
+# 16-state chain's 16, the uneven one's 64); 20 letters (400) go scalar from
+# the scan, and full100 up to SCALAR_WALKERS ("limit", "over" one more).
+# Counting needs COUNT_WIDTH walkers over at most COUNT_ENTRIES cdf entries:
+# golden's 3 and the 16-state chain's 16, not the uneven 52 or the 400 of 20
+# letters.
+_ROUTES = {
+    "golden": {1: "scan", 3: "scan", 32: "scan", "at": "scan", "wide": "count"},
+    "memory2": {1: "scan", 3: "scan", "at": "scan", "wide": "count"},
+    "uneven": {1: "scan", 3: "scan", "at": "scan"},
+    "letters20": {1: "scalar", 3: "scalar", "at": "scalar", "past": "scalar"},
+    "full100": {1: "scalar", "limit": "scalar"},
+}
+
+
 def _walk_matches_step_loop(chain, walkers, steps, monkeypatch):
     mu, sampler = _scan_chain(chain)
+    route = _ROUTES[chain].get(walkers, "search")
     if walkers in ("at", "past"):
         walkers = sampler.scan_walkers + (walkers == "past")
+    elif walkers in ("limit", "over"):
+        walkers = SCALAR_WALKERS + (walkers == "over")
     elif walkers in ("narrow", "wide"):
         walkers = COUNT_WIDTH - (walkers == "narrow")
     steps = steps(walkers)
-    scans, scan = [], ChainSampler._scan
-    monkeypatch.setattr(ChainSampler, "_scan", lambda self, *a: scans.append(a) or scan(self, *a))
-    counts, count = [], ChainSampler._count
-    monkeypatch.setattr(ChainSampler, "_count", lambda self, *a: counts.append(a) or count(self, *a))
+    ran = set()
+    for name in ("_scalar", "_scan", "_count"):
+        method = getattr(ChainSampler, name)
+        monkeypatch.setattr(ChainSampler, name,
+                            lambda self, *a, _m=method, _n=name[1:]: ran.add(_n) or _m(self, *a))
     rng = task_rng(8)
     got = sampler.walk(sampler.start(rng, walkers), rng, steps)
-    assert bool(scans) == (walkers <= sampler.scan_walkers)
-    # golden's 3 and the 16-state chain's 16 cdf entries are at most
-    # COUNT_ENTRIES; the uneven chain's 52 and the 400 of 20 letters are more
-    assert bool(counts) == (walkers >= COUNT_WIDTH and chain in ("golden", "memory2"))
+    assert ran == ({route} - {"search"})
     rng = task_rng(8)
     s = sampler.start(rng, walkers)
     ref = np.empty((steps, walkers), dtype=np.intp)
@@ -577,12 +628,18 @@ def _walk_matches_step_loop(chain, walkers, steps, monkeypatch):
 def test_walk_matches_step_loop(chain, walkers, monkeypatch):
     # up to scan_walkers walkers are scanned: golden up to 32, the 16-state
     # chain up to 16, the uneven one up to 8, 20 letters only one; "at" sits on
-    # that count and "past" one walker beyond it, which walks serially.
-    # Serial walks search, but from COUNT_WIDTH walkers ("wide", one more
-    # than "narrow") count over short tables. Two full blocks are followed by
-    # a one-step block, which scans a sub-block of one step from the carried
-    # state.
+    # that count and "past" one walker beyond it (see _ROUTES for the route
+    # each takes). Two full blocks are followed by a one-step block, which
+    # scans a sub-block of one step from the carried state.
     _walk_matches_step_loop(chain, walkers, lambda W: 2 * (WALK_BLOCK // W) + 1, monkeypatch)
+
+
+@pytest.mark.parametrize("walkers", [1, "limit", "over"])
+def test_symbolic_shape_walk_matches_step_loop(walkers, monkeypatch):
+    # a full block, then SCALAR_ROWS + 1 steps: past a WALK_BLOCK boundary
+    # and a chunk boundary of the scalar route
+    _walk_matches_step_loop("full100", walkers, lambda W: WALK_BLOCK // W + SCALAR_ROWS + 1,
+                            monkeypatch)
 
 
 @pytest.mark.parametrize("walkers", [1, 3, "at", "past"])
@@ -689,6 +746,18 @@ def test_joint_cloud_peak_is_its_letters_and_a_few_point_buffers():
     M, depth = 50_000, _fold_depth(part.beta)
     peak = _traced_peak(lambda: joint_cloud(mu, part, M, None, 0))
     assert peak < (depth + 1) * M + 2 * 8 * M + 8 * 8 * M
+
+
+def test_scalar_walk_peak_is_its_entries_and_one_block():
+    # one walker, 50,000 steps on full100: the (n, 1) intp entries, one
+    # block's WALK_BLOCK uniforms, and a chunk of SCALAR_ROWS uniforms and
+    # entries as Python lists (0.02 MB more was seen); a whole block as
+    # lists adds 2.1 MB
+    mu, sampler = _scan_chain("full100")
+    n, rng = 50_000, task_rng(0)
+    s = sampler.start(rng, 1)
+    peak = _traced_peak(lambda: list(sampler.blocks(s, rng, n)))
+    assert peak < 8 * n + 8 * WALK_BLOCK + 2**18
 
 
 def test_birkhoff_block_buffers_stay_small():
