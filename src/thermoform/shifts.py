@@ -818,21 +818,13 @@ SCAN_TABLE = 2**14
 COUNT_ENTRIES = 32
 COUNT_WIDTH = 4096
 # Most walkers that ChainSampler.blocks walks in plain Python (_scalar) when
-# the scan does not take them; and the most blocks x largest block degree
-# for which a scanned walk of that few walkers stays scanned. Per step, the
-# current route -> scalar (2 vCPUs, numpy 2.4, best of 3). Searched: one
-# walker on 30 letters 1.63 -> 0.34 us, on 100 letters at memory 2 2.86 ->
-# 0.46; 4 walkers 2.22 -> 1.34 and 3.38 -> 1.74. Median of 7 interleaved
-# runs, 30 letters: 5 walkers 2.77 -> 1.82 (scalar faster in 7 of 7), 6
-# 2.59 -> 2.40 (6/7), 7 2.25 -> 2.40 (1/7), 8 2.60 -> 3.11 (1/7); 100
-# letters: 6 2.75 -> 2.54 (4/7), 7 2.65 -> 2.94 (2/7). Scanned, one walker
-# on k letters (blocks x degree k**2): golden 0.04 -> 0.20 us, 8 0.19 ->
-# 0.24, 9 0.33 -> 0.37, 10 0.37 -> 0.38, 11 0.43 -> 0.62 (2 walkers 0.83 ->
-# 0.67, 4 1.72 -> 1.31), 12 0.39 -> 0.27, 20 0.98 -> 0.32. Both grow about
-# linearly in the walkers (8 letters with 4 walkers 0.74 -> 0.98, 12 with 4
-# 1.56 -> 1.07), so the crossover sits near 100 whatever their number.
+# the scan does not take them. Per step, search -> scalar (2 vCPUs, numpy
+# 2.4, best of 3): one walker on 30 letters 1.63 -> 0.34 us, on 100 letters
+# at memory 2 2.86 -> 0.46; 4 walkers 2.22 -> 1.34 and 3.38 -> 1.74. Median
+# of 7 interleaved runs, 30 letters: 5 walkers 2.77 -> 1.82 (scalar faster
+# in 7 of 7), 6 2.59 -> 2.40 (6/7), 7 2.25 -> 2.40 (1/7), 8 2.60 -> 3.11
+# (1/7); 100 letters: 6 2.75 -> 2.54 (4/7), 7 2.65 -> 2.94 (2/7).
 SCALAR_WALKERS = 6
-SCALAR_TABLE = 100
 # Rows of uniforms a scalar walker converts to floats, and of entries it
 # writes back, at a time. One walker, 50,000 steps over 100 letters at
 # memory 2, tracemalloc peak above the entries and one block of uniforms:
@@ -947,18 +939,18 @@ class ChainSampler:
         path equals the serial walk bit for bit. A walker's next block is a
         function of its block and its uniform, so up to scan_walkers walkers
         a block's steps are walked by a scan over sub-blocks of at most
-        SCAN_TABLE table entries (see _scan). Up to SCALAR_WALKERS walkers
-        that the scan does not take, or whose blocks x largest degree exceeds
-        SCALAR_TABLE, walk in plain Python (see _scalar). More step one at a
-        time, from COUNT_WIDTH walkers on over at most COUNT_ENTRIES cdf
-        entries by a count (see _count), else by a search.
+        SCAN_TABLE table entries (see _scan), and up to SCALAR_WALKERS
+        walkers that the scan does not take walk in plain Python (see
+        _scalar). More step one at a time, from COUNT_WIDTH walkers on over
+        at most COUNT_ENTRIES cdf entries by a count (see _count), else by a
+        search.
         """
         s = np.asarray(s, dtype=np.intp)
         W = s.size
         rows = max(1, WALK_BLOCK // W)
         K, deg = self._n_blocks, self._deg
         scan = W <= self.scan_walkers
-        scalar = W <= SCALAR_WALKERS and not (scan and K * int(deg.max()) <= SCALAR_TABLE)
+        scalar = W <= SCALAR_WALKERS and not scan
         count = W >= COUNT_WIDTH and self.flat.size <= COUNT_ENTRIES
         # the scan carries each walker's block, the serial walk twice it
         k, y = self.cls[s], 2.0 * self.cls[s]

@@ -418,11 +418,12 @@ def test_counted_step_matches_search_at_edges(chain, u, monkeypatch):
 def test_scalar_step_matches_search_at_equal_entries(u, monkeypatch):
     # "early_one" again: each block's last two cdf entries are equal, and
     # bisect_left must find the first of them, as searchsorted does. The
-    # scan takes its three walkers; a zero table bound sends them scalar.
+    # scan takes its three walkers; with no scan width they go scalar.
     mu, _ = induced_cell_chain(1.8, Potential.memory1(np.array([0.0, 0.0, -40.0])), 3)
     sampler = mu.backward
     assert (sampler.flat[1::3] == sampler.flat[2::3]).all()
-    monkeypatch.setattr(shifts, "SCALAR_TABLE", 0)
+    monkeypatch.setattr(shifts, "SCAN_WIDTH", 0)
+    assert sampler.scan_walkers == 0
     scalars, scalar = [], ChainSampler._scalar
     monkeypatch.setattr(ChainSampler, "_scalar", lambda self, *a: scalars.append(1) or scalar(self, *a))
     s = np.arange(mu.n_states)
@@ -581,18 +582,17 @@ def test_birkhoff_burn_in_and_one_orbit_match_per_step_loop(driver, n_orbits, bu
     assert (est.value, est.stderr) == ref
 
 
-# the route each chain walks by, by walkers; the rest search. The scan keeps
-# the chains of at most SCALAR_TABLE blocks x largest degree (golden's 4, the
-# 16-state chain's 16, the uneven one's 64); 20 letters (400) go scalar from
-# the scan, and full100 up to SCALAR_WALKERS ("limit", "over" one more).
-# Counting needs COUNT_WIDTH walkers over at most COUNT_ENTRIES cdf entries:
-# golden's 3 and the 16-state chain's 16, not the uneven 52 or the 400 of 20
-# letters.
+# the route each chain walks by, by walkers; the rest search. The scan takes
+# up to scan_walkers ("at"); past it, up to SCALAR_WALKERS go scalar: 20
+# letters at 2 ("past") and 3, and full100, which the scan never takes, up to
+# the "limit" ("over" is one more). Counting needs COUNT_WIDTH walkers over
+# at most COUNT_ENTRIES cdf entries: golden's 3 and the 16-state chain's 16,
+# not the uneven 52 or the 400 of 20 letters.
 _ROUTES = {
     "golden": {1: "scan", 3: "scan", 32: "scan", "at": "scan", "wide": "count"},
     "memory2": {1: "scan", 3: "scan", "at": "scan", "wide": "count"},
     "uneven": {1: "scan", 3: "scan", "at": "scan"},
-    "letters20": {1: "scalar", 3: "scalar", "at": "scalar", "past": "scalar"},
+    "letters20": {1: "scan", 3: "scalar", "at": "scan", "past": "scalar"},
     "full100": {1: "scalar", "limit": "scalar"},
 }
 
