@@ -52,16 +52,24 @@ class LyapunovEstimate:
 
 
 class MapOrbit:
-    """Float orbits of an interval map, vectorized across orbits.
+    """Float orbits of an interval map T, vectorized across orbits.
+
+    The map comes as an in-place step: step(x, row, scratch) writes T(x) into
+    row, with scratch a free buffer of x's shape. gauss_orbit and beta_orbit
+    step by two ufuncs each, np.reciprocal or np.multiply into row and then
+    np.modf(row, out=(row, scratch)); they equal the expressions
+    (1.0 / x) % 1.0 and (beta * x) % 1.0 bit for bit, since np.reciprocal is
+    the correctly rounded 1/x and, for finite x >= 0, the fraction from modf
+    and x % 1.0 are both exact and both +0.0 on integers.
 
     Seeds are Lebesgue-uniform unless a start sampler is given; for maps with
     an absolutely continuous invariant measure that makes the orbits generic
-    for it. Iterates are clamped away from 0 and 1 so log-derivatives stay
+    for it. Iterates are clamped to [eps, 1 - eps] so log-derivatives stay
     finite; the clamp is far below every statistic reported here.
     """
 
-    def __init__(self, fn, log_deriv, start=None, eps: float = 1e-15):
-        self.fn = fn
+    def __init__(self, step, log_deriv, start=None, eps: float = 1e-15):
+        self.step = step
         self.log_deriv = log_deriv
         self._start = start
         self.eps = eps
@@ -73,29 +81,52 @@ class MapOrbit:
     def advance(self, x, rng, out) -> np.ndarray:
         """Iterate len(out) times from x; out[t] gets log|T'| at the t-th point.
 
-        The orbit fills one buffer a row per step, clamped in place (equal to
-        np.clip on finite values, and cheaper on short rows); the
+        The orbit fills one buffer a row per step by the step alone, and the
+        clamp is checked once per block: if every new row lies in
+        [eps, 1 - eps], clamping after each step would have changed no row,
+        so the block equals the per-step clamped orbit bit for bit. A row out
+        of range or NaN fails the check, and then the whole block is stepped
+        again from x with the clamp after every step, np.maximum then
+        np.minimum in place (np.clip on finite values), which costs one more
+        pass over the block at most. The unclamped pass may divide by 0 or
+        overflow once an orbit leaves the range, so it runs with those
+        floating-point errors ignored; the clamped pass keeps 1/x finite. The
         log-derivative then runs once over the whole block.
         """
         b = out.shape[0]
         xs = np.empty((b + 1, x.size))
         xs[0] = x
+        scratch = np.empty(x.size)
+        rows, step = list(xs), self.step
         lo, hi = self.eps, 1.0 - self.eps
-        for t in range(b):
-            nxt = xs[t + 1]
-            np.minimum(np.maximum(self.fn(xs[t]), lo, out=nxt), hi, out=nxt)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for cur, nxt in zip(rows, rows[1:]):
+                step(cur, nxt, scratch)
+        if not (xs[1:].min() >= lo and xs[1:].max() <= hi):
+            for cur, nxt in zip(rows, rows[1:]):
+                step(cur, nxt, scratch)
+                np.minimum(np.maximum(nxt, lo, out=nxt), hi, out=nxt)
         out[...] = self.log_deriv(xs[:b])
         return xs[b]
 
 
 def gauss_orbit() -> MapOrbit:
     """x -> 1/x mod 1 with log|T'| = -2 log x."""
-    return MapOrbit(lambda x: (1.0 / x) % 1.0, lambda x: -2.0 * np.log(x))
+
+    def step(x, row, scratch):
+        np.modf(np.reciprocal(x, out=row), out=(row, scratch))
+
+    return MapOrbit(step, lambda x: -2.0 * np.log(x))
 
 
 def beta_orbit(beta: float) -> MapOrbit:
+    """x -> beta x mod 1 with log|T'| = log beta."""
     b = float(beta)
-    return MapOrbit(lambda x: (b * x) % 1.0, lambda x: np.full(x.shape, math.log(b)))
+
+    def step(x, row, scratch):
+        np.modf(np.multiply(x, b, out=row), out=(row, scratch))
+
+    return MapOrbit(step, lambda x: np.full(x.shape, math.log(b)))
 
 
 class ChainOrbit:

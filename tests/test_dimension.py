@@ -12,6 +12,7 @@ from scipy.optimize import brentq
 from thermoform import gdms, shifts
 from thermoform.dimension import (
     ChainOrbit,
+    MapOrbit,
     _cell_tables,
     _cloud_tables,
     _fold_depth,
@@ -523,17 +524,34 @@ def _step(sampler, s, u):
     return sampler.states_of(np.searchsorted(sampler.flat, 2 * sampler.cls[s] + u))
 
 
-def _per_step_birkhoff(driver, n_steps, n_orbits, seed, burn_in=0):
-    # the per-step Birkhoff loop that block stepping replaced, kept as the
-    # reference: one rng.random(W) per chain step, np.clip per map step
-    rng = task_rng(seed)
-    state = driver.start(rng, n_orbits)
+# the float maps as literal per-step expressions and their log-derivatives,
+# so the reference does not run through MapOrbit's in-place steps
+_LITERAL_MAPS = {
+    "gauss": (lambda x: (1.0 / x) % 1.0, lambda x: -2.0 * np.log(x)),
+    "beta": (lambda x: (1.8 * x) % 1.0, lambda x: np.full(x.shape, math.log(1.8))),
+    "beta2": (lambda x: (2.0 * x) % 1.0, lambda x: np.full(x.shape, math.log(2.0))),
+}
+EPS = 1e-15  # MapOrbit's default clamp
 
-    def step(x):
-        if isinstance(driver, ChainOrbit):
-            return _step(driver.chain, x, rng.random(x.size)), driver.obs[x]
-        vals = driver.log_deriv(x)
-        return np.clip(driver.fn(x), driver.eps, 1.0 - driver.eps), vals
+
+def _per_step_birkhoff(orbit, n_steps, n_orbits, seed, burn_in=0, start=None):
+    # the per-step Birkhoff loop that block stepping replaced, kept as the
+    # reference: one rng.random(W) per chain step; a float map, named in
+    # _LITERAL_MAPS, stepped by its expression and np.clip every step from
+    # uniform seeds or start(rng, n)
+    rng = task_rng(seed)
+    if isinstance(orbit, ChainOrbit):
+        state = orbit.start(rng, n_orbits)
+
+        def step(s):
+            return _step(orbit.chain, s, rng.random(s.size)), orbit.obs[s]
+    else:
+        T, log_deriv = _LITERAL_MAPS[orbit]
+        x0 = rng.random(n_orbits) if start is None else start(rng, n_orbits)
+        state = np.clip(x0, EPS, 1.0 - EPS)
+
+        def step(x):
+            return np.clip(T(x), EPS, 1.0 - EPS), log_deriv(x)
 
     for _ in range(burn_in):
         state, _ = step(state)
@@ -558,6 +576,11 @@ def _driver(name, chain400):
     return ChainOrbit(mu, gls_return_observable(mu, part))
 
 
+def _reference(name, chain400):
+    """What _per_step_birkhoff steps for the orbit of that name."""
+    return name if name in _LITERAL_MAPS else _driver(name, chain400)
+
+
 BLOCK = WALK_BLOCK // 32  # Birkhoff block length at 32 walkers
 
 
@@ -565,7 +588,7 @@ BLOCK = WALK_BLOCK // 32  # Birkhoff block length at 32 walkers
 @pytest.mark.parametrize("driver", ["golden", "chain400", "gauss", "beta"])
 def test_birkhoff_blocks_match_per_step_loop(driver, n_steps, chain400):
     est = lyapunov_birkhoff(_driver(driver, chain400), n_steps, 32, seed=11)
-    ref = _per_step_birkhoff(_driver(driver, chain400), n_steps, 32, 11)
+    ref = _per_step_birkhoff(_reference(driver, chain400), n_steps, 32, 11)
     assert (est.value, est.stderr) == ref
 
 
@@ -578,8 +601,71 @@ def test_birkhoff_burn_in_and_one_orbit_match_per_step_loop(driver, n_orbits, bu
     n_steps = 3000
     est = lyapunov_birkhoff(_driver(driver, chain400), n_steps, n_orbits, seed=5,
                             burn_in=burn_in)
-    ref = _per_step_birkhoff(_driver(driver, chain400), n_steps, n_orbits, 5, burn_in)
+    ref = _per_step_birkhoff(_reference(driver, chain400), n_steps, n_orbits, 5, burn_in)
     assert (est.value, est.stderr) == ref
+
+
+def _counted(orbit):
+    """orbit with its step wrapped to count calls into the returned list."""
+    calls, step = [], orbit.step
+
+    def counted(*args):
+        calls.append(None)
+        step(*args)
+
+    orbit.step = counted
+    return orbit, calls
+
+
+def test_beta2_orbit_clamps_and_matches_per_step_loop():
+    # the doubling map shifts a double's bits out and reaches 0 within 53
+    # steps, then restarts from eps: blocks leave the range and are stepped
+    # again with the clamp, which must equal the per-step clip
+    n_steps = 2 * BLOCK + 77
+    orbit, calls = _counted(beta_orbit(2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = lyapunov_birkhoff(orbit, n_steps, 32, seed=3)
+        ref = _per_step_birkhoff("beta2", n_steps, 32, 3)
+    assert (est.value, est.stderr) == ref
+    assert len(calls) == 2 * n_steps  # every block left the range
+
+
+@pytest.mark.parametrize("burn_in", [0, 1])
+@pytest.mark.parametrize("start", ["half", "above_half", "linspace"])
+def test_gauss_orbit_from_clamping_starts_matches_per_step_loop(start, burn_in):
+    # 1/0.5 = 2 and, among the linspace seeds, 1/(1/31) = 31 are integers,
+    # whose fraction 0 is clamped up; 1/nextafter(0.5, 1) rounds to
+    # 2 - 4.4e-16, whose fraction is clamped down (a one-step burn-in ends
+    # its block there); the linspace seeds 0 and 1 are clamped by start itself
+    seeds = {"half": lambda rng, n: np.full(n, 0.5),
+             "above_half": lambda rng, n: np.full(n, np.nextafter(0.5, 1.0)),
+             "linspace": lambda rng, n: np.linspace(0.0, 1.0, n)}[start]
+    g = gauss_orbit()
+    orbit, calls = _counted(MapOrbit(g.step, g.log_deriv, start=seeds))
+    n_steps = BLOCK + 77
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = lyapunov_birkhoff(orbit, n_steps, 32, seed=2, burn_in=burn_in)
+        ref = _per_step_birkhoff("gauss", n_steps, 32, 2, burn_in, start=seeds)
+    assert (est.value, est.stderr) == ref
+    assert len(calls) > n_steps + burn_in  # a block was stepped again with the clamp
+
+
+def test_gauss_orbit_from_nan_ends_nan_once_per_block():
+    # NaN fails the range check and survives the clamp: each block is stepped
+    # twice, not again and again, and the estimate is NaN as per step
+    g = gauss_orbit()
+    nan = lambda rng, n: np.full(n, np.nan)  # noqa: E731
+    orbit, calls = _counted(MapOrbit(g.step, g.log_deriv, start=nan))
+    n_steps = BLOCK + 5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = lyapunov_birkhoff(orbit, n_steps, 32, seed=2)
+        ref = _per_step_birkhoff("gauss", n_steps, 32, 2, start=nan)
+    assert math.isnan(est.value) and math.isnan(est.stderr)
+    assert all(math.isnan(v) for v in ref)
+    assert len(calls) == 2 * n_steps
 
 
 # the route each chain walks by, by walkers; the rest search. The scan takes
@@ -757,6 +843,23 @@ def test_scalar_walk_peak_is_its_entries_and_one_block():
     n, rng = 50_000, task_rng(0)
     s = sampler.start(rng, 1)
     peak = _traced_peak(lambda: list(sampler.blocks(s, rng, n)))
+    assert peak < 8 * n + 8 * WALK_BLOCK + 2**18
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("n", [50_000, 100_000])
+def test_walk_peak_is_its_result_and_one_block(direction, n):
+    # one walker on full100 (its forward blocks are states, its backward ones
+    # map through members): the (n, 1) intp result, one block's WALK_BLOCK
+    # uniforms or the copy take writes states through, and the scalar route's
+    # lists of SCALAR_ROWS uniforms and entries (0.15 MB); 1.21 MB at 100,000
+    # steps. Joining a list of blocks held the result twice: 1.60 MB there,
+    # and 0.95 MB backward at 50,000
+    mu, _ = _scan_chain("full100")
+    sampler = getattr(mu, direction)
+    rng = task_rng(0)
+    s = sampler.start(rng, 1)
+    peak = _traced_peak(lambda: sampler.walk(s, rng, n))
     assert peak < 8 * n + 8 * WALK_BLOCK + 2**18
 
 
