@@ -309,9 +309,8 @@ def cmd_dimension(config: dict, seed: int):
         incidence = config.get("incidence")
         n_cells = config.get("n_cells")
         mu, part = dim.induced_cell_chain(beta, psi, n_cells, incidence)
-        w = dim.cell_weights(mu)
-        h = dim.entropy_of_induced(mu)
-        chi = dim.lyapunov_gls_closed_form(w, beta, tail_tol=1e-9).value
+        w, h, closed_form = dim._cell_summary(mu, beta)
+        chi = closed_form.value
         results["cells"] = {
             "n_cells": len(w),
             "weights": w,
@@ -330,7 +329,7 @@ def cmd_dimension(config: dict, seed: int):
             )
             entry = {
                 "birkhoff": birk,
-                "closed_form": dim.lyapunov_gls_closed_form(w, beta, tail_tol=1e-9),
+                "closed_form": closed_form,
             }
             if abs(beta - (1 + 5**0.5) / 2) < 1e-9 and len(w) == 2:
                 entry["closed_form_golden"] = dim.golden_lyapunov(float(w[1]))
@@ -540,7 +539,8 @@ def main(argv=None) -> int:
     except (ConfigError, json.JSONDecodeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
-    except ThermoformError as exc:
+    except (ThermoformError, MemoryError) as exc:
+        # an array too large to allocate is a request numpy cannot meet, not a bug
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
 

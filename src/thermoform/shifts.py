@@ -827,8 +827,8 @@ COUNT_WIDTH = 4096
 SCALAR_WALKERS = 6
 # Rows of uniforms a scalar walker converts to floats, and of entries it
 # writes back, at a time. One walker, 50,000 steps over 100 letters at
-# memory 2, tracemalloc peak above the entries and one block of uniforms:
-# 2**15 rows (a whole block) 2.09 MB, 2**11 rows 0.02 MB.
+# memory 2 through walk, tracemalloc peak above the entries and one block of
+# uniforms: 2**15 rows (a whole block) 2.23 MB, 2**11 rows 0.15 MB.
 SCALAR_ROWS = 2**11
 
 

@@ -18,6 +18,7 @@ from thermoform.beta import (
     gls_natural_extension,
     gls_partition_interval,
     golden_conjugacy_deviation,
+    golden_w_map,
     identity_check,
     induced_map_z0,
     is_admissible_beta,
@@ -285,6 +286,19 @@ def _scalar_max_gap(gap, sample_size, seed):
 
 def _scalar_identity_check(bs, sample_size, seed):
     return _scalar_max_gap(lambda x, y: _scalar_gap(bs, x, y), sample_size, seed)
+
+
+@pytest.mark.parametrize("sample_size, seed", [(4096, 0), (1024, 0), (3000, 7), (500, 3)])
+def test_golden_conjugacy_matches_scalar_loop(sample_size, seed):
+    # golden_w_map is the scalar form of the branches the array route inlines
+    part = GlsPartition(BetaSystem(GOLDEN))
+
+    def gap(x, y):
+        sx, sy = gls_natural_extension(part, x, y)
+        wx, wy = golden_w_map(x, y / GOLDEN)
+        return max(abs(sx - wx), abs(sy / GOLDEN - wy))
+
+    assert golden_conjugacy_deviation(sample_size, seed) == _scalar_max_gap(gap, sample_size, seed)
 
 
 def _outcome(run):

@@ -191,6 +191,25 @@ def test_numeric_failure_exits_2(tmp_path):
     assert "numeric failure" in proc.stderr
 
 
+# schema-valid sizes of 10^15 elements: petabytes, past the address space, so
+# the allocation fails at once (a size that overcommit could grant would be
+# touched later and could get the process killed instead)
+OUT_OF_MEMORY_CONFIGS = {
+    "conditional_M": ("dimension", {"beta": PHI, "incidence": "golden",
+                                    "conditional": {"M": 10**15}}),
+    "identity_samples": ("beta", {"beta": 1.8, "identity_samples": 10**15}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_MEMORY_CONFIGS))
+def test_out_of_memory_request_exits_2(tmp_path, case):
+    command, payload = OUT_OF_MEMORY_CONFIGS[case]
+    proc = run_cli(command, "--config", write_config(tmp_path, payload), check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("numeric failure: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_shallow_depth_budget_exits_2():
     proc = run_cli("beta", "analyze", "--beta", str(math.pi),
                    "--depth", "4", check=False)

@@ -13,8 +13,6 @@ from thermoform import gdms, shifts
 from thermoform.dimension import (
     ChainOrbit,
     MapOrbit,
-    _cell_tables,
-    _cloud_tables,
     _fold_depth,
     beta_orbit,
     cell_weights,
@@ -120,6 +118,14 @@ def test_closed_form_accepts_weight_dict():
     assert est.value == pytest.approx(math.log(PHI) * (1 + W2), abs=1e-12)
 
 
+@pytest.mark.parametrize("weights", [{0: 1.0}, {0: 0.5, 1: 0.5}, {1.5: 1.0}, {-1: 1.0}])
+def test_closed_form_rejects_bad_cell_numbers(weights):
+    # cells are numbered from 1: cell 0 would write w[-1], and a float key
+    # indexes nothing
+    with pytest.raises(ConfigError, match="cell numbers"):
+        lyapunov_gls_closed_form(weights, PHI)
+
+
 def test_closed_form_rejects_heavy_tail():
     # weights that keep a fifth of the mass past the truncation
     with pytest.raises(ConvergenceError):
@@ -221,6 +227,15 @@ def test_joint_cloud_shape():
     c = joint_cloud(mu, part, 3000, None, 9)
     assert c.shape == (3000, 2)
     assert ((c >= 0) & (c < 1)).all()
+
+
+@pytest.mark.parametrize("cloud", [fiber_cloud, joint_cloud])
+def test_cloud_refuses_more_letters_than_cells(cloud):
+    # a three-letter chain over the golden partition, which has two cells
+    mu = shifts.gibbs_measure(Potential.constant(0.0), shifts.IncidenceMatrix.full(), 3)
+    part = induced_cell_chain(PHI, incidence="golden")[1]
+    with pytest.raises(ConfigError, match="3 letters but the partition has 2 cells"):
+        cloud(mu, part, 100, None, 0)
 
 
 # --- chain sampler against the dense reference
@@ -448,14 +463,40 @@ def test_chain_orbit_matches_dense_reference(chain400):
     assert np.array_equal(got, ref)
 
 
+def _forward_fold(letters, lefts, lengths):
+    # the fold as the clouds walk it, one literal step per column, column 0
+    # outermost: offset + scale * y composed with the next cell's contraction
+    offset, scale = np.zeros(letters.shape[0]), np.ones(letters.shape[0])
+    for col in letters.T:
+        offset = offset + scale * lefts[col]
+        scale = scale * lengths[col]
+    return offset + scale / 2
+
+
 def _horner_fold(letters, lefts, lengths):
-    # the one-line Horner loop that the in-place fold replaced, kept as the
-    # reference: the same operations in the same order, so clouds are equal
+    # the mathematical reference: the contractions applied innermost first by
+    # Horner's rule. It rounds differently from the forward fold, so the two
+    # agree within depth * eps, not bit for bit
     y = np.full(letters.shape[0], 0.5)
     for j in range(letters.shape[1] - 1, -1, -1):
         col = letters[:, j]
         y = lefts[col] + lengths[col] * y
     return y
+
+
+def _assert_clouds(mu, part, n, seed, fiber_letters, joint_letters):
+    """The clouds equal the forward fold of the reference walks' letters bit
+    for bit, and Horner's rule within depth * eps."""
+    cells = part.cells_up_to(int(mu.states[:, 0].max()) + 1)
+    lefts, lengths = np.array([c.left for c in cells]), np.array([c.length for c in cells])
+    tol = (fiber_letters.shape[1] + 1) * np.finfo(float).eps
+    fiber = fiber_cloud(mu, part, n, None, seed)
+    assert np.array_equal(fiber, _forward_fold(fiber_letters, lefts, lengths))
+    np.testing.assert_allclose(fiber, _horner_fold(fiber_letters, lefts, lengths), rtol=0, atol=tol)
+    joint = joint_cloud(mu, part, n, None, seed)
+    for got, letters in zip(joint.T, joint_letters):
+        assert np.array_equal(got, _forward_fold(letters, lefts, lengths))
+        np.testing.assert_allclose(got, _horner_fold(letters, lefts, lengths), rtol=0, atol=tol)
 
 
 @pytest.mark.parametrize("chain", ["golden", "memory2"])
@@ -465,25 +506,17 @@ def test_clouds_match_dense_reference(chain, chain400):
     else:
         mu, part = chain400
     n, seed = 5000, 4
-    letter_of = np.array([st[0] for st in mu.states])
-    lefts, lengths = _cell_tables(part, int(letter_of.max()) + 1)
+    letter_of = mu.states[:, 0]
     depth = _fold_depth(part.beta)
-
     rng = task_rng(seed)
     s0 = np.full(n, int(np.argmax(mu.pi)), dtype=np.int64)
-    past = _dense_walk(mu.reversed_kernel(), s0, depth, rng)
-    ref_fiber = _horner_fold(letter_of[past], lefts, lengths)
-    assert np.array_equal(fiber_cloud(mu, part, n, None, seed), ref_fiber)
-
+    past = letter_of[_dense_walk(mu.reversed_kernel(), s0, depth, rng)]
     rng = task_rng(seed)
     s0 = _dense_start(mu, rng, n)
     fwd = _dense_walk(mu.kernel, s0, depth, rng)
     bwd = _dense_walk(mu.reversed_kernel(), s0, depth, rng)
-    ref_joint = np.column_stack([
-        _horner_fold(letter_of[np.column_stack([s0, fwd])], lefts, lengths),
-        _horner_fold(letter_of[bwd], lefts, lengths),
-    ])
-    assert np.array_equal(joint_cloud(mu, part, n, None, seed), ref_joint)
+    _assert_clouds(mu, part, n, seed, past,
+                   (letter_of[np.column_stack([s0, fwd])], letter_of[bwd]))
 
 
 def _traced_peak(fn):
@@ -506,13 +539,17 @@ def test_chain_orbit_memory_grows_with_transitions():
 
 
 @pytest.mark.parametrize("cloud", [fiber_cloud, joint_cloud])
-def test_cloud_memory_grows_with_points_times_depth_bytes(cloud):
-    # 5e4 points at depth 91: one byte per letter is 4.6 MB, the points 0.8 MB;
-    # walks kept whole as int64 states would peak at 74 (fiber) and 148 MB (joint)
+def test_cloud_peak_does_not_grow_with_depth(cloud):
+    # 5e4 points: each walker folds its letters as it walks them, so depth 364
+    # peaks as depth 91 does (4.03 MiB fiber, 4.41 MiB joint); a depth x M
+    # letter array would grow by M bytes per letter or more
     mu, part = induced_cell_chain(PHI, incidence="golden")
     mu.forward, mu.backward  # build the samplers outside the trace
     assert _fold_depth(part.beta) == 91
-    assert _traced_peak(lambda: cloud(mu, part, 50_000, None, 0)) < 20 * 2**20
+    M = 50_000
+    shallow, deep = (_traced_peak(lambda: cloud(mu, part, M, d, 0)) for d in (91, 364))
+    assert abs(deep - shallow) < 0.05 * shallow
+    assert shallow < 16 * 8 * M
 
 
 # --- block-stepped walks against the per-step loop
@@ -793,7 +830,7 @@ def test_words_and_clouds_match_per_step_loops(chain, chain400):
     elif chain == "memory2":
         mu, part = chain400
     else:  # full60 is past the scan's work bound at one walker; full300
-        # has more letters than a byte holds, so its clouds gather uint16
+        # is a wide alphabet, 300 blocks of degree 300
         k = int(chain[4:])
         mu, part = induced_cell_chain(1.8, Potential.memory1(np.linspace(-1, 0, k)), k)
     for length in (mu.memory, mu.memory + 1, 5000):
@@ -802,43 +839,35 @@ def test_words_and_clouds_match_per_step_loops(chain, chain400):
     for length in (0, 1, 5000):
         assert sample_past(mu, future, length, seed=4) == _per_step_past(mu, future, length, 4)
     n, seed = 3000, 6
-    letter_of = np.array([st[0] for st in mu.states])
-    # the clouds fold one byte per letter, full300's two
-    assert _cloud_tables(mu, part)[0].dtype == (np.uint16 if chain == "full300" else np.uint8)
-    lefts, lengths = _cell_tables(part, int(letter_of.max()) + 1)
+    letter_of = mu.states[:, 0]
     depth = _fold_depth(part.beta)
     rng = task_rng(seed)
     s0 = np.full(n, int(np.argmax(mu.pi)), dtype=np.int64)
-    ref = _horner_fold(letter_of[_per_step_walk(mu.backward, s0, depth, rng)], lefts, lengths)
-    assert np.array_equal(fiber_cloud(mu, part, n, None, seed), ref)
+    past = letter_of[_per_step_walk(mu.backward, s0, depth, rng)]
     rng = task_rng(seed)
     s0 = mu.forward.start(rng, n)
     fwd = _per_step_walk(mu.forward, s0, depth, rng)
     bwd = _per_step_walk(mu.backward, s0, depth, rng)
-    ref = np.column_stack([
-        _horner_fold(letter_of[np.column_stack([s0, fwd])], lefts, lengths),
-        _horner_fold(letter_of[bwd], lefts, lengths),
-    ])
-    assert np.array_equal(joint_cloud(mu, part, n, None, seed), ref)
+    _assert_clouds(mu, part, n, seed, past,
+                   (letter_of[np.column_stack([s0, fwd])], letter_of[bwd]))
 
 
-def test_joint_cloud_peak_is_its_letters_and_a_few_point_buffers():
-    # the README's "about 33 MB at M = 200,000": the (depth + 1, M) uint8
-    # letters and the (M, 2) result, plus at most 8 doubles per point for the
-    # walk's uniforms, entries and needles and the fold's buffers (7.65 MiB
-    # of 8.2 at M = 5e4)
+def test_joint_cloud_peak_is_a_few_doubles_per_point():
+    # the README's 17.4 MiB at the bench's M = 200,000, about 11.4 doubles per
+    # point: the (M, 2) result, the x points while y is walked, each walk's
+    # offset, scale and term, and the walk's uniforms, entries and needles
     mu, part = induced_cell_chain(PHI, incidence="golden")
     mu.forward, mu.backward  # build the samplers outside the trace
-    M, depth = 50_000, _fold_depth(part.beta)
-    peak = _traced_peak(lambda: joint_cloud(mu, part, M, None, 0))
-    assert peak < (depth + 1) * M + 2 * 8 * M + 8 * 8 * M
+    M = 200_000
+    assert _traced_peak(lambda: joint_cloud(mu, part, M, None, 0)) < 16 * 8 * M
 
 
 def test_scalar_walk_peak_is_its_entries_and_one_block():
     # one walker, 50,000 steps on full100: the (n, 1) intp entries, one
     # block's WALK_BLOCK uniforms, and a chunk of SCALAR_ROWS uniforms and
-    # entries as Python lists (0.02 MB more was seen); a whole block as
-    # lists adds 2.1 MB
+    # entries as Python lists. The lists cost 0.15 MB through walk; here
+    # the peak falls in the shorter last block, whose uniforms hide all but
+    # 0.02 MB of them. A whole block as lists adds 2.1 MB
     mu, sampler = _scan_chain("full100")
     n, rng = 50_000, task_rng(0)
     s = sampler.start(rng, 1)
