@@ -465,12 +465,9 @@ def _cap_threads():
 
 
 def _load_config(args) -> dict:
-    if args.command == "beta" and args.config is None:
-        if args.beta is None:
-            raise ConfigError("beta needs --config FILE or the inline --beta form")
-        return {"beta": args.beta, "depth": args.depth}
     if args.config is None:
-        raise ConfigError(f"{args.command} needs --config FILE")
+        inline = " or the inline form beta analyze --beta V" if args.command == "beta" else ""
+        raise ConfigError(f"{args.command} needs --config FILE{inline}")
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):

@@ -664,6 +664,10 @@ def temperature(
     if N is None:
         raise ConfigError("a countable edge set needs an explicit truncation")
     A = system.shift_view(N)
+    # the root's state graph first: a graph over its state cap fails before the
+    # tail probes, whose letter sups may build uncapped graphs of their own
+    base = geometric_potential(system, t=a, q=q, theta=theta, p_theta=p_theta, memory=memory)
+    states, pressure_of = _pressure_equation(base, A, N)
     if countable:
         for end in (a, b):
             ratio = _tail_ratio(system, end, q, theta, p_theta, A, N)
@@ -680,8 +684,6 @@ def temperature(
                     stacklevel=2,
                 )
 
-    base = geometric_potential(system, t=a, q=q, theta=theta, p_theta=p_theta, memory=memory)
-    states, pressure_of = _pressure_equation(base, A, N)
     values = base.tabulate(states)
 
     def f(t: float) -> float:

@@ -13,18 +13,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import (
-    BoundaryPointError,
-    ConfigError,
-    ConvergenceError,
-    DomainError,
-    WordLengthError,
-)
+from .errors import ConfigError, ConvergenceError, WordLengthError
 from .shifts import IncidenceMatrix, Potential, _word_rows
 
 Interval = tuple[float, float]
@@ -39,7 +33,6 @@ class Branch:
     img: int
     fn: Callable[[float], float]
     deriv: Callable[[float], float]
-    inv: Callable[[float], float] | None = None
     kind: str = "custom"
     params: dict = field(default_factory=dict, compare=False)
 
@@ -57,11 +50,13 @@ class Branch:
 
 
 class Gdms:
-    """Edges indexed 0,1,2,...; labels are user-facing names (ints or tuples).
+    """Vertex intervals, branches and an admissibility rule.
 
-    pair_allowed restricts which label pairs may follow each other on top of
-    the vertex-chaining rule dom(first) == img(second). locate maps a point of
-    the ambient interval to the label of the branch whose image covers it.
+    Edges are indexed 0,1,2,...; labels are user-facing names (ints or
+    tuples). edge_factory builds edge k on first use; n_edges None means a
+    countable edge set, truncated by the caller. pair_allowed restricts which
+    label pairs may follow each other on top of the vertex-chaining rule
+    dom(first) == img(second).
     """
 
     def __init__(
@@ -71,7 +66,6 @@ class Gdms:
         n_edges: int | None = None,
         *,
         pair_allowed: Callable[[object, object], bool] | None = None,
-        locate: Callable[[float], object] | None = None,
         name: str = "custom",
     ):
         if not vertices:
@@ -87,7 +81,6 @@ class Gdms:
         self._edges: list[Branch] = []
         self._by_label: dict = {}
         self.pair_allowed = pair_allowed
-        self.locate = locate
         self.name = name
 
     def edge(self, k: int) -> Branch:
@@ -175,37 +168,14 @@ def compose_word(S: Gdms, labels: Sequence) -> Callable[[float], float]:
     return fn
 
 
-def compose_branch(S: Gdms, labels: Sequence):
-    """Image interval and derivative range of the composed branch on its domain.
-
-    The derivative range comes from chain-rule products at the domain interval
-    endpoints and midpoint; for monotone derivatives this brackets the truth.
-    """
-    if not labels:
-        raise WordLengthError("cannot compose the empty word")
-    brs = [S.branch(l) for l in labels]
-    for a, b in zip(brs[:-1], brs[1:]):
-        if not S.admissible_pair(a, b):
-            raise WordLengthError(f"inadmissible pair {a.label!r} -> {b.label!r}")
-    lo, hi = S.domain_of(brs[-1])
-    iv = (lo, hi)
-    derivs = []
-    for x in (lo, 0.5 * (lo + hi), hi):
-        d = 1.0
-        for br in reversed(brs):
-            x, dx = br.fn_and_deriv(x)
-            d *= abs(dx)
-        derivs.append(d)
-    for br in reversed(brs):
-        iv = br.image_of(iv)
-    return iv, (min(derivs), max(derivs))
-
-
 def coding_point(S: Gdms, word, tol: float = 1e-13, max_letters: int = 2000) -> float:
     """Point coded by an infinite admissible word: the limit of nested images.
 
     word is an iterable of labels; it must keep yielding until the nested
     images contract below tol (wrap finite words with tail_extension first).
+    The images are tested at every length up to 128 letters and at powers of
+    two after that; the point is the midpoint of the first tested image
+    narrower than tol.
     """
     if tol <= 0:
         raise ConfigError("tol must be positive")
@@ -221,6 +191,10 @@ def coding_point(S: Gdms, word, tol: float = 1e-13, max_letters: int = 2000) -> 
         if prefix and not S.admissible_pair(prefix[-1], br):
             raise WordLengthError(f"inadmissible pair at position {count}")
         prefix.append(br)
+        # every length up to 128, then only powers of two and max_letters, so a
+        # word that never contracts costs O(max_letters) images, not quadratic
+        if count > 128 and count & (count - 1) and count < max_letters:
+            continue
         lo, hi = S.domain_of(br)
         iv = (lo, hi)
         for b in reversed(prefix):
@@ -259,43 +233,6 @@ def tail_extension(S: Gdms, labels: Sequence, probe: int = 256):
             raise ConvergenceError(f"no admissible continuation after {cur.label!r}")
         yield nxt.label
         cur = nxt
-
-
-def gdms_map_apply(S: Gdms, x: float, xi: float | None = None, probe: int = 4096) -> float:
-    """The expanding map: invert the unique branch whose image interior holds x.
-
-    Points outside every image interior map to the preassigned point xi
-    (default: the image of the first branch's left domain endpoint). A point
-    on a shared image boundary raises BoundaryPointError.
-    """
-    if xi is None:
-        e0 = S.edge(0)
-        xi = e0.fn(S.domain_of(e0)[0])
-    if S.locate is not None:
-        label = S.locate(x)
-        if label is None:
-            return xi
-        br = S.branch(label)
-    else:
-        br = None
-        for cand in S.edges_up_to(probe):
-            lo, hi = cand.image_of(S.domain_of(cand))
-            if lo < x < hi:
-                br = cand
-                break
-            if x == lo or x == hi:
-                raise BoundaryPointError(f"{x} lies on the image boundary of edge {cand.label!r}")
-        if br is None:
-            return xi
-    if br.inv is not None:
-        return br.inv(x)
-    lo, hi = S.domain_of(br)
-    a, b = br.image_of((lo, hi))
-    if not a <= x <= b:
-        raise DomainError(f"{x} escaped the image of edge {br.label!r}")
-    increasing = br.fn(hi) >= br.fn(lo)
-    f = (lambda z: br.fn(z) - x) if increasing else (lambda z: x - br.fn(z))
-    return float(brentq(f, lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps))
 
 
 @dataclass
@@ -398,10 +335,7 @@ def _moebius_branch(label, a, b, c, d, dom=0, img=0) -> Branch:
     def deriv(x: float) -> float:
         return det / (c * x + d) ** 2
 
-    def inv(y: float) -> float:
-        return (d * y - b) / (a - c * y)
-
-    return Branch(label, dom, img, fn, deriv, inv, kind="moebius",
+    return Branch(label, dom, img, fn, deriv, kind="moebius",
                   params={"a": a, "b": b, "c": c, "d": d})
 
 
@@ -410,7 +344,6 @@ def _affine_branch(label, a, b, dom=0, img=0) -> Branch:
         label, dom, img,
         fn=lambda x: a * x + b,
         deriv=lambda x: a,
-        inv=lambda y: (y - b) / a,
         kind="affine",
         params={"a": a, "b": b},
     )
@@ -422,16 +355,7 @@ def gauss_cf() -> Gdms:
     def factory(k: int) -> Branch:
         return _moebius_branch(k + 1, 0.0, 1.0, 1.0, float(k + 1))
 
-    def locate(x: float):
-        if x <= 0.0 or x > 1.0:
-            return None
-        r = 1.0 / x
-        n = math.floor(r)
-        if abs(r - round(r)) < 1e-13:
-            raise BoundaryPointError(f"1/{x} is an integer: shared cell boundary")
-        return n
-
-    return Gdms([(0.0, 1.0)], factory, None, locate=locate, name="gauss-cf")
+    return Gdms([(0.0, 1.0)], factory, None, name="gauss-cf")
 
 
 def backward_cf() -> ParabolicSystem:
@@ -441,16 +365,8 @@ def backward_cf() -> ParabolicSystem:
         i = k + 2
         return _moebius_branch(i, 0.0, 1.0, -1.0, float(i))
 
-    def locate(x: float):
-        if x <= 0.0 or x >= 1.0:
-            return None
-        r = 1.0 / x
-        if abs(r - round(r)) < 1e-13:
-            raise BoundaryPointError(f"1/{x} is an integer: shared cell boundary")
-        return math.floor(r) + 1
-
     base = dict(vertices=[(0.0, 1.0)], edge_factory=factory, n_edges=None,
-                locate=locate, name="backward-cf")
+                name="backward-cf")
     return ParabolicSystem(base, {2: (1.0, 1.0)})
 
 
@@ -486,10 +402,7 @@ def _mp_branch(label, alpha: float, offset: float, lo: float, hi: float,
     def deriv(y: float) -> float:
         return _mp_slope(alpha, fn(y))
 
-    def inv(x: float) -> float:
-        return x + x**a1 - offset
-
-    return _MPBranch(label, dom, img, fn, deriv, inv, kind="mp-branch",
+    return _MPBranch(label, dom, img, fn, deriv, kind="mp-branch",
                      params={"alpha": alpha, "offset": offset, "bracket": [lo, hi]})
 
 
@@ -501,15 +414,8 @@ def manneville_pomeau(alpha: float) -> ParabolicSystem:
     x_star = float(brentq(lambda x: x + x**a1 - 1.0, 0.0, 1.0))
     branches = [_mp_branch(0, alpha, 0.0, 0.0, x_star), _mp_branch(1, alpha, 1.0, x_star, 1.0)]
 
-    def locate(x: float):
-        if x <= 0.0 or x >= 1.0:
-            return None
-        if abs(x - x_star) < 1e-13:
-            raise BoundaryPointError("point sits on the shared branch boundary")
-        return 0 if x < x_star else 1
-
     base = dict(vertices=[(0.0, 1.0)], edge_factory=lambda k: branches[k],
-                n_edges=2, locate=locate, name=f"manneville-pomeau-{alpha}")
+                n_edges=2, name=f"manneville-pomeau-{alpha}")
     return ParabolicSystem(base, {0: (0.0, alpha)})
 
 
@@ -521,47 +427,23 @@ def luroth(cells: Sequence[Interval] | None = None) -> Gdms:
         n = k + 1
         return _affine_branch(n, 1.0 / (n * (n + 1)), 1.0 / (n + 1))
 
-    def locate(x: float):
-        if x <= 0.0 or x >= 1.0:
-            return None
-        r = 1.0 / x
-        if abs(r - round(r)) < 1e-13:
-            raise BoundaryPointError("cell boundary")
-        return math.floor(r)
-
-    return Gdms([(0.0, 1.0)], factory, None, locate=locate, name="luroth")
+    return Gdms([(0.0, 1.0)], factory, None, name="luroth")
 
 
-def gls(cells, n_edges: int | None = None) -> Gdms:
+def gls(cells: Sequence[Interval]) -> Gdms:
     """Affine system whose branch images are the given cells of [0,1)."""
-    if callable(cells):
-        cell_at = cells
-    else:
-        cell_list = [(float(lo), float(hi)) for lo, hi in cells]
-        total = sum(hi - lo for lo, hi in cell_list)
-        if abs(total - 1.0) > 1e-9:
-            raise ConfigError(f"cells cover measure {total}, expected 1")
-        n_edges = len(cell_list)
-        cell_at = lambda k: cell_list[k]
-
-        lefts = sorted((lo, hi, k) for k, (lo, hi) in enumerate(cell_list))
-
-        def locate(x: float):
-            for lo, hi, k in lefts:
-                if lo < x < hi:
-                    return k
-                if x == lo or x == hi:
-                    raise BoundaryPointError("cell boundary")
-            return None
+    cell_list = [(float(lo), float(hi)) for lo, hi in cells]
+    total = sum(hi - lo for lo, hi in cell_list)
+    if abs(total - 1.0) > 1e-9:
+        raise ConfigError(f"cells cover measure {total}, expected 1")
 
     def factory(k: int) -> Branch:
-        lo, hi = cell_at(k)
+        lo, hi = cell_list[k]
         if not lo < hi:
             raise ConfigError(f"cell {k} is degenerate")
         return _affine_branch(k, hi - lo, lo)
 
-    loc = locate if not callable(cells) else None
-    return Gdms([(0.0, 1.0)], factory, n_edges, locate=loc, name="gls")
+    return Gdms([(0.0, 1.0)], factory, len(cell_list), name="gls")
 
 
 def affine_system(slope_offset_pairs: Sequence[tuple[float, float]]) -> Gdms:
@@ -646,7 +528,7 @@ class JumpSystem(Gdms):
                 hyp_cursor += 1
                 if br.label not in omega:
                     yield Branch(
-                        (br.label,), br.dom, br.img, br.fn, br.deriv, br.inv,
+                        (br.label,), br.dom, br.img, br.fn, br.deriv,
                         kind=br.kind, params=br.params,
                     )
                     produced = True
@@ -701,15 +583,8 @@ class JumpSystem(Gdms):
                 d *= di
             return d
 
-        def inv(y: float) -> float:
-            for _ in range(n):
-                y = bi.inv(y)
-            return bj.inv(y)
-
-        has_inv = bi.inv is not None and bj.inv is not None
         return Branch(
-            (i,) * n + (j,), bj.dom, bi.img, fn, deriv,
-            inv if has_inv else None, kind="jump-run",
+            (i,) * n + (j,), bj.dom, bi.img, fn, deriv, kind="jump-run",
             params={"i": i, "j": j, "n": n},
         )
 

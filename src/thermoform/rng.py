@@ -1,8 +1,7 @@
 """Deterministic random streams.
 
-Every stochastic routine takes an integer seed and derives independent
-per-task streams through SeedSequence spawn keys, so a run is reproducible
-regardless of how work is chunked across workers.
+Every stochastic routine takes an integer seed and draws from the stream
+that seed names, so a run is reproducible given its seed.
 """
 
 from __future__ import annotations
@@ -10,10 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def task_rng(seed: int, task_index: int | None = None) -> np.random.Generator:
-    """Generator for (seed, task_index); task_index None gives the root stream."""
-    if task_index is None:
-        return np.random.default_rng(np.random.SeedSequence(entropy=int(seed)))
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=int(seed), spawn_key=(int(task_index),))
-    )
+def task_rng(seed: int) -> np.random.Generator:
+    """Generator for the stream of seed."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=int(seed)))

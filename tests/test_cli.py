@@ -67,6 +67,14 @@ def test_beta_inline_is_bare_analysis():
     assert out["identity_check"] < 1e-9
 
 
+@pytest.mark.parametrize("argv", [("beta", "--beta", "1.8"), ("beta",)])
+def test_beta_without_config_or_analyze_exits_3(argv):
+    proc = run_cli(*argv, check=False)
+    assert proc.returncode == 3
+    assert "--config FILE" in proc.stderr
+    assert "beta analyze --beta V" in proc.stderr
+
+
 def test_beta_config_gets_envelope(tmp_path):
     cfg = write_config(tmp_path, {"beta": PHI, "depth": 24,
                                   "identity_samples": 200,

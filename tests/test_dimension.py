@@ -33,7 +33,7 @@ from thermoform.dimension import (
     temperature,
     temperature_sweep,
 )
-from thermoform.errors import ConfigError, ConvergenceError
+from thermoform.errors import BudgetError, ConfigError, ConvergenceError
 from thermoform.gdms import (
     affine_system,
     gauss_cf,
@@ -955,6 +955,23 @@ def test_full_shift_roots_match_logsumexp_route(moran):
 def test_temperature_requires_theta_with_q(moran):
     with pytest.raises(ConfigError):
         temperature(moran, q=0.5)
+
+
+def test_root_checks_its_state_cap_before_the_tail_probes(monkeypatch):
+    # a memory-3 theta at truncation 60 makes 216,000 states, over the
+    # 200,000 cap; each tail probe would build that graph uncapped first
+    builds = []
+    real = shifts._state_graph
+
+    def counted(*args):
+        builds.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(shifts, "_state_graph", counted)
+    theta = Potential(lambda w: np.zeros(len(w)), memory=3)
+    with pytest.raises(BudgetError):
+        temperature(gauss_cf(), theta, q=0.5, p_theta=0.1, truncation=60)
+    assert builds == [3]
 
 
 def test_temperature_needs_sign_change(moran):
