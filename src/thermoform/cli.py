@@ -447,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("mode", nargs="?", choices=["analyze"],
                            help="inline form: beta analyze --beta V --depth K")
             p.add_argument("--beta", type=float)
-            p.add_argument("--depth", type=int, default=64)
+            p.add_argument("--depth", type=int)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--stable", action="store_true",
@@ -489,6 +489,10 @@ def _emit_cloud(path: str, cloud, diagnostics: dict):
 def run(args) -> dict:
     import jsonschema
 
+    if args.config is not None and (getattr(args, "beta", None) is not None
+                                    or getattr(args, "depth", None) is not None):
+        raise ConfigError("--beta and --depth belong to the inline form beta analyze --beta V "
+                          "--depth K; with --config FILE the config sets beta and depth")
     config = _load_config(args)
     # jsonschema.validate minus check_schema: the schemas are constant and tested
     schema = SCHEMAS[args.command]
@@ -530,7 +534,8 @@ def main(argv=None) -> int:
 
             if args.beta is None:
                 raise ConfigError("beta analyze needs --beta (or --config FILE)")
-            payload = beta_mod.analyze(args.beta, args.depth, seed=args.seed)
+            payload = beta_mod.analyze(args.beta, 64 if args.depth is None else args.depth,
+                                       seed=args.seed)
         else:
             payload = run(args)
     except (ConfigError, json.JSONDecodeError, OSError) as exc:

@@ -553,9 +553,6 @@ class PressureEstimate:
     def n_max(self) -> int:
         return self.n_start + len(self.levels) - 1
 
-    def level(self, n: int) -> float:
-        return self.levels[n - self.n_start]
-
 
 def pressure(
     psi: Potential,

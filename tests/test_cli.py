@@ -85,6 +85,19 @@ def test_beta_config_gets_envelope(tmp_path):
     assert out["results"]["digits_of_one"] == [1, 1]
 
 
+@pytest.mark.parametrize("option", [("--beta", "1.8"), ("--depth", "3")])
+@pytest.mark.parametrize("mode", [(), ("analyze",)])
+def test_beta_config_rejects_inline_options(tmp_path, capsys, option, mode):
+    from thermoform import cli
+
+    cfg = write_config(tmp_path, {"beta": 2.0, "depth": 8})
+    assert cli.main(["beta", *mode, "--config", cfg, *option, "--stable"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "beta analyze --beta V --depth K" in captured.err
+    assert "--config FILE" in captured.err
+
+
 def test_output_file(tmp_path):
     cfg = write_config(tmp_path, {"beta": 2.0, "depth": 8})
     dest = tmp_path / "report.json"

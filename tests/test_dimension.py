@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from thermoform import gdms, shifts
+from thermoform import dimension, gdms, shifts
 from thermoform.dimension import (
     ChainOrbit,
     MapOrbit,
@@ -981,9 +981,46 @@ def test_temperature_needs_sign_change(moran):
 
 def test_gauss_two_digit_dimension_frozen():
     G = gauss_cf()
-    with pytest.warns(UserWarning, match="truncation-dependent"):
+    with pytest.warns(UserWarning, match="truncation-dependent") as record:
         v = hd_limit_set(G, truncation=2, memory=8)
     assert v == pytest.approx(GAUSS_12_HD_MEM8, abs=1e-9)
+    # the tail is probed at the root itself, and the root warns once
+    assert len(record) == 1
+    assert f"at the root t={v:.4g} " in str(record[0].message)
+
+
+def test_divergent_letter_sums_raise():
+    # at t = -0.5 the Gauss letter sums grow with the digit
+    with pytest.raises(ConvergenceError, match="diverge"):
+        temperature(gauss_cf(), bracket=(-0.5, 2.0), truncation=8)
+
+
+def _gauss_theta2():
+    return Potential(lambda w: 0.1 - 0.02 * w[:, 1], memory=2)
+
+
+def test_countable_root_builds_one_potential_and_one_graph(monkeypatch):
+    # the tail probes read the root's own table: no potential or state graph
+    # of their own
+    builds, potentials = [], []
+    real_graph, real_potential = shifts._state_graph, gdms.geometric_potential
+
+    def counted_graph(*args):
+        builds.append(args[0])
+        return real_graph(*args)
+
+    def counted_potential(*args, **kwargs):
+        potentials.append(1)
+        return real_potential(*args, **kwargs)
+
+    monkeypatch.setattr(shifts, "_state_graph", counted_graph)
+    monkeypatch.setattr(gdms, "geometric_potential", counted_potential)
+    monkeypatch.setattr(dimension, "geometric_potential", counted_potential)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        temperature(gauss_cf(), _gauss_theta2(), q=0.5, p_theta=0.2, memory=2, truncation=8)
+    assert builds == [2]
+    assert len(potentials) == 1
 
 
 def test_gauss_two_digit_refinement_alternates():
@@ -1050,6 +1087,8 @@ ROOT_CASES = {
     **{f"e2_m{m}": (gauss_cf, dict(truncation=2, memory=m)) for m in range(1, 9)},
     "gauss8_m2": (gauss_cf, dict(truncation=8, memory=2)),
     "gauss8_m3": (gauss_cf, dict(truncation=8, memory=3)),
+    "gauss8_theta2_q": (gauss_cf, dict(theta=_gauss_theta2(), q=0.5, p_theta=0.2, memory=2,
+                                       truncation=8)),
     **{f"moran_q{q}": (lambda: affine_system([(1 / 3, 0.0), (1 / 3, 2 / 3)]),
                        dict(theta=Potential.memory1([math.log(0.3), math.log(0.7)]),
                             q=float(q), bracket=(-10.0, 10.0)))
