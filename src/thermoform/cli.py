@@ -186,8 +186,8 @@ def cmd_pressure(config: dict, seed: int):
     N = int(config["n_letters"])
     n_max = int(config.setdefault("n_max", 12))
     state_cap = int(config.setdefault("state_cap", 200_000))
-    # both routes read one state graph
-    est, eigendata = shifts._pressure_routes(psi, A, N, n_max, state_cap)
+    # the level sums, the eigen route and the summability sums read one state graph
+    est, states, vals, eigendata = shifts._pressure_routes(psi, A, N, n_max, state_cap)
     results = {
         "pressure": est.value,
         "levels": est.levels,
@@ -198,7 +198,7 @@ def cmd_pressure(config: dict, seed: int):
     }
     diagnostics = {}
     if config.setdefault("summability", True):
-        rep = shifts.summability_report(psi, N, A)
+        rep = shifts.summability_report(shifts.letter_sups(states, vals, N))
         diagnostics["summability"] = {
             "truncations": rep.truncations,
             "partial_sums": rep.partial_sums,

@@ -36,6 +36,7 @@ from .shifts import (
     _pressure_equation,
     entropy_from_pressure,
     gibbs_measure,
+    letter_sups,
 )
 
 # ---------------------------------------------------------------------------
@@ -660,13 +661,9 @@ def temperature(
     states, pressure_of = _pressure_equation(base, A, N)
     values = base.tabulate(states)
     if countable:
-        # states are lexicographic, so each first letter is one segment
-        first, starts = np.unique(states[:, 0], return_index=True)
-        top = first >= N - N // 2
-
         def tail_ratio(t: float) -> float:
-            sups = np.maximum.reduceat(values(t), starts)
-            return float(math.exp(logsumexp(sups[top]) - logsumexp(sups)))
+            sups = letter_sups(states, values(t), N)
+            return float(math.exp(logsumexp(sups[N - N // 2:]) - logsumexp(sups)))
 
         for end in (a, b):
             ratio = tail_ratio(end)

@@ -778,23 +778,6 @@ class _GeometricPotential(Potential):
 
         return values
 
-    def letter_sups(self, N: int, A) -> np.ndarray:
-        """t * log|phi'_e| maximized over 33 points of each branch's domain,
-        plus the theta term; from the state values when theta reads more
-        than one letter."""
-        if self.theta is not None and self.theta.memory > 1 and self.q != 0.0:
-            return super().letter_sups(N, A)
-        out = np.empty(N)
-        for e in range(N):
-            br = self.system.edge(e)
-            lo, hi = self.system.domain_of(br)
-            xs = np.linspace(lo, hi, 33)
-            out[e] = float((self.t * np.log(np.abs([br.deriv(float(x)) for x in xs]))).max())
-        if self.q != 0.0:
-            th = self.theta.table(np.arange(N)[:, None]) if self.theta else 0.0
-            out += self.q * (th - self.p_theta)
-        return out
-
 
 def geometric_potential(
     S: Gdms,

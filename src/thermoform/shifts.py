@@ -153,20 +153,6 @@ class Potential:
     def value(self, word: Sequence[int]) -> float:
         return float(self.table([word])[0])
 
-    def letter_sups(self, N: int, A: IncidenceMatrix) -> np.ndarray:
-        """sup of the potential over each cylinder [e], e < N, exact for this
-        truncation: the max over the admissible m-words starting with e, -inf
-        when e starts none."""
-        if self.memory == 1:
-            return self.table(np.arange(N)[:, None])
-        states = _state_graph(self.memory, A, N, math.inf).states
-        out = np.full(N, -np.inf)
-        if len(states):
-            # states are lexicographic, so each first letter is one segment
-            first, starts = np.unique(states[:, 0], return_index=True)
-            out[first] = np.maximum.reduceat(self.table(states), starts)
-        return out
-
     @staticmethod
     def constant(c: float) -> "Potential":
         c = float(c)
@@ -305,17 +291,28 @@ class SummabilityReport:
         return "converged" if self.converged else "not summable at this truncation"
 
 
+def letter_sups(states: np.ndarray, vals: np.ndarray, N: int) -> np.ndarray:
+    """The max of vals over the states that begin with each letter e < N, -inf
+    for a letter that begins none; states are lexicographic rows, so each first
+    letter is one segment."""
+    first = states[:, 0]
+    starts = np.flatnonzero(np.diff(first, prepend=-1))
+    out = np.full(N, -np.inf)
+    if len(starts):
+        out[first[starts]] = np.maximum.reduceat(vals, starts)
+    return out
+
+
 def summability_report(
-    psi: Potential,
-    N: int,
-    A: IncidenceMatrix | None = None,
+    sups: np.ndarray,
     *,
     schedule: Sequence[int] | None = None,
     rel_tol: float = 1e-3,
 ) -> SummabilityReport:
-    """Partial sums of sum_e exp(sup psi|[e]) over growing truncations,
-    e < N; every schedule entry must be at most N."""
-    A = A or IncidenceMatrix.full()
+    """Partial sums of sum_e exp(sups[e]) over growing truncations of the
+    letters e < N = len(sups), as letter_sups gives them for sup psi|[e];
+    every schedule entry must be at most N."""
+    N = len(sups)
     if schedule is None:
         schedule = []
         k = 32
@@ -326,7 +323,7 @@ def summability_report(
         schedule = sorted(set(schedule))
     if any(nk > N for nk in schedule):
         raise ConfigError(f"summability schedule {list(schedule)} passes the truncation {N}")
-    sups = psi.letter_sups(N, A).tolist()
+    sups = sups.tolist()
     sums = []
     total = 0.0
     prev = 0
@@ -549,10 +546,6 @@ class PressureEstimate:
     memory: int
     gap: float
 
-    @property
-    def n_max(self) -> int:
-        return self.n_start + len(self.levels) - 1
-
 
 def pressure(
     psi: Potential,
@@ -575,19 +568,21 @@ def pressure(
 
 
 def _pressure_routes(psi: Potential, A: IncidenceMatrix, N: int, n_max: int, state_cap: int):
-    """pressure(psi, A, N, n_max) and a function returning rpf_eigendata(psi,
-    A, N) from the same state graph, built once (the full-shift closed form
+    """pressure(psi, A, N, n_max), the states (lexicographic m-words) and
+    psi's values on them, and a function returning rpf_eigendata(psi, A, N);
+    all read the same state graph, built once (the full-shift closed form
     builds none until the eigen route asks for it)."""
     m = psi.memory
     if n_max < m:
         raise ConfigError(f"n_max={n_max} below potential memory {m}")
     if A.is_full and m == 1:
-        vals = psi.table(np.arange(N)[:, None])  # the states' values, in order
-        return (_full_shift_pressure(vals, N, n_max),
+        states = np.arange(N)[:, None]
+        vals = psi.table(states)
+        return (_full_shift_pressure(vals, N, n_max), states, vals,
                 lambda: _eigendata(_state_graph(m, A, N, state_cap), vals))
     graph = _state_graph(m, A, N, state_cap)
     vals = psi.table(graph.states)
-    return _level_pressure(graph, vals, n_max), lambda: _eigendata(graph, vals)
+    return _level_pressure(graph, vals, n_max), graph.states, vals, lambda: _eigendata(graph, vals)
 
 
 def _full_shift_pressure(vals: np.ndarray, N: int, n_max: int) -> PressureEstimate:

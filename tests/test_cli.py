@@ -303,7 +303,8 @@ def test_forbidden_pairs_match_golden(tmp_path, capsys, command):
 def test_pressure_passes_state_cap_to_eigendata(tmp_path, capsys, monkeypatch):
     from thermoform import cli, shifts
 
-    # the level and eigen routes share one state graph, built with the cap
+    # the level sums, the eigen route and the summability sums share one
+    # state graph, built with the cap
     caps = []
     build = shifts._state_graph
 
@@ -312,13 +313,42 @@ def test_pressure_passes_state_cap_to_eigendata(tmp_path, capsys, monkeypatch):
         return build(psi, A, N, state_cap)
 
     monkeypatch.setattr(shifts, "_state_graph", spy)
-    for incidence in ("full", "golden"):
+    memory2 = {
+        "psi": {"type": "memory2-table",
+                "values": [[0.1 * (a - b) + 0.05 * a * b for b in range(5)] for a in range(5)]},
+        "n_letters": 5,
+        "incidence": {"forbidden_pairs": [[0, 1], [2, 2], [3, 0], [4, 4]]},
+        "n_max": 6,
+    }
+    for base in ({**INCIDENCE_BASE["pressure"], "incidence": "full"},
+                 {**INCIDENCE_BASE["pressure"], "incidence": "golden"}, memory2):
         caps.clear()
-        cfg = write_config(tmp_path, {**INCIDENCE_BASE["pressure"], "state_cap": 300_000,
-                                      "incidence": incidence})
+        cfg = write_config(tmp_path, {**base, "state_cap": 300_000})
         assert cli.main(["pressure", "--config", cfg, "--stable"]) == 0
         assert caps == [300_000]
-        assert "eigen" in json.loads(capsys.readouterr().out)["results"]
+        out = json.loads(capsys.readouterr().out)
+        assert "eigen" in out["results"] and "summability" in out["diagnostics"]
+
+
+@pytest.mark.parametrize("system, n_letters, t", [
+    ({"builtin": "gauss_cf"}, 64, 0.8),
+    ({"builtin": "backward_cf", "jump": {"n_cap": 64}}, 60, 0.9),
+])
+def test_summability_sums_the_reported_potential(tmp_path, capsys, system, n_letters, t):
+    from thermoform import cli
+
+    # at memory 1 on the full shift the first level is log sum_e exp(psi(e)),
+    # the summability sum over every letter of the same table
+    cfg = write_config(tmp_path, {
+        "psi": {"type": "geometric", "system": system, "t": t},
+        "n_letters": n_letters,
+        "n_max": 1,
+        "eigendata": False,
+    })
+    assert cli.main(["pressure", "--config", cfg, "--stable"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    sums = out["diagnostics"]["summability"]["partial_sums"]
+    assert sums[-1] == pytest.approx(math.exp(out["results"]["levels"][0]), rel=1e-12)
 
 
 def test_graph_without_transitions_exits_2(tmp_path, capsys):

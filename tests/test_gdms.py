@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from thermoform import gdms as gdms_module
+from thermoform import shifts
 from thermoform.errors import ConfigError, ConvergenceError
 from thermoform.gdms import (
     affine_system,
@@ -25,7 +26,7 @@ from thermoform.gdms import (
     tail_extension,
     verify_osc,
 )
-from thermoform.shifts import IncidenceMatrix, Potential
+from thermoform.shifts import IncidenceMatrix, Potential, letter_sups
 
 # classic periodic continued fractions, frozen from the quadratic surds:
 # x = [0; (1)] solves x^2 + x = 1, x = [0; (2)] solves x^2 + 2x = 1,
@@ -278,7 +279,8 @@ def test_geometric_potential_gauss_branch_derivative():
 def test_geometric_potential_sup_dominates_point_values():
     G = gauss_cf()
     psi = geometric_potential(G, t=0.6)
-    sups = psi.letter_sups(12, G.shift_view(12))
+    letters = np.arange(12)[:, None]
+    sups = letter_sups(letters, psi.table(letters), 12)
     for e in range(5):
         assert sups[e] >= psi.value((e,) + (0,) * 40) - 1e-12
 
@@ -338,7 +340,8 @@ def test_geometric_letter_sups_match_per_letter_search():
     ref = []
     for e in range(3):
         ref.append(max(psi.value((e, b)) for b in range(3) if A.allows(e, b)))
-    assert psi.letter_sups(3, A).tolist() == ref
+    states = shifts._state_graph(psi.memory, A, 3, 10**6).states
+    assert letter_sups(states, psi.table(states), 3).tolist() == ref
 
 
 # --- config plumbing

@@ -23,6 +23,7 @@ from thermoform.shifts import (
     gibbs_audit,
     gibbs_measure,
     is_admissible,
+    letter_sups,
     markov_entropy,
     measure_to_json,
     pressure,
@@ -276,7 +277,8 @@ def test_letter_sups_match_per_letter_search(case):
     if case == "memory3-dead-letter":
         # letter 4 has no successor, so it starts no 3-word and stays -inf
         A = IncidenceMatrix(A.forbidden | {(4, b) for b in range(N)})
-    got = psi.letter_sups(N, A)
+    states = shifts._state_graph(psi.memory, A, N, 10**6).states
+    got = letter_sups(states, psi.table(states), N)
     ref = [_dfs_letter_sup(psi, e, N, A) for e in range(N)]
     assert got.tolist() == ref
     assert (got[4] == -np.inf) == (case == "memory3-dead-letter")
@@ -307,9 +309,8 @@ def test_birkhoff_sum_adds_windows_in_order():
 
 def test_summability_converges_for_decaying_weights():
     # letter weights 1/(e+1)^2 sum to pi^2/6
-    vals = [-2.0 * math.log(e + 1.0) for e in range(4096)]
-    rep = summability_report(Potential.memory1(vals), 4096,
-                             schedule=[256, 1024, 4096])
+    vals = np.array([-2.0 * math.log(e + 1.0) for e in range(4096)])
+    rep = summability_report(vals, schedule=[256, 1024, 4096])
     assert rep.verdict == "converged"
     assert rep.partial_sums[-1] == pytest.approx(math.pi**2 / 6, abs=1e-3)
     assert rep.last_relative_increment < 1e-3
@@ -317,9 +318,8 @@ def test_summability_converges_for_decaying_weights():
 
 def test_summability_flags_slow_tails():
     # letter weights ~ 1/(e+1): harmonic, the partial sums keep climbing
-    vals = [-math.log(e + 1.0) for e in range(4096)]
-    rep = summability_report(Potential.memory1(vals), 4096,
-                             schedule=[256, 1024, 4096])
+    vals = np.array([-math.log(e + 1.0) for e in range(4096)])
+    rep = summability_report(vals, schedule=[256, 1024, 4096])
     assert rep.verdict != "converged"
     assert rep.last_relative_increment > 1e-3
 
@@ -1089,7 +1089,7 @@ def test_pressure_routes_memory_grows_with_states():
     out = {}
 
     def routes():
-        est, eigendata = shifts._pressure_routes(psi, A, 120, 12, 200_000)
+        est, _, _, eigendata = shifts._pressure_routes(psi, A, 120, 12, 200_000)
         out["est"], out["eig"] = est, eigendata()
 
     assert _traced_peak(routes) < 10 * 2**20
