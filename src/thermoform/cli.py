@@ -202,8 +202,7 @@ def cmd_pressure(config: dict, seed: int):
         diagnostics["summability"] = {
             "truncations": rep.truncations,
             "partial_sums": rep.partial_sums,
-            "last_relative_increment": rep.last_relative_increment,
-            "verdict": rep.verdict,
+            "tail_ratio": rep.tail_ratio,
         }
     if config.setdefault("eigendata", True):
         try:
@@ -378,7 +377,7 @@ def cmd_dimension(config: dict, seed: int):
         )
         acim = dim.gauss_acim_cloud(int(gcfg.setdefault("cloud_points", 200_000)), seed)
         est = dim.local_dimension(acim, j_range=gcfg.get("j_range"), seed=seed + 1)
-        results["gauss"] = {"lyapunov": birk, "acim_dimension": est, "h_over_chi": est.mean}
+        results["gauss"] = {"lyapunov": birk, "acim_dimension": est}
         if cloud is None:
             cloud = acim
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 from scipy.spatial import cKDTree
-from scipy.special import logsumexp
 
 from .beta import BetaSystem, GlsPartition
 from .errors import ConfigError, ConvergenceError
@@ -37,6 +36,7 @@ from .shifts import (
     entropy_from_pressure,
     gibbs_measure,
     letter_sups,
+    tail_ratio,
 )
 
 # ---------------------------------------------------------------------------
@@ -200,14 +200,13 @@ def lyapunov_birkhoff(
 def lyapunov_gls_closed_form(
     weights,
     beta: float,
-    n_trunc: int | None = None,
     tail_tol: float = 1e-6,
 ) -> LyapunovEstimate:
     """log beta times the weighted mean return time over partition cells.
 
     weights is a probability vector over cells 1..len(weights) (or a dict
-    keyed by cell number, from 1). Mass beyond n_trunc is bounded by the first
-    excluded cell's return time and reported as the stderr field.
+    keyed by cell number, from 1). Mass beyond the last cell is bounded by the
+    next cell's return time and reported as the stderr field.
     """
     if isinstance(weights, dict):
         if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in weights):
@@ -220,24 +219,21 @@ def lyapunov_gls_closed_form(
         w = np.asarray(weights, dtype=float)
     if np.any(w < -1e-15):
         raise ConfigError("cell weights must be nonnegative")
-    if n_trunc is None:
-        n_trunc = len(w)
-    n_trunc = min(n_trunc, len(w))
     part = GlsPartition(BetaSystem(beta))
     total_cells = part.total_cells
     if total_cells is not None and len(w) > total_cells:
         raise ConfigError(f"{len(w)} weights but the partition has {total_cells} cells")
-    tail_mass = max(0.0, 1.0 - float(w[:n_trunc].sum()))
+    tail_mass = max(0.0, 1.0 - float(w.sum()))
     if tail_mass > tail_tol:
         raise ConvergenceError(
-            f"tail mass {tail_mass:.3g} beyond cell {n_trunc} exceeds {tail_tol:.3g}"
+            f"tail mass {tail_mass:.3g} beyond cell {len(w)} exceeds {tail_tol:.3g}"
         )
     logb = math.log(beta)
     value = logb * sum(
-        (part.cell(n + 1).k + 1) * w[n] for n in range(n_trunc) if w[n] != 0.0
+        (part.cell(n + 1).k + 1) * w[n] for n in range(len(w)) if w[n] != 0.0
     )
-    if tail_mass > 0.0 and (total_cells is None or n_trunc < total_cells):
-        bound = logb * (part.cell(n_trunc + 1).k + 1) * tail_mass
+    if tail_mass > 0.0 and (total_cells is None or len(w) < total_cells):
+        bound = logb * (part.cell(len(w) + 1).k + 1) * tail_mass
     else:
         bound = 0.0
     return LyapunovEstimate(float(value), float(bound), "closed-form-gls")
@@ -661,12 +657,8 @@ def temperature(
     states, pressure_of = _pressure_equation(base, A, N)
     values = base.tabulate(states)
     if countable:
-        def tail_ratio(t: float) -> float:
-            sups = letter_sups(states, values(t), N)
-            return float(math.exp(logsumexp(sups[N - N // 2:]) - logsumexp(sups)))
-
         for end in (a, b):
-            ratio = tail_ratio(end)
+            ratio = tail_ratio(letter_sups(states, values(end), N))
             if ratio > 0.5:
                 raise ConvergenceError(
                     f"letter sums diverge at t={end}: tail ratio {ratio:.2f}"
@@ -685,7 +677,7 @@ def temperature(
     if residual >= 1e-9:
         raise ConvergenceError(f"pressure residual {residual:.3g} at t={root}")
     if countable:
-        ratio = tail_ratio(root)
+        ratio = tail_ratio(letter_sups(states, values(root), N))
         if ratio > 1e-6:
             warnings.warn(
                 f"slow letter-sum decay at the root t={root:.4g} "

@@ -44,8 +44,9 @@ class Branch:
         """(fn(x), deriv(x))."""
         return self.fn(x), self.deriv(x)
 
-    def sup_deriv(self, iv: Interval, grid: int = 33) -> float:
-        xs = np.linspace(iv[0], iv[1], grid)
+    def sup_deriv(self, iv: Interval) -> float:
+        """max |deriv| over 9 evenly spaced points of iv."""
+        xs = np.linspace(iv[0], iv[1], 9)
         return float(max(abs(self.deriv(float(x))) for x in xs))
 
 
@@ -212,11 +213,12 @@ def periodic_word(labels: Sequence):
         yield from labels
 
 
-def tail_extension(S: Gdms, labels: Sequence, probe: int = 256):
+def tail_extension(S: Gdms, labels: Sequence):
     """Infinite admissible word starting with labels.
 
     Repeats the word when the wrap-around pair is admissible, otherwise
-    continues greedily with the lowest-index admissible edge.
+    continues greedily with the lowest-index admissible edge among the
+    first 256.
     """
     brs = [S.branch(l) for l in labels]
     if S.admissible_pair(brs[-1], brs[0]):
@@ -225,7 +227,7 @@ def tail_extension(S: Gdms, labels: Sequence, probe: int = 256):
     yield from labels
     cur = brs[-1]
     while True:
-        for k in range(probe):
+        for k in range(256):
             nxt = S.edge(k)
             if S.admissible_pair(cur, nxt):
                 break
@@ -477,20 +479,18 @@ class JumpSystem(Gdms):
         self.original = P
         self.n_cap = n_cap
         omega = set(P.omega)
+        # a derived letter takes its dom from its exit letter and its img from
+        # its run letter, so the vertex rule on derived letters already is the
+        # parent's on (last, first); only a parent's pair rule is left to ask
+        pair_allowed = (
+            (lambda a, b: P.pair_allowed(a[-1], b[0])) if P.pair_allowed is not None else None
+        )
 
-        def orig_pair(a_label, b_label) -> bool:
-            return P.admissible_pair(P.branch(a_label), P.branch(b_label))
-
-        def pair_allowed(a: tuple, b: tuple) -> bool:
-            return orig_pair(a[-1], b[0])
-
+        # Gdms.edge asks for edges 0, 1, 2, ... in order and keeps them
         gen = self._enumerate(P, omega)
-        store: list[Branch] = []
 
         def factory(k: int) -> Branch:
-            while len(store) <= k:
-                store.append(next(gen))
-            return store[k]
+            return next(gen)
 
         finite = P.n_edges is not None
         n_edges = None
@@ -503,7 +503,7 @@ class JumpSystem(Gdms):
                 js = [
                     P.edge(k).label
                     for k in range(P.n_edges)
-                    if P.edge(k).label != i and orig_pair(i, P.edge(k).label)
+                    if P.edge(k).label != i and P.admissible_pair(P.branch(i), P.edge(k))
                 ]
                 per_par[i] = n_cap if js else 0
             n_edges = n_hyp + sum(per_par.values())
@@ -597,7 +597,7 @@ def jump_transform(P: ParabolicSystem, n_cap: int = 1024, *, check: bool = True)
     if check:
         probe = [J.edge(k) for k in range(min(24, n_cap))]
         for br in probe:
-            bound = br.sup_deriv(J.domain_of(br), grid=9)
+            bound = br.sup_deriv(J.domain_of(br))
             if bound >= 1.0:
                 raise ConvergenceError(
                     f"derived branch {br.label!r} has derivative bound {bound:.4f} >= 1; "

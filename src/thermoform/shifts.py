@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
+from scipy.special import logsumexp
 
 from .errors import (
     BudgetError,
@@ -283,12 +284,7 @@ def _row_sums(vals: np.ndarray) -> np.ndarray:
 class SummabilityReport:
     truncations: list[int]
     partial_sums: list[float]
-    last_relative_increment: float
-    converged: bool
-
-    @property
-    def verdict(self) -> str:
-        return "converged" if self.converged else "not summable at this truncation"
+    tail_ratio: float
 
 
 def letter_sups(states: np.ndarray, vals: np.ndarray, N: int) -> np.ndarray:
@@ -303,41 +299,35 @@ def letter_sups(states: np.ndarray, vals: np.ndarray, N: int) -> np.ndarray:
     return out
 
 
-def summability_report(
-    sups: np.ndarray,
-    *,
-    schedule: Sequence[int] | None = None,
-    rel_tol: float = 1e-3,
-) -> SummabilityReport:
-    """Partial sums of sum_e exp(sups[e]) over growing truncations of the
-    letters e < N = len(sups), as letter_sups gives them for sup psi|[e];
-    every schedule entry must be at most N."""
+def tail_ratio(sups: np.ndarray) -> float:
+    """The share of sum_e exp(sups[e]) carried by the top floor(N/2) of the
+    N = len(sups) letters."""
     N = len(sups)
-    if schedule is None:
-        schedule = []
-        k = 32
-        while k < N:
-            schedule.append(k)
-            k *= 2
-        schedule.append(N)
-        schedule = sorted(set(schedule))
-    if any(nk > N for nk in schedule):
-        raise ConfigError(f"summability schedule {list(schedule)} passes the truncation {N}")
-    sups = sups.tolist()
+    return float(math.exp(logsumexp(sups[N - N // 2:]) - logsumexp(sups)))
+
+
+def summability_report(sups: np.ndarray) -> SummabilityReport:
+    """Partial sums of sum_e exp(sups[e]) over the truncations 32, 64, ... below
+    N = len(sups) and N itself, as letter_sups gives sups[e] = sup psi|[e], and
+    their tail_ratio. No truncation can decide summability, so the report
+    gives no verdict."""
+    N = len(sups)
+    truncations = []
+    k = 32
+    while k < N:
+        truncations.append(k)
+        k *= 2
+    truncations.append(N)
+    vals = sups.tolist()
     sums = []
     total = 0.0
     prev = 0
-    for nk in schedule:
-        for s in sups[prev:nk]:
-            if s > -math.inf:
-                total += math.exp(s)
-        prev = nk
+    for k in truncations:
+        for s in vals[prev:k]:
+            total += math.exp(s)
+        prev = k
         sums.append(total)
-    if len(sums) >= 2 and sums[-1] > 0:
-        inc = (sums[-1] - sums[-2]) / sums[-1]
-    else:
-        inc = 0.0 if len(sums) < 2 else math.inf
-    return SummabilityReport(list(schedule), sums, inc, converged=(inc < rel_tol))
+    return SummabilityReport(truncations, sums, tail_ratio(sups))
 
 
 # ---------------------------------------------------------------------------

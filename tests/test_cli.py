@@ -117,6 +117,8 @@ def test_emit_cloud_csv_1d(tmp_path):
     assert lines[0] == "x"
     assert len(lines) == 2001
     assert out["diagnostics"]["cloud_csv"]["points"] == 2000
+    # acim_dimension is the ball-count slope; no second field repeats it
+    assert set(out["results"]["gauss"]) == {"lyapunov", "acim_dimension"}
 
 
 def test_emit_cloud_csv_2d(tmp_path):
@@ -349,6 +351,51 @@ def test_summability_sums_the_reported_potential(tmp_path, capsys, system, n_let
     out = json.loads(capsys.readouterr().out)
     sums = out["diagnostics"]["summability"]["partial_sums"]
     assert sums[-1] == pytest.approx(math.exp(out["results"]["levels"][0]), rel=1e-12)
+
+
+@pytest.mark.parametrize("psi, n_letters, ratio", [
+    # sum n^-0.8 diverges, one partial sum
+    ({"type": "geometric", "system": {"builtin": "gauss_cf"}, "t": 0.4}, 8, 0.32341740172773203),
+    # sum n^-1.6 converges, slowly
+    ({"type": "geometric", "system": {"builtin": "gauss_cf"}, "t": 0.8}, 64, 0.046957151826452256),
+    # a finite sum of equal terms: the top half holds half of it
+    ({"type": "constant", "value": 0.0}, 40, 0.5),
+])
+def test_summability_reports_the_tail_ratio_and_no_verdict(tmp_path, capsys, psi, n_letters,
+                                                            ratio):
+    from thermoform import cli
+
+    # no truncation decides summability, so the report gives the tail share
+    cfg = write_config(tmp_path, {"psi": psi, "n_letters": n_letters})
+    assert cli.main(["pressure", "--config", cfg, "--stable"]) == 0
+    summ = json.loads(capsys.readouterr().out)["diagnostics"]["summability"]
+    assert set(summ) == {"truncations", "partial_sums", "tail_ratio"}
+    assert summ["tail_ratio"] == pytest.approx(ratio, rel=1e-12)
+
+
+def test_summability_tail_ratio_is_the_roots(tmp_path, capsys, monkeypatch):
+    from thermoform import cli, dimension, gdms
+    from thermoform.errors import ConvergenceError
+
+    # the root at the bracket end t = -0.5 raises on the number a pressure
+    # report at t = -0.5 gives
+    seen = []
+    real = dimension.tail_ratio
+
+    def spy(sups):
+        seen.append(real(sups))
+        return seen[-1]
+
+    monkeypatch.setattr(dimension, "tail_ratio", spy)
+    with pytest.raises(ConvergenceError, match="tail ratio 0.70"):
+        dimension.temperature(gdms.gauss_cf(), bracket=(-0.5, 2.0), truncation=8)
+    cfg = write_config(tmp_path, {
+        "psi": {"type": "geometric", "system": {"builtin": "gauss_cf"}, "t": -0.5},
+        "n_letters": 8,
+    })
+    assert cli.main(["pressure", "--config", cfg, "--stable"]) == 0
+    summ = json.loads(capsys.readouterr().out)["diagnostics"]["summability"]
+    assert seen == [summ["tail_ratio"]] == [0.6970054913335471]
 
 
 def test_graph_without_transitions_exits_2(tmp_path, capsys):

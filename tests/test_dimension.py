@@ -945,6 +945,28 @@ def test_golden_two_branch_dimension_is_one():
     assert hd_limit_set(S) == pytest.approx(1.0, abs=1e-12)
 
 
+# two vertices and three edges of slope 1/3 (source -> target): e: V0 -> V0
+# at 0, f: V1 -> V0 at 2/3, g: V0 -> V1 at 0. The limit set in V0 is
+# e(X0) u f(g(X0)), so its dimension solves 3^-t + 9^-t = 1
+GRAPH_DIRECTED = {
+    "vertices": [[0.0, 1.0], [0.0, 1.0]],
+    "edges": [{"label": label, "source": src, "target": dst, "kind": "affine",
+               "params": {"a": 1 / 3, "b": b}}
+              for label, src, dst, b in [("e", 0, 0, 0.0), ("f", 1, 0, 2 / 3), ("g", 0, 1, 0.0)]],
+}
+
+
+def test_graph_directed_root_and_greedy_tails():
+    S = gdms.system_from_config(GRAPH_DIRECTED)
+    # g and f may not follow themselves, so their tails continue greedily:
+    # g e e e ... codes g(0) = 0 and f g e e ... codes f(g(0)) = 2/3
+    assert gdms.coding_point(S, gdms.tail_extension(S, ["g"])) == pytest.approx(0.0, abs=1e-13)
+    assert gdms.coding_point(S, gdms.tail_extension(S, ["f"])) == pytest.approx(2 / 3, abs=1e-13)
+    for memory in (1, 2, 3):
+        assert hd_limit_set(S, memory=memory) == pytest.approx(
+            math.log(PHI) / math.log(3.0), abs=1e-13)
+
+
 def test_full_shift_roots_match_logsumexp_route(moran):
     # frozen from the scipy logsumexp route the full-shift closed form replaced
     assert abs(temperature(moran, q=0.0).t - 0.6309297535714574) <= 1e-15

@@ -9,6 +9,7 @@ from thermoform import gdms as gdms_module
 from thermoform import shifts
 from thermoform.errors import ConfigError, ConvergenceError
 from thermoform.gdms import (
+    ParabolicSystem,
     affine_system,
     backward_cf,
     bdp_constant,
@@ -237,6 +238,31 @@ def test_jump_shift_view_matches_pairs(jumped_mp):
     for i in range(12):
         for j in range(12):
             assert A.allows(i, j) == S.admissible_pair(S.edge(i), S.edge(j))
+
+
+def _mp_without_pair_11():
+    """manneville_pomeau(0.5) with the label pair (1, 1) forbidden."""
+    P = manneville_pomeau(0.5)
+    base = dict(vertices=P.vertices, edge_factory=P.edge, n_edges=P.n_edges,
+                pair_allowed=lambda a, b: (a, b) != (1, 1), name="mp-no-11")
+    return ParabolicSystem(base, P.parabolic)
+
+
+@pytest.mark.parametrize("make,N", [
+    (backward_cf, 24),
+    (_mp_without_pair_11, 17),
+], ids=["no-pair-rule", "forbidden-pair"])
+def test_jump_shift_view_asks_the_parent_on_last_and_first(make, N):
+    P = make()
+    S = jump_transform(P, n_cap=16)
+    # the vertex rule on derived letters is the parent's, so a jump system
+    # keeps a pair rule only when its parent has one
+    assert (S.pair_allowed is None) == (P.pair_allowed is None)
+    edges = S.edges_up_to(N)
+    ref = np.array([[P.admissible_pair(P.branch(a.label[-1]), P.branch(b.label[0]))
+                     for b in edges] for a in edges], dtype=bool)
+    assert np.array_equal(S.shift_view(N).submatrix(N), ref)
+    assert ref.all() == (P.pair_allowed is None)
 
 
 # --- parabolic asymptotics

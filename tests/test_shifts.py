@@ -31,6 +31,7 @@ from thermoform.shifts import (
     sample_forward,
     sample_past,
     summability_report,
+    tail_ratio,
 )
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -307,21 +308,23 @@ def test_birkhoff_sum_adds_windows_in_order():
 # --- summability
 
 
-def test_summability_converges_for_decaying_weights():
-    # letter weights 1/(e+1)^2 sum to pi^2/6
+def test_tail_ratio_small_for_decaying_weights():
+    # letter weights 1/(e+1)^2 sum to pi^2/6; the top 2,048 of 4,096 letters
+    # carry about 1.5e-4 of it
     vals = np.array([-2.0 * math.log(e + 1.0) for e in range(4096)])
-    rep = summability_report(vals, schedule=[256, 1024, 4096])
-    assert rep.verdict == "converged"
+    rep = summability_report(vals)
+    assert rep.truncations == [32, 64, 128, 256, 512, 1024, 2048, 4096]
     assert rep.partial_sums[-1] == pytest.approx(math.pi**2 / 6, abs=1e-3)
-    assert rep.last_relative_increment < 1e-3
+    assert rep.tail_ratio < 1e-3
+    assert rep.tail_ratio == tail_ratio(vals)
 
 
-def test_summability_flags_slow_tails():
-    # letter weights ~ 1/(e+1): harmonic, the partial sums keep climbing
+def test_tail_ratio_flags_slow_tails():
+    # letter weights ~ 1/(e+1): harmonic, the top half keeps about 8 % of the sum
     vals = np.array([-math.log(e + 1.0) for e in range(4096)])
-    rep = summability_report(vals, schedule=[256, 1024, 4096])
-    assert rep.verdict != "converged"
-    assert rep.last_relative_increment > 1e-3
+    rep = summability_report(vals)
+    assert rep.tail_ratio > 1e-3
+    assert rep.tail_ratio == tail_ratio(vals)
 
 
 # --- m-word state graph
