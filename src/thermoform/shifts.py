@@ -22,7 +22,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
-from scipy.special import logsumexp
 
 from .errors import (
     BudgetError,
@@ -301,9 +300,11 @@ def letter_sups(states: np.ndarray, vals: np.ndarray, N: int) -> np.ndarray:
 
 def tail_ratio(sups: np.ndarray) -> float:
     """The share of sum_e exp(sups[e]) carried by the top floor(N/2) of the
-    N = len(sups) letters."""
+    N = len(sups) letters; each term is scaled by the largest, so none
+    overflows."""
     N = len(sups)
-    return float(math.exp(logsumexp(sups[N - N // 2:]) - logsumexp(sups)))
+    w = np.exp(sups - sups.max())
+    return float(w[N - N // 2:].sum() / w.sum())
 
 
 def summability_report(sups: np.ndarray) -> SummabilityReport:
