@@ -335,13 +335,11 @@ def cmd_dimension(config: dict, seed: int):
             results["lyapunov"] = entry
         if "conditional" in config:
             ccfg = config["conditional"]
-            rep = dim.conditional_dimension_check(
+            rep = dim._conditional_check(
+                (mu, part),
                 beta,
-                psi,
                 M=int(ccfg.setdefault("M", 200_000)),
                 seed=seed,
-                n_cells=n_cells,
-                incidence=incidence,
                 depth=ccfg.get("depth"),
                 j_range=ccfg.get("j_range"),
                 n_centers=int(ccfg.setdefault("n_centers", 64)),
@@ -351,13 +349,11 @@ def cmd_dimension(config: dict, seed: int):
             results["conditional"] = rep
         if "global" in config:
             gcfg = config["global"]
-            rep = dim.global_dimension_check(
+            rep = dim._global_check(
+                (mu, part),
                 beta,
-                psi,
                 M=int(gcfg.setdefault("M", 200_000)),
                 seed=seed,
-                n_cells=n_cells,
-                incidence=incidence,
                 depth=gcfg.get("depth"),
                 j_range_2d=gcfg.get("j_range_2d"),
                 j_range_1d=gcfg.get("j_range_1d"),

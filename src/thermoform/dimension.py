@@ -544,7 +544,13 @@ def conditional_dimension_check(
     keep_cloud: bool = False,
 ) -> dict:
     """Fiber slope of the conditional measure against h/chi."""
-    mu, part = induced_cell_chain(beta, psi, n_cells, incidence)
+    return _conditional_check(induced_cell_chain(beta, psi, n_cells, incidence), beta, M, seed,
+                              depth, j_range, n_centers, keep_cloud)
+
+
+def _conditional_check(chain, beta, M, seed, depth, j_range, n_centers, keep_cloud) -> dict:
+    """conditional_dimension_check on the (mu, part) of induced_cell_chain."""
+    mu, part = chain
     w, h, closed_form = _cell_summary(mu, beta)
     chi = closed_form.value
     target = h / chi
@@ -580,7 +586,14 @@ def global_dimension_check(
     keep_cloud: bool = False,
 ) -> dict:
     """Joint, base, and fiber slopes against 2h/chi and its even split."""
-    mu, part = induced_cell_chain(beta, psi, n_cells, incidence)
+    return _global_check(induced_cell_chain(beta, psi, n_cells, incidence), beta, M, seed,
+                         depth, j_range_2d, j_range_1d, n_centers, keep_cloud)
+
+
+def _global_check(chain, beta, M, seed, depth, j_range_2d, j_range_1d, n_centers,
+                  keep_cloud) -> dict:
+    """global_dimension_check on the (mu, part) of induced_cell_chain."""
+    mu, part = chain
     w, h, closed_form = _cell_summary(mu, beta)
     chi = closed_form.value
     cloud = joint_cloud(mu, part, M, depth, seed)

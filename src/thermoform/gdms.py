@@ -169,7 +169,8 @@ def compose_word(S: Gdms, labels: Sequence) -> Callable[[float], float]:
     return fn
 
 
-def coding_point(S: Gdms, word, tol: float = 1e-13, max_letters: int = 2000) -> float:
+def coding_point(S: Gdms, word, tol: float = 1e-13, max_letters: int = 2000,
+                 images: dict | None = None) -> float:
     """Point coded by an infinite admissible word: the limit of nested images.
 
     word is an iterable of labels; it must keep yielding until the nested
@@ -177,14 +178,26 @@ def coding_point(S: Gdms, word, tol: float = 1e-13, max_letters: int = 2000) -> 
     The images are tested at every length up to 128 letters and at powers of
     two after that; the point is the midpoint of the first tested image
     narrower than tol.
+
+    The image of w1...wn is w1.image_of(image of w2...wn), and the image of
+    the one letter wn starts from the domain of wn. images maps finite label
+    words to their images; a tested length reuses the longest suffix found
+    there and stores every image it computes, so the words that share it (the
+    other tails of one root, rotations of a periodic tail among them) cost one
+    image_of per tested length once their suffixes are known. The bits do not
+    depend on what images holds. None uses a fresh dict.
     """
     if tol <= 0:
         raise ConfigError("tol must be positive")
+    if images is None:
+        images = {}
     it = iter(word)
     prefix: list[Branch] = []
+    labels: list = []
     for count in range(1, max_letters + 1):
         try:
-            br = S.branch(next(it))
+            label = next(it)
+            br = S.branch(label)
         except StopIteration:
             raise WordLengthError(
                 "word ended before the nested images contracted below tol"
@@ -192,14 +205,19 @@ def coding_point(S: Gdms, word, tol: float = 1e-13, max_letters: int = 2000) -> 
         if prefix and not S.admissible_pair(prefix[-1], br):
             raise WordLengthError(f"inadmissible pair at position {count}")
         prefix.append(br)
+        labels.append(label)
         # every length up to 128, then only powers of two and max_letters, so a
         # word that never contracts costs O(max_letters) images, not quadratic
         if count > 128 and count & (count - 1) and count < max_letters:
             continue
-        lo, hi = S.domain_of(br)
-        iv = (lo, hi)
-        for b in reversed(prefix):
-            iv = b.image_of(iv)
+        key = tuple(labels)
+        start = 0
+        while start < count and key[start:] not in images:
+            start += 1
+        iv = images[key[start:]] if start < count else S.domain_of(br)
+        for i in range(start - 1, -1, -1):
+            iv = prefix[i].image_of(iv)
+            images[key[i:]] = iv
         if iv[1] - iv[0] < tol:
             return 0.5 * (iv[0] + iv[1])
     raise ConvergenceError(
@@ -751,8 +769,10 @@ class _GeometricPotential(Potential):
         self.p_theta = float(p_theta)
         mem = memory if theta is None else max(memory, theta.memory)
         super().__init__(None, memory=mem, label="geometric")
+        images: dict = {}  # nested images shared by the tails' coding points
         self._point = functools.cache(lambda tail: coding_point(
-            S, tail_extension(S, [S.edge(k).label for k in tail]), tol=CODING_TOL))
+            S, tail_extension(S, [S.edge(k).label for k in tail]), tol=CODING_TOL,
+            images=images))
 
     def table(self, words) -> np.ndarray:
         return self.tabulate(words)(self.t)

@@ -713,7 +713,11 @@ def rpf_eigendata(
     return _eigendata(graph, psi.table(graph.states))
 
 
-def _eigendata(graph: StateGraph, psi_vals: np.ndarray) -> EigenData:
+def _right_eigen(graph: StateGraph, psi_vals: np.ndarray):
+    """Check that the state graph is irreducible, scale psi's weights and run
+    the right power iteration: (M, scale, shift, rho_scaled, h, iterations),
+    with M the scaled BlockMatrix, shift the one the iteration added, and the
+    true leading eigenvalue exp(scale) * rho_scaled."""
     S, N, B = len(graph.states), graph.truncation, graph.blocks
     if S == 0:
         raise ConvergenceError("no admissible states at this truncation")
@@ -730,9 +734,14 @@ def _eigendata(graph: StateGraph, psi_vals: np.ndarray) -> EigenData:
     weights = np.exp(psi_vals - scale)
     M = BlockMatrix(B, weights)
     shift = 0.5 * float(weights[moves].max())  # half the largest entry of M
+    rho_s, h, its = _power_iteration(M.matvec, S, shift, EIG_TOL, EIG_MAX_ITER)
+    return M, scale, shift, rho_s, h, its
 
-    rho_s, h, its_r = _power_iteration(M.matvec, S, shift, EIG_TOL, EIG_MAX_ITER)
-    rho_l, nu, its_l = _power_iteration(M.rmatvec, S, shift, EIG_TOL, EIG_MAX_ITER)
+
+def _eigendata(graph: StateGraph, psi_vals: np.ndarray) -> EigenData:
+    M, scale, shift, rho_s, h, its_r = _right_eigen(graph, psi_vals)
+    rho_l, nu, its_l = _power_iteration(M.rmatvec, len(graph.states), shift, EIG_TOL,
+                                        EIG_MAX_ITER)
 
     nu = nu / nu.sum()
     h = h / float(nu @ h)
@@ -750,7 +759,7 @@ def _eigendata(graph: StateGraph, psi_vals: np.ndarray) -> EigenData:
         residual=max(resid_r, resid_l),
         iterations=its_r + its_l,
         memory=graph.memory,
-        truncation=N,
+        truncation=graph.truncation,
     )
 
 
@@ -760,12 +769,19 @@ def _pressure_equation(psi: Potential, A: IncidenceMatrix, N: int, state_cap: in
 
     P is what pressure(., A, N, n_max=1).value gives on a full shift at
     memory 1 and rpf_eigendata(., A, N).log_rho otherwise, bit for bit; the
-    graph is built once here instead of at every call.
+    graph is built once here instead of at every call, and each call runs
+    only the right power iteration, which log_rho reads (rpf_eigendata also
+    runs the left one, for nu).
     """
     if A.is_full and psi.memory == 1:
         return np.arange(N)[:, None], lambda vals: _full_shift_pressure(vals, N, 1).value
     graph = _state_graph(psi.memory, A, N, state_cap)
-    return graph.states, lambda vals: _eigendata(graph, vals).log_rho
+
+    def log_rho(vals: np.ndarray) -> float:
+        _, scale, _, rho_s, _, _ = _right_eigen(graph, vals)
+        return scale + math.log(rho_s)
+
+    return graph.states, log_rho
 
 
 # doubles per uniform block drawn by ChainSampler.blocks (8 bytes each); time per

@@ -302,6 +302,41 @@ def test_forbidden_pairs_match_golden(tmp_path, capsys, command):
     assert results[0] == results[1]
 
 
+def test_dimension_builds_one_cell_chain(tmp_path, capsys, monkeypatch):
+    from thermoform import cli, dimension, shifts
+
+    # lyapunov, conditional and global read one cell chain and one eigensolve,
+    # and report what the standalone checks give
+    calls = {"chain": 0, "eigen": 0}
+    chain, eigen = dimension.induced_cell_chain, shifts.rpf_eigendata
+
+    def chain_spy(*args):
+        calls["chain"] += 1
+        return chain(*args)
+
+    def eigen_spy(*args, **kw):
+        calls["eigen"] += 1
+        return eigen(*args, **kw)
+
+    cfg = write_config(tmp_path, {
+        "beta": PHI, "incidence": "golden",
+        "lyapunov": {"n_steps": 2000, "n_orbits": 4},
+        "conditional": {"M": 20_000}, "global": {"M": 20_000},
+    })
+    with monkeypatch.context() as mp:
+        mp.setattr(dimension, "induced_cell_chain", chain_spy)
+        mp.setattr(shifts, "rpf_eigendata", eigen_spy)
+        assert cli.main(["dimension", "--config", cfg, "--seed", "3", "--stable"]) == 0
+    assert calls == {"chain": 1, "eigen": 1}
+    results = json.loads(capsys.readouterr().out)["results"]
+    cond = dimension.conditional_dimension_check(PHI, None, M=20_000, seed=3, incidence="golden")
+    glob = dimension.global_dimension_check(PHI, None, M=20_000, seed=3, incidence="golden")
+    assert results["conditional"]["deviation"] == cond["deviation"]
+    assert results["conditional"]["fiber"]["mean"] == cond["fiber"].mean
+    assert results["global"]["additivity_gap"] == glob["additivity_gap"]
+    assert results["global"]["global"]["mean"] == glob["global"].mean
+
+
 def test_pressure_passes_state_cap_to_eigendata(tmp_path, capsys, monkeypatch):
     from thermoform import cli, shifts
 
