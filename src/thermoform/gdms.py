@@ -182,7 +182,7 @@ def coding_point(S: Gdms, word, tol: float = 1e-13, max_letters: int = 2000,
     The image of w1...wn is w1.image_of(image of w2...wn), and the image of
     the one letter wn starts from the domain of wn. images maps finite label
     words to their images; a tested length reuses the longest suffix found
-    there and stores every image it computes, so the words that share it (the
+    there and stores the images it computes, so the words that share it (the
     other tails of one root, rotations of a periodic tail among them) cost one
     image_of per tested length once their suffixes are known. The bits do not
     depend on what images holds. None uses a fresh dict.
@@ -217,7 +217,10 @@ def coding_point(S: Gdms, word, tol: float = 1e-13, max_letters: int = 2000,
         iv = images[key[start:]] if start < count else S.domain_of(br)
         for i in range(start - 1, -1, -1):
             iv = prefix[i].image_of(iv)
-            images[key[i:]] = iv
+            # past 128 letters only the tested word's image is kept, so a word
+            # that never contracts holds O(max_letters) letters of keys
+            if count <= 128 or not i:
+                images[key[i:]] = iv
         if iv[1] - iv[0] < tol:
             return 0.5 * (iv[0] + iv[1])
     raise ConvergenceError(

@@ -82,6 +82,16 @@ def test_coding_point_that_never_contracts_fails_in_linear_images(monkeypatch):
     assert calls[0] <= 12_048
 
 
+def test_coding_point_that_never_contracts_keeps_linear_images():
+    # every length up to 128 keeps its images, then only the tested lengths
+    # 256, 512, 1,024 and 2,000: 8,256 + 3,792 letters of keys
+    S = affine_system([(0.99999, 0.0)])
+    images = {}
+    with pytest.raises(ConvergenceError):
+        coding_point(S, periodic_word([0]), images=images)
+    assert sum(map(len, images)) <= 12_048
+
+
 # --- separation and distortion
 
 
