@@ -1,5 +1,6 @@
 """Lyapunov exponents, pointwise-dimension slopes, and pressure roots."""
 
+import contextlib
 import math
 import tracemalloc
 import warnings
@@ -1180,16 +1181,27 @@ def test_bench_roots_frozen(truncation, memory, root):
     assert hd_limit_set(gauss_cf(), truncation=truncation, memory=memory).hex() == root
 
 
+@contextlib.contextmanager
+def _image_of_calls():
+    """A one-item list counting Branch.image_of calls inside the block."""
+    calls = [0]
+    image_of = gdms.Branch.image_of
+
+    def counted(self, iv):
+        calls[0] += 1
+        return image_of(self, iv)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gdms.Branch, "image_of", counted)
+        yield calls
+
+
 @pytest.mark.filterwarnings("ignore:slow letter-sum decay")
 def test_root_work_on_e2_memory8(monkeypatch):
     # the 128 tails share their nested images, and a pressure evaluation runs
     # the right power iteration alone
-    counts = {"image_of": 0, "power": 0, "pressure": 0}
-    image_of, power, solve = gdms.Branch.image_of, shifts._power_iteration, dimension.brentq
-
-    def counted_image_of(self, iv):
-        counts["image_of"] += 1
-        return image_of(self, iv)
+    counts = {"power": 0, "pressure": 0}
+    power, solve = shifts._power_iteration, dimension.brentq
 
     def counted_power(*args):
         counts["power"] += 1
@@ -1201,32 +1213,13 @@ def test_root_work_on_e2_memory8(monkeypatch):
             return f(t)
         return solve(g, *args, **kw)
 
-    monkeypatch.setattr(gdms.Branch, "image_of", counted_image_of)
     monkeypatch.setattr(shifts, "_power_iteration", counted_power)
     monkeypatch.setattr(dimension, "brentq", counted_solve)
-    hd_limit_set(gauss_cf(), truncation=2, memory=8)
-    assert counts["image_of"] <= 2_540
+    with _image_of_calls() as calls:
+        hd_limit_set(gauss_cf(), truncation=2, memory=8)
+    assert calls[0] <= 2_540
     # the two bracket ends and the residual evaluate outside the solver
     assert counts["power"] == counts["pressure"] + 3 == 11
-
-
-def _tail_points(S, truncation, memory):
-    """Every tail's coding point as a root computes it, and the image_of
-    calls that took: one geometric potential tabulates the root's states."""
-    psi = geometric_potential(S, t=1.0, memory=memory)
-    states, _ = shifts._pressure_equation(psi, S.shift_view(truncation), truncation)
-    calls = [0]
-    image_of = gdms.Branch.image_of
-
-    def counted(self, iv):
-        calls[0] += 1
-        return image_of(self, iv)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gdms.Branch, "image_of", counted)
-        psi.tabulate(states)
-        tails = {tuple(w[1:]) or tuple(w) for w in states.tolist()}
-        return {tail: psi._point(tail) for tail in tails}, calls[0]
 
 
 @pytest.mark.parametrize("make, truncation, memory", [
@@ -1236,26 +1229,22 @@ def _tail_points(S, truncation, memory):
     *[(lambda: gdms.system_from_config(GRAPH_DIRECTED), 3, m) for m in (1, 2, 3)],
 ])
 def test_shared_images_change_no_coding_point(make, truncation, memory):
-    # each tail's point from the root's shared images equals, bit for bit, a
-    # fresh coding_point of its tail extension
+    # each tail's point as a root computes it, one geometric potential
+    # tabulating the root's states, equals a fresh coding_point of its tail
+    # extension bit for bit
     S = make()
-    points, shared_calls = _tail_points(S, truncation, memory)
-    calls = [0]
-    image_of = gdms.Branch.image_of
-
-    def counted(self, iv):
-        calls[0] += 1
-        return image_of(self, iv)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gdms.Branch, "image_of", counted)
-        for tail, x in points.items():
-            fresh = gdms.coding_point(S, gdms.tail_extension(S, [S.edge(k).label for k in tail]),
-                                      tol=gdms.CODING_TOL)
-            assert fresh.hex() == x.hex(), tail
-    assert shared_calls <= calls[0]
+    psi = geometric_potential(S, t=1.0, memory=memory)
+    states, _ = shifts._pressure_equation(psi, S.shift_view(truncation), truncation)
+    with _image_of_calls() as shared:
+        psi.tabulate(states)
+    with _image_of_calls() as fresh:
+        for tail in {tuple(w[1:]) or tuple(w) for w in states.tolist()}:
+            x = gdms.coding_point(S, gdms.tail_extension(S, [S.edge(k).label for k in tail]),
+                                  tol=gdms.CODING_TOL)
+            assert x.hex() == psi._point(tail).hex(), tail
+    assert shared[0] <= fresh[0]
     if memory >= 3:
-        assert shared_calls < calls[0]
+        assert shared[0] < fresh[0]
 
 
 def test_q_with_p_theta_and_no_theta_matches_closed_form():
