@@ -646,16 +646,20 @@ def temperature(
     """Root in t of the pressure of t*log|branch'| + q*(theta - p_theta).
 
     q != 0 needs theta or a nonzero p_theta. The pressure must change sign over
-    the bracket. For countable systems the tail ratio, the share of the letter
-    sums carried by the top floor(N/2) letters, raises above 0.5 at either end
-    of the bracket (divergence) and warns once above 1e-6 at the root (the
-    truncated root is well defined, the ideal-system reading is what is shaky).
+    the bracket or vanish at one of its ends, which is then the root. For
+    countable systems the tail ratio, the share of the letter sums carried by
+    the top floor(N/2) letters, raises above 0.5 at either end of the bracket
+    (divergence) and warns once above 1e-6 at the root (the truncated root is
+    well defined, the ideal-system reading is what is shaky).
 
     Cost: log|branch'| at each state's coding point depends on neither t nor
     q, so a root builds the state graph and computes one coding point per tail
-    word, once; each solver step and each tail ratio then only reweights the
-    states (a letter's term is its largest over the states it begins) and runs
-    the eigensolve (or, on a full shift at memory 1, the closed form).
+    word, once, from one image table; each tail ratio then only reweights the
+    states (a letter's term is its largest over the states it begins), and each
+    distinct t the solver asks for runs one eigensolve (or, on a full shift at
+    memory 1, the closed form). The pressure is kept per t, so the bracket
+    ends, which brentq evaluates again, and the returned root, which it has
+    already evaluated, cost nothing more.
     """
     a, b = float(bracket[0]), float(bracket[1])
     if not a < b:
@@ -677,11 +681,16 @@ def temperature(
                     f"letter sums diverge at t={end}: tail ratio {ratio:.2f}"
                 )
 
+    pressures: dict[float, float] = {}
+
     def f(t: float) -> float:
-        return pressure_of(values(t))
+        if t not in pressures:
+            pressures[t] = pressure_of(values(t))
+        return pressures[t]
 
     fa, fb = f(a), f(b)
-    if not (fa > 0.0 > fb or fa < 0.0 < fb):
+    # brentq returns an end where the pressure is 0
+    if not (fa >= 0.0 >= fb or fa <= 0.0 <= fb):
         raise ConvergenceError(
             f"pressure does not change sign on the bracket: P({a})={fa:.4g}, P({b})={fb:.4g}"
         )

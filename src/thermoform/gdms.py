@@ -10,7 +10,7 @@ runs of a parabolic letter into a fresh uniformly contracting alphabet.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -169,35 +169,42 @@ def compose_word(S: Gdms, labels: Sequence) -> Callable[[float], float]:
     return fn
 
 
-def coding_point(S: Gdms, word, tol: float = 1e-13, max_letters: int = 2000,
-                 images: dict | None = None) -> float:
+def _tested(count: int, max_letters: int) -> bool:
+    """Whether a coding word's nested image is tested at this length: every
+    length up to 128, then only powers of two and max_letters, so a word that
+    never contracts costs O(max_letters) images, not quadratic."""
+    return count <= 128 or not count & (count - 1) or count >= max_letters
+
+
+def _no_contraction(tol: float, max_letters: int) -> ConvergenceError:
+    return ConvergenceError(
+        f"images did not contract below {tol} within {max_letters} letters; "
+        "parabolic systems need a jump transform first"
+    )
+
+
+def coding_point(S: Gdms, word, tol: float = 1e-13, max_letters: int = 2000) -> float:
     """Point coded by an infinite admissible word: the limit of nested images.
 
     word is an iterable of labels; it must keep yielding until the nested
     images contract below tol (wrap finite words with tail_extension first).
     The images are tested at every length up to 128 letters and at powers of
-    two after that; the point is the midpoint of the first tested image
-    narrower than tol.
+    two and max_letters after that; the point is the midpoint of the first
+    tested image narrower than tol.
 
     The image of w1...wn is w1.image_of(image of w2...wn), and the image of
-    the one letter wn starts from the domain of wn. images maps finite label
-    words to their images; a tested length reuses the longest suffix found
-    there and stores the images it computes, so the words that share it (the
-    other tails of one root, rotations of a periodic tail among them) cost one
-    image_of per tested length once their suffixes are known. The bits do not
-    depend on what images holds. None uses a fresh dict.
+    the one letter wn starts from the domain of wn. This is the one-word
+    reference: a tested length images its whole prefix afresh, and nothing
+    but the word's branches is kept. A root's tails go through _tail_points,
+    which gives the same bits from one image table.
     """
     if tol <= 0:
         raise ConfigError("tol must be positive")
-    if images is None:
-        images = {}
     it = iter(word)
     prefix: list[Branch] = []
-    labels: list = []
     for count in range(1, max_letters + 1):
         try:
-            label = next(it)
-            br = S.branch(label)
+            br = S.branch(next(it))
         except StopIteration:
             raise WordLengthError(
                 "word ended before the nested images contracted below tol"
@@ -205,33 +212,27 @@ def coding_point(S: Gdms, word, tol: float = 1e-13, max_letters: int = 2000,
         if prefix and not S.admissible_pair(prefix[-1], br):
             raise WordLengthError(f"inadmissible pair at position {count}")
         prefix.append(br)
-        labels.append(label)
-        # every length up to 128, then only powers of two and max_letters, so a
-        # word that never contracts costs O(max_letters) images, not quadratic
-        if count > 128 and count & (count - 1) and count < max_letters:
+        if not _tested(count, max_letters):
             continue
-        key = tuple(labels)
-        start = 0
-        while start < count and key[start:] not in images:
-            start += 1
-        iv = images[key[start:]] if start < count else S.domain_of(br)
-        for i in range(start - 1, -1, -1):
-            iv = prefix[i].image_of(iv)
-            # past 128 letters only the tested word's image is kept, so a word
-            # that never contracts holds O(max_letters) letters of keys
-            if count <= 128 or not i:
-                images[key[i:]] = iv
+        iv = S.domain_of(br)
+        for b in reversed(prefix):
+            iv = b.image_of(iv)
         if iv[1] - iv[0] < tol:
             return 0.5 * (iv[0] + iv[1])
-    raise ConvergenceError(
-        f"images did not contract below {tol} within {max_letters} letters; "
-        "parabolic systems need a jump transform first"
-    )
+    raise _no_contraction(tol, max_letters)
 
 
 def periodic_word(labels: Sequence):
     while True:
         yield from labels
+
+
+def _greedy_next(S: Gdms, cur: Branch) -> int:
+    """Index of the lowest-index edge among the first 256 that may follow cur."""
+    for k in range(256):
+        if S.admissible_pair(cur, S.edge(k)):
+            return k
+    raise ConvergenceError(f"no admissible continuation after {cur.label!r}")
 
 
 def tail_extension(S: Gdms, labels: Sequence):
@@ -248,14 +249,186 @@ def tail_extension(S: Gdms, labels: Sequence):
     yield from labels
     cur = brs[-1]
     while True:
-        for k in range(256):
-            nxt = S.edge(k)
-            if S.admissible_pair(cur, nxt):
+        cur = S.edge(_greedy_next(S, cur))
+        yield cur.label
+
+
+def _moebius_coefficients(br: Branch):
+    """(a, b, c, d) with br.fn(x) == (a x + b) / (c x + d) and br.deriv(x) ==
+    (a d - b c) / (c x + d) ** 2 bit for bit, for a moebius or an affine
+    branch; None for any other. An affine branch is c = 0, d = 1: dividing by
+    1.0 and subtracting b * 0.0 round nothing."""
+    p = br.params
+    if br.kind == "moebius":
+        return p["a"], p["b"], p["c"], p["d"]
+    if br.kind == "affine":
+        return p["a"], p["b"], 0.0, 1.0
+    return None
+
+
+def _tail_points(S: Gdms, tails: np.ndarray, tol: float, max_letters: int = 2000) -> np.ndarray:
+    """coding_point(S, tail_extension(S, labels of the tail), tol) for each row
+    of tails, an (n, p) array of distinct edge-index words, bit for bit.
+
+    One image table serves all the tails. Its rows are the tails' infinite
+    words and every suffix of them, a finite set: the rotations of a periodic
+    tail; for a greedy one its shorter suffixes and the greedy orbit of its
+    last letter (each letter's greedy successor is found once). At level n
+    row r holds the image of its first n letters, first(r)'s image of the
+    level n-1 image of shift(r); level 1 starts from first(r)'s domain.
+    Moebius and affine rows are evaluated as parameter arrays over a level,
+    other branches by their own image_of, one row at a time. A level computes
+    only the rows that an unsettled tail reads. The array rows keep their two
+    ends unsorted: |v - u| and 0.5 * (u + v) are the width and midpoint that
+    image_of's sorted pair gives.
+
+    Of the tails that fail, the first in row order raises, as it would going
+    through the tails with coding_point one by one.
+    """
+    edge = S.edge
+    n_tails, p = tails.shape
+    if not n_tails:
+        return np.empty(0)
+    succ: dict = {}  # letter -> its greedy successor, or the error finding it
+
+    def greedy(k: int):
+        if k not in succ:
+            try:
+                succ[k] = _greedy_next(S, edge(k))
+            except (ConfigError, ConvergenceError) as exc:
+                succ[k] = exc
+        return succ[k]
+
+    # rows by key: ("p", rotation) for a periodic tail, ("t", suffix) for two
+    # or more letters of a greedy tail, ("g", letter) for a letter and its
+    # greedy orbit; shift keys of None mark a letter with no successor
+    index: dict = {}
+    first: list[int] = []
+    shift_keys: list = []
+
+    def row(key) -> int:
+        start = key
+        while key is not None and key not in index:
+            index[key] = len(first)
+            kind, w = key
+            if kind == "g":
+                first.append(w)
+                k = greedy(w)
+                key = None if isinstance(k, Exception) else ("g", k)
+            else:
+                first.append(w[0])
+                if kind == "p":
+                    key = ("p", w[1:] + w[:1])
+                else:
+                    key = ("t", w[1:]) if len(w) > 2 else ("g", w[1])
+            shift_keys.append(key)
+        return index[start]
+
+    # pair j of a tail is (letter j, letter j + 1), the last one wrapping round
+    K = int(tails.max()) + 1
+    codes, inv = np.unique(tails * K + np.roll(tails, -1, axis=1), return_inverse=True)
+    ok = np.array([S.admissible_pair(edge(c // K), edge(c % K)) for c in codes.tolist()])
+    ok = ok[inv.reshape(-1)].reshape(n_tails, p)
+    periodic = ok[:, -1]
+    # the level at which coding_point would fail on each tail, and its error;
+    # it meets a forbidden pair j at position j + 2
+    fail_at = np.full(n_tails, max_letters + 1)
+    errors: dict = {}
+    bad = ~ok[:, :-1]
+    for i in np.flatnonzero(bad.any(axis=1)).tolist():
+        fail_at[i] = c = int(bad[i].argmax()) + 2
+        errors[i] = WordLengthError(f"inadmissible pair at position {c}")
+    targets = np.array([
+        row(("p", w) if per else ("t", w) if p > 1 else ("g", w[0]))
+        for w, per in zip(map(tuple, tails.tolist()), periodic.tolist())
+    ], dtype=np.intp)
+    shift = np.array([-1 if key is None else index[key] for key in shift_keys], dtype=np.intp)
+
+    # a greedy tail whose orbit reaches a letter with no successor fails at
+    # the position of the missing letter
+    to = shift.tolist()
+    for i in np.flatnonzero(~periodic & (fail_at > max_letters)).tolist():
+        r, c, seen = int(targets[i]), 1, set()
+        while r >= 0 and r not in seen and c < max_letters:
+            seen.add(r)
+            if to[r] < 0:
+                fail_at[i], errors[i] = c + 1, succ[first[r]]
+            r, c = to[r], c + 1
+
+    brs = [edge(k) for k in first]
+    coef = [_moebius_coefficients(br) for br in brs]
+    is_array = np.array([c is not None for c in coef])
+    abcd = np.array([c or (0.0, 0.0, 0.0, 1.0) for c in coef], dtype=float)
+    dom = np.array([S.domain_of(br) for br in brs], dtype=float)
+    prev, cur = np.empty((len(first), 2)), np.empty((len(first), 2))
+    points = np.empty(n_tails)
+    active = np.ones(n_tails, dtype=bool)
+    failed = n_tails  # the first tail known to fail
+    fail_levels = set(fail_at.tolist())
+
+    def live(n: int):
+        """The array and the scalar rows an active tail reads at level n."""
+        need = np.zeros(len(first), dtype=bool)
+        frontier = targets[active]
+        while frontier.size:
+            need[frontier] = True
+            frontier = shift[frontier]
+            frontier = frontier[frontier >= 0]
+            frontier = frontier[~need[frontier]]
+        if n > 1:
+            need &= shift >= 0  # a row with no successor has level 1 only
+        rows = np.flatnonzero(need & is_array)
+        scalar = np.flatnonzero(need & ~is_array).tolist()
+        c4 = abcd.T[:, rows, None]
+        affine = not c4[2].any() and (c4[3] == 1.0).all()  # then x / 1.0 is x
+        return rows, shift[rows], c4, affine, scalar
+
+    rows, src, c4, affine, scalar = live(1)
+    for n in range(1, max_letters + 1):
+        if n in fail_levels:
+            hit = np.flatnonzero(active & (fail_at == n))
+            if hit.size:
+                active[hit] = False
+                failed = min(failed, int(hit[0]))
+                if not active[:failed].any():
+                    raise errors[failed]
+                rows, src, c4, affine, scalar = live(n)
+        prev, cur = cur, prev
+        x = dom[rows] if n == 1 else prev[src]
+        num = c4[0] * x
+        num += c4[1]
+        if not affine:
+            x *= c4[2]
+            x += c4[3]
+            num /= x
+        cur[rows] = num
+        for r in scalar:
+            if n == 1:
+                iv = S.domain_of(brs[r])
+            else:
+                u, v = prev[shift[r]].tolist()
+                iv = (u, v) if u <= v else (v, u)
+            cur[r] = brs[r].image_of(iv)
+        if n == 1:
+            prev[:] = cur  # rows with no successor keep their level 1
+        if not _tested(n, max_letters):
+            continue
+        ends = cur[targets]
+        done = np.abs(ends[:, 1] - ends[:, 0]) < tol
+        done &= active
+        if np.count_nonzero(done):
+            points[done] = 0.5 * (ends[done, 0] + ends[done, 1])
+            active[done] = False
+            if not active[:failed].any():
                 break
-        else:
-            raise ConvergenceError(f"no admissible continuation after {cur.label!r}")
-        yield nxt.label
-        cur = nxt
+            rows, src, c4, affine, scalar = live(n + 1)
+        elif n == 1 and (shift < 0).any():
+            rows, src, c4, affine, scalar = live(2)
+    if active[:failed].any():
+        raise _no_contraction(tol, max_letters)
+    if failed < n_tails:
+        raise errors[failed]
+    return points
 
 
 @dataclass
@@ -755,13 +928,35 @@ def parabolic_asymptotics(
 CODING_TOL = 1e-14
 
 
+def _log_derivatives(S: Gdms, letters: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """math.log(abs(S.edge(k).deriv(x))) for each letter k and point x, bit for
+    bit. Moebius and affine branches take one array pass; the square and the
+    log go through math.pow and math.log, as deriv and its caller round them,
+    since numpy's square and log may round differently."""
+    ks, pos = np.unique(letters, return_inverse=True)
+    coef = [_moebius_coefficients(S.edge(k)) for k in ks.tolist()]
+    arr = np.array([c is not None for c in coef])[pos]
+    out = np.empty(len(letters))
+    if arr.any():
+        # c, d and the determinant a d - b c, as deriv's closure has them
+        cdd = np.array([(c[2], c[3], c[0] * c[3] - c[1] * c[2]) if c else (0.0, 1.0, 1.0)
+                        for c in coef])[pos[arr]]
+        y = (cdd[:, 0] * x[arr] + cdd[:, 1]).tolist()
+        sq = np.fromiter(map(math.pow, y, itertools.repeat(2.0)), float, len(y))
+        out[arr] = np.fromiter(map(math.log, np.abs(cdd[:, 2] / sq).tolist()), float, len(y))
+    for i in np.flatnonzero(~arr).tolist():
+        out[i] = math.log(abs(S.edge(int(letters[i])).deriv(float(x[i]))))
+    return out
+
+
 class _GeometricPotential(Potential):
     """t * log|phi'_(first letter)| at the tail coding point, plus optional
     q * (theta - P(theta)). Uses every letter handed to it, not just the
     declared memory window, so longer words sharpen the tail point.
 
     A row's coding point depends only on its tail (the letters after the first,
-    or the row itself if it has one): it is computed once per tail and kept."""
+    or the row itself if it has one): tabulate computes one per distinct tail,
+    from one image table."""
 
     def __init__(self, S: Gdms, t: float, q: float, theta: Potential | None,
                  p_theta: float, memory: int):
@@ -772,10 +967,6 @@ class _GeometricPotential(Potential):
         self.p_theta = float(p_theta)
         mem = memory if theta is None else max(memory, theta.memory)
         super().__init__(None, memory=mem, label="geometric")
-        images: dict = {}  # nested images shared by the tails' coding points
-        self._point = functools.cache(lambda tail: coding_point(
-            S, tail_extension(S, [S.edge(k).label for k in tail]), tol=CODING_TOL,
-            images=images))
 
     def table(self, words) -> np.ndarray:
         return self.tabulate(words)(self.t)
@@ -785,9 +976,15 @@ class _GeometricPotential(Potential):
         of this potential at t instead of self.t, as one array; every
         log|phi'_(first letter)| and theta value is read once, here."""
         words = _word_rows(words, self.memory)
-        edge, point = self.system.edge, self._point
-        L = np.array([math.log(abs(edge(w[0]).deriv(point(tuple(w[1:]) or tuple(w)))))
-                      for w in words.tolist()])
+        tails = words[:, 1:] if words.shape[1] > 1 else words
+        # the distinct tails in order of first use, so that a failing tail
+        # raises as it would row by row
+        uniq, first, inverse = np.unique(tails, axis=0, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        x = _tail_points(self.system, uniq[order], CODING_TOL)[rank[inverse.reshape(-1)]]
+        L = _log_derivatives(self.system, words[:, 0], x)
         if self.q != 0.0:
             th = self.theta.table(words) if self.theta else np.zeros(L.size)
 

@@ -147,6 +147,18 @@ def test_dimension_temperature_task(tmp_path):
     assert t == pytest.approx(math.log(2) / math.log(3), abs=1e-10)
 
 
+def test_hd_limit_set_root_at_the_bracket_end_exits_0(tmp_path, capsys):
+    # P(t) = log 2 + t log(1/2) is exactly 0 at the bracket's upper end
+    from thermoform import cli
+
+    cfg = write_config(tmp_path, {"hd_limit_set": {
+        "system": {"builtin": "affine", "branches": [[0.5, 0.0], [0.5, 0.5]]},
+        "bracket": [0.5, 1.0],
+    }})
+    assert cli.main(["dimension", "--config", cfg, "--stable"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["hd_limit_set"]["t"] == 1.0
+
+
 def test_bad_json_exits_3(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -1130,19 +1130,29 @@ def test_tabulated_roots_match_per_step_route(case):
     assert (got.t, got.residual) == _reference_root(make(), **kw)
 
 
+def _tail_tables(monkeypatch) -> list:
+    """(tails, points) of every image table computed after the call."""
+    tables = []
+    real = gdms._tail_points
+
+    def kept(S, tails, *args):
+        points = real(S, tails, *args)
+        tables.append((tails, points))
+        return points
+
+    monkeypatch.setattr(gdms, "_tail_points", kept)
+    return tables
+
+
 def _coding_points_of_root(monkeypatch, system, **kwargs) -> int:
-    calls = []
-    real = gdms.coding_point
-
-    def counted(*args, **kw):
-        calls.append(1)
-        return real(*args, **kw)
-
-    monkeypatch.setattr(gdms, "coding_point", counted)
+    tables = _tail_tables(monkeypatch)
+    monkeypatch.setattr(gdms, "coding_point", None)  # the one-word reference is not used
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         hd_limit_set(system, **kwargs)
-    return len(calls)
+    (tails, points), = tables  # one table per root
+    assert len(points) == len(tails)
+    return len(points)
 
 
 def test_root_computes_one_coding_point_per_state(monkeypatch):
@@ -1198,10 +1208,13 @@ def _image_of_calls():
 
 @pytest.mark.filterwarnings("ignore:slow letter-sum decay")
 def test_root_work_on_e2_memory8(monkeypatch):
-    # the 128 tails share their nested images, and a pressure evaluation runs
-    # the right power iteration alone
-    counts = {"power": 0, "pressure": 0}
+    # the 128 tails are moebius rows of one array table, and each distinct t
+    # the solver asks for runs one right power iteration: the bracket ends,
+    # which brentq evaluates again, and the root, which it returns after
+    # evaluating it, cost no second one
     power, solve = shifts._power_iteration, dimension.brentq
+    counts = {"power": 0}
+    ts = set()
 
     def counted_power(*args):
         counts["power"] += 1
@@ -1209,7 +1222,7 @@ def test_root_work_on_e2_memory8(monkeypatch):
 
     def counted_solve(f, *args, **kw):
         def g(t):
-            counts["pressure"] += 1
+            ts.add(t)
             return f(t)
         return solve(g, *args, **kw)
 
@@ -1217,31 +1230,79 @@ def test_root_work_on_e2_memory8(monkeypatch):
     monkeypatch.setattr(dimension, "brentq", counted_solve)
     with _image_of_calls() as calls:
         hd_limit_set(gauss_cf(), truncation=2, memory=8)
-    assert calls[0] <= 2_540
-    # the two bracket ends and the residual evaluate outside the solver
-    assert counts["power"] == counts["pressure"] + 3 == 11
+    assert calls[0] == 0
+    assert counts["power"] == len(ts) == 8
 
 
+@pytest.mark.filterwarnings("ignore:slow letter-sum decay")
+def test_jump_run_rows_call_image_of_once_per_level_read():
+    # the backward_cf jump root's derived letters are scalar rows of its
+    # table; the label-keyed memo of nested images that the table replaced
+    # made 429 image_of calls on this root
+    with _image_of_calls() as calls:
+        hd_limit_set(jump_transform(gdms.backward_cf(), n_cap=64), truncation=60, memory=2)
+    assert 0 < calls[0] <= 1.1 * 429
+
+
+def test_root_whose_tail_never_contracts_fails_as_coding_point_does(monkeypatch):
+    # slope 0.99999 needs ~3.3 million letters; the table walks its one row
+    # through the 2,000 levels once and fails with coding_point's message
+    levels = [0]
+    tested = gdms._tested
+
+    def counted(count, max_letters):
+        levels[0] += 1
+        return tested(count, max_letters)
+
+    monkeypatch.setattr(gdms, "_tested", counted)
+    with pytest.raises(ConvergenceError) as err:
+        hd_limit_set(affine_system([(0.99999, 0.0)]))
+    assert str(err.value) == ("images did not contract below 1e-14 within 2000 letters; "
+                              "parabolic systems need a jump transform first")
+    assert levels[0] == 2000
+
+
+def test_root_at_a_bracket_end_is_that_end():
+    # P(t) = log 2 + t log(1/2) vanishes exactly at t = 1, the upper end
+    S = affine_system([(0.5, 0.0), (0.5, 0.5)])
+    assert hd_limit_set(S, bracket=(0.5, 1.0)) == 1.0
+    assert hd_limit_set(S, bracket=(1.0, 2.0)) == 1.0
+    with pytest.raises(ConvergenceError, match="does not change sign"):
+        hd_limit_set(S, bracket=(1.5, 2.0))
+
+
+@pytest.mark.filterwarnings("ignore:slow letter-sum decay")
 @pytest.mark.parametrize("make, truncation, memory", [
     (gauss_cf, 2, 10),
     (gauss_cf, 8, 3),
     (lambda: jump_transform(gdms.backward_cf(), n_cap=64), 60, 2),
     *[(lambda: gdms.system_from_config(GRAPH_DIRECTED), 3, m) for m in (1, 2, 3)],
+    (lambda: affine_system([(1 / 3, 0.0), (1 / 4, 1 / 2)]), 2, 3),
+    (lambda: jump_transform(manneville_pomeau(0.5)), 8, 2),
 ])
-def test_shared_images_change_no_coding_point(make, truncation, memory):
-    # each tail's point as a root computes it, one geometric potential
-    # tabulating the root's states, equals a fresh coding_point of its tail
-    # extension bit for bit
+def test_shared_images_change_no_coding_point(monkeypatch, make, truncation, memory):
+    # each tail's point as a root computes it, from the image table of one
+    # geometric potential tabulating the root's states, equals a fresh
+    # coding_point of its tail extension bit for bit, and so does every
+    # state's log-derivative there: moebius (gauss_cf, backward_cf's
+    # hyperbolic letters), affine, jump-run and mp-branch rows, periodic and
+    # greedy tails
     S = make()
     psi = geometric_potential(S, t=1.0, memory=memory)
     states, _ = shifts._pressure_equation(psi, S.shift_view(truncation), truncation)
+    tables = _tail_tables(monkeypatch)
     with _image_of_calls() as shared:
-        psi.tabulate(states)
+        values = psi.tabulate(states)(1.0)
+    (tails, points), = tables
+    point = dict(zip(map(tuple, tails.tolist()), points.tolist()))
+    assert set(point) == {tuple(w[1:]) or tuple(w) for w in states.tolist()}
     with _image_of_calls() as fresh:
-        for tail in {tuple(w[1:]) or tuple(w) for w in states.tolist()}:
-            x = gdms.coding_point(S, gdms.tail_extension(S, [S.edge(k).label for k in tail]),
+        for tail, x in point.items():
+            y = gdms.coding_point(S, gdms.tail_extension(S, [S.edge(k).label for k in tail]),
                                   tol=gdms.CODING_TOL)
-            assert x.hex() == psi._point(tail).hex(), tail
+            assert y.hex() == x.hex(), tail
+    assert values.tolist() == [math.log(abs(S.edge(w[0]).deriv(point[tuple(w[1:]) or tuple(w)])))
+                               for w in states.tolist()]
     assert shared[0] <= fresh[0]
     if memory >= 3:
         assert shared[0] < fresh[0]

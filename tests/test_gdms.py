@@ -1,6 +1,7 @@
 """Branch systems: coding, separation checks, jump transform, asymptotics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,13 +84,17 @@ def test_coding_point_that_never_contracts_fails_in_linear_images(monkeypatch):
 
 
 def test_coding_point_that_never_contracts_keeps_linear_images():
-    # every length up to 128 keeps its images, then only the tested lengths
-    # 256, 512, 1,024 and 2,000: 8,256 + 3,792 letters of keys
+    # each tested length images its prefix afresh and keeps no image: the
+    # peak is the word's 2,000 branches, a list of 8 bytes a letter
     S = affine_system([(0.99999, 0.0)])
-    images = {}
-    with pytest.raises(ConvergenceError):
-        coding_point(S, periodic_word([0]), images=images)
-    assert sum(map(len, images)) <= 12_048
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConvergenceError):
+            coding_point(S, periodic_word([0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 1024
 
 
 # --- separation and distortion
@@ -367,6 +372,41 @@ def test_geometric_table_matches_per_row_reference():
     assert psi.memory == 2
     assert psi.table(words).tolist() == ref
     assert [psi.value(w) for w in words.tolist()] == ref
+
+
+def _two_vertex_affine(*edges):
+    """Edges (label, source, target, a, b) of x -> a x + b on two unit vertices."""
+    return system_from_config({"vertices": [[0.0, 1.0], [0.0, 1.0]], "edges": [
+        {"label": l, "source": s, "target": d, "kind": "affine", "params": {"a": a, "b": b}}
+        for l, s, d, a, b in edges]})
+
+
+# e: 0 -> 0, f: 1 -> 0, g: 0 -> 1, so g may not follow e or g
+_GRAPH = [("e", 0, 0, 1 / 3, 0.0), ("f", 1, 0, 1 / 3, 2 / 3), ("g", 0, 1, 1 / 3, 0.0)]
+# nothing maps into vertex 1, so b has no successor; c never contracts
+_SINK = [("a", 0, 0, 0.5, 0.0), ("b", 1, 0, 0.5, 0.5), ("c", 0, 0, 0.99999, 0.0)]
+
+
+@pytest.mark.parametrize("edges, memory, words", [
+    (_GRAPH, 3, [[0, 0, 0], [1, 2, 2], [0, 0, 2]]),
+    (_SINK, 4, [[0, 0, 1, 1]]),
+    (_SINK, 2, [[0, 2], [0, 1]]),
+    (_SINK, 2, [[0, 1], [0, 2]]),
+    (_SINK, 3, [[0, 0, 0], [0, 0, 1]]),
+])
+def test_geometric_table_fails_as_its_first_failing_row_does(edges, memory, words):
+    # an inadmissible tail, a tail whose greedy orbit stops and a tail that
+    # never contracts: the table raises what coding_point raises on the
+    # first row that fails, going through the rows in order
+    S = _two_vertex_affine(*edges)
+    with pytest.raises(Exception) as want:
+        for w in words:
+            tail = w[1:] or w
+            coding_point(S, tail_extension(S, [S.edge(k).label for k in tail]),
+                         tol=gdms_module.CODING_TOL)
+    with pytest.raises(type(want.value)) as got:
+        geometric_potential(S, t=1.0, memory=memory).table(words)
+    assert str(got.value) == str(want.value)
 
 
 def test_geometric_letter_sups_match_per_letter_search():
