@@ -497,7 +497,7 @@ def run(args) -> dict:
         raise ConfigError(f"config: {error.message}")
 
     # the handlers import their module lazily; load it first so wall_time_s
-    # measures the command and not the numpy/scipy import
+    # measures the command and not the numpy import
     importlib.import_module(f"{__package__}.{HANDLER_MODULE[args.command]}")
     t0 = time.perf_counter()
     results, diagnostics, cloud = COMMANDS[args.command](config, args.seed)

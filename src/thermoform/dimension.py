@@ -20,12 +20,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.spatial import cKDTree
 
 from .beta import BetaSystem, GlsPartition
 from .errors import ConfigError, ConvergenceError
-from .gdms import Gdms, geometric_potential
+from .gdms import Gdms, brentq, geometric_potential
 from .rng import task_rng
 from .shifts import (
     WALK_BLOCK,
@@ -297,12 +295,30 @@ def _ball_counts_1d(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> 
 
 
 def _ball_counts_2d(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    tree = cKDTree(pts)
-    cols = [
-        np.asarray(tree.query_ball_point(centers, r=r, return_length=True))
-        for r in radii
-    ]
-    return np.stack(cols, axis=1) - 1
+    """Points with dx*dx + dy*dy <= r*r around each center, the center left out.
+
+    The points are sorted by x once; each ball is counted inside the x-strip
+    |x - cx| <= r of its center, a contiguous run of the sorted points. The
+    strips are widened by a few ulps so that no point the test admits falls
+    outside them by a rounding of cx -+ r, and the squared distances are
+    computed once per center, over its widest strip.
+    """
+    order = np.argsort(pts[:, 0])  # ties in x may come in any order
+    xs, ys = pts[order, 0], pts[order, 1]
+    cx, cy = centers[:, 0], centers[:, 1]
+    half = radii[None, :] + 4.0 * np.finfo(float).eps * (np.abs(cx)[:, None] + radii.max())
+    lo = np.searchsorted(xs, cx[:, None] - half, side="left")
+    hi = np.searchsorted(xs, cx[:, None] + half, side="right")
+    wide = np.argmax(radii)
+    r2 = radii * radii
+    counts = np.empty((centers.shape[0], radii.size), dtype=np.intp)
+    for i in range(centers.shape[0]):
+        a, b = lo[i, wide], hi[i, wide]
+        dx, dy = xs[a:b] - cx[i], ys[a:b] - cy[i]
+        d2 = dx * dx + dy * dy
+        for j in range(radii.size):
+            counts[i, j] = np.count_nonzero(d2[lo[i, j] - a:hi[i, j] - a] <= r2[j])
+    return counts - 1
 
 
 def local_dimension(
@@ -391,7 +407,7 @@ def local_dimension(
         mean_upper=float(np.mean(uppers)),
         j_range=(int(js[0]), int(js[-1])),
         n_centers=int(slopes.size),
-        method="kdtree-2d" if two_d else "sorted-1d",
+        method="strip-2d" if two_d else "sorted-1d",
     )
 
 

@@ -16,12 +16,96 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConfigError, ConvergenceError, WordLengthError
 from .shifts import IncidenceMatrix, Potential, _word_rows
 
 Interval = tuple[float, float]
+
+# ---------------------------------------------------------------------------
+# root finding
+
+BRENT_XTOL = 2e-12
+BRENT_RTOL = 4 * float(np.finfo(float).eps)
+BRENT_MAXITER = 100
+
+
+def _brent_value(f: Callable[[float], float], x: float) -> float:
+    fx = float(f(x))
+    if math.isnan(fx):
+        raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+    return fx
+
+
+def brentq(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    *,
+    xtol: float = BRENT_XTOL,
+    rtol: float = BRENT_RTOL,
+    maxiter: int = BRENT_MAXITER,
+) -> float:
+    """A zero of f in [a, b] by Brent's method (Brent 1973, ch. 4), step for
+    step the loop of scipy.optimize.brentq, so the two return the same float.
+
+    f(a) and f(b) must differ in sign unless one of them is 0, and then that
+    end is returned; same signs or a NaN value raise ValueError, and no
+    convergence within maxiter steps raises RuntimeError. The root is within
+    xtol + rtol * |root| of a sign change of f.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < BRENT_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {BRENT_RTOL:g})")
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = _brent_value(f, xpre), _brent_value(f, xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        step = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                # in IEEE arithmetic a zero divisor gives an inf or NaN step,
+                # which the test below rejects; Python raises instead
+                step = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+            except ZeroDivisionError:
+                pass
+        if step:  # a good short step
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _brent_value(f, xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 @dataclass(frozen=True)

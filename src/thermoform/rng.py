@@ -6,9 +6,9 @@ that seed names, so a run is reproducible given its seed.
 
 from __future__ import annotations
 
-import numpy as np
+from numpy.random import Generator, SeedSequence, default_rng
 
 
-def task_rng(seed: int) -> np.random.Generator:
+def task_rng(seed: int) -> Generator:
     """Generator for the stream of seed."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=int(seed)))
+    return default_rng(SeedSequence(entropy=int(seed)))

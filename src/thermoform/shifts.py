@@ -20,8 +20,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+import numpy.ma  # noqa: F401  (np.unique reads np.ma, which numpy 2 loads on first use)
 
 from .errors import (
     BudgetError,
@@ -348,6 +347,11 @@ def _group(keys: np.ndarray, vals: np.ndarray, n: int) -> tuple[np.ndarray, np.n
     return ptr, vals[np.argsort(keys, kind="stable")]
 
 
+# steps of B, forward and back, that n_components walks from state 0 before
+# it leaves the count to scipy; E2 at memory 10 needs 10
+REACH_ROUNDS = 64
+
+
 class Blocks:
     """A 0/1 matrix on states whose rows are shared: B[u, v] = [v in block cls[u]].
 
@@ -429,16 +433,40 @@ class Blocks:
         # that hold v, one per entry of the incidence column
         return Blocks(np.arange(self.n_states), *_group(self.members, holder, self.n_states))
 
+    def _all_reach_zero(self, rounds: int) -> bool:
+        """Whether every state reaches state 0 along B within the given number
+        of steps; stops early once the states that reach it stop growing."""
+        seen = np.zeros(self.n_states, dtype=bool)
+        seen[0] = True
+        count = 1
+        for _ in range(rounds):
+            if count == self.n_states:
+                return True
+            seen |= self.forward(seen.astype(float)) > 0
+            before, count = count, np.count_nonzero(seen)
+            if count == before:
+                return False
+        return count == self.n_states
+
     @cached_property
     def n_components(self) -> int:
         """Strongly connected components of the state graph B, counted once
         however often the structure is reweighted.
 
-        They are found on the graph of states and blocks with the edges
-        u -> cls[u] and b -> each member of b. A path between two states
-        there is a path of B, so the states split into the same components.
+        A graph in which every state reaches state 0 and is reached from it is
+        one component; that is settled by at most REACH_ROUNDS steps forward
+        along B and along B^T. Otherwise (a reducible graph, or one whose
+        paths to and from state 0 are longer) the components are counted by
+        scipy on the graph of states and blocks, with the edges u -> cls[u]
+        and b -> each member of b. A path between two states there is a path
+        of B, so the states split into the same components.
         """
         S, C = self.n_states, self.n_blocks
+        if S and all(b._all_reach_zero(REACH_ROUNDS) for b in (self, self.reversed())):
+            return 1
+        import scipy.sparse as sp
+        from scipy.sparse.csgraph import connected_components
+
         live = self.cls >= 0
         members = np.arange(S) if self.members is None else self.members
         indptr = np.concatenate(([0], np.cumsum(np.concatenate((live, self.sizes)))))

@@ -170,7 +170,7 @@ def test_lebesgue_2d_slope():
     pts = task_rng(12).random((40_000, 2))
     est = local_dimension(pts, seed=5)
     assert est.mean == pytest.approx(2.0, abs=0.1)
-    assert est.method == "kdtree-2d"
+    assert est.method == "strip-2d"
 
 
 def test_cantor_cloud_slope():

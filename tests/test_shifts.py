@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from thermoform import shifts
 from thermoform.errors import BudgetError, ConfigError, ThermoformError
@@ -504,7 +505,7 @@ def _reference_eigendata(psi, A, N, tol=1e-13, max_iter=10**6, state_cap=200_000
     S = len(states)
     if S == 0:
         raise shifts.ConvergenceError("no admissible states at this truncation")
-    ncomp, _ = shifts.connected_components(adj, directed=True, connection="strong")
+    ncomp, _ = connected_components(adj, directed=True, connection="strong")
     if ncomp != 1:
         raise shifts.NotIrreducibleError(
             f"state graph has {ncomp} strongly connected components at truncation {N}"
@@ -707,6 +708,54 @@ def test_eigendata_rejects_graph_without_transitions():
         psi = Potential(lambda w: np.zeros(len(w)), memory=m)
         with pytest.raises(shifts.NotIrreducibleError, match="no transitions"):
             rpf_eigendata(psi, A, N)
+
+
+def _count_scipy_calls(monkeypatch) -> list:
+    import scipy.sparse.csgraph as csgraph
+
+    calls, real = [], csgraph.connected_components
+    monkeypatch.setattr(csgraph, "connected_components",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    return calls
+
+
+def _cycles(*lengths) -> IncidenceMatrix:
+    """Letters on disjoint cycles a -> a + 1 of the given lengths, in order."""
+    N = sum(lengths)
+    allowed = np.zeros((N, N), dtype=bool)
+    start = 0
+    for n in lengths:
+        a = np.arange(start, start + n)
+        allowed[a, start + (a - start + 1) % n] = True
+        start += n
+    return IncidenceMatrix.from_table(allowed)
+
+
+def test_bench_state_graphs_are_irreducible_without_scipy(monkeypatch):
+    calls = _count_scipy_calls(monkeypatch)
+    rng = np.random.default_rng(3)
+    allow = rng.random((150, 150)) >= 0.10
+    allow[np.arange(150), (np.arange(150) + 1) % 150] = True
+    cases = [(2, IncidenceMatrix.full(), 8), (2, IncidenceMatrix.full(), 10),
+             (60, IncidenceMatrix.full(), 2), (2, IncidenceMatrix.golden_mean(), 1),
+             (150, IncidenceMatrix.from_table(allow), 2), (100, IncidenceMatrix.full(), 2)]
+    for N, A, m in cases:
+        assert shifts._state_graph(m, A, N, 10**6).blocks.n_components == 1
+    assert calls == []
+
+
+@pytest.mark.parametrize("lengths,count", [
+    ((shifts.REACH_ROUNDS + 2,), 1),  # one cycle, longer than the round bound
+    ((3, 2), 2),  # reducible: the bound is never reached
+    ((shifts.REACH_ROUNDS + 2, 1), 2),
+])
+def test_components_past_the_round_bound_are_counted_by_scipy(monkeypatch, lengths, count):
+    calls = _count_scipy_calls(monkeypatch)
+    A = _cycles(*lengths)
+    N = sum(lengths)
+    for m in (1, 2):
+        assert shifts._state_graph(m, A, N, 10**6).blocks.n_components == count
+    assert len(calls) == 2
 
 
 # --- Gibbs chains
