@@ -43,21 +43,19 @@ def brentq(
     b: float,
     *,
     xtol: float = BRENT_XTOL,
-    rtol: float = BRENT_RTOL,
-    maxiter: int = BRENT_MAXITER,
 ) -> float:
     """A zero of f in [a, b] by Brent's method (Brent 1973, ch. 4), step for
-    step the loop of scipy.optimize.brentq, so the two return the same float.
+    step the loop of scipy.optimize.brentq with its default rtol and maxiter,
+    so the two return the same float.
 
     f(a) and f(b) must differ in sign unless one of them is 0, and then that
     end is returned; same signs or a NaN value raise ValueError, and no
-    convergence within maxiter steps raises RuntimeError. The root is within
-    xtol + rtol * |root| of a sign change of f.
+    convergence within BRENT_MAXITER steps raises RuntimeError. The root is
+    within xtol + BRENT_RTOL * |root| of a sign change of f.
     """
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < BRENT_RTOL:
-        raise ValueError(f"rtol too small ({rtol:g} < {BRENT_RTOL:g})")
+    rtol, maxiter = BRENT_RTOL, BRENT_MAXITER
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
     fpre, fcur = _brent_value(f, xpre), _brent_value(f, xcur)
@@ -676,8 +674,7 @@ def _mp_branch(label, alpha: float, offset: float, lo: float, hi: float,
             return lo
         if target >= hi + hi**a1:
             return hi
-        return float(brentq(lambda x: x + x**a1 - target, lo, hi,
-                            xtol=1e-15, rtol=4 * np.finfo(float).eps))
+        return float(brentq(lambda x: x + x**a1 - target, lo, hi, xtol=1e-15))
 
     def deriv(y: float) -> float:
         return _mp_slope(alpha, fn(y))

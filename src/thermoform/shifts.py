@@ -433,16 +433,17 @@ class Blocks:
         # that hold v, one per entry of the incidence column
         return Blocks(np.arange(self.n_states), *_group(self.members, holder, self.n_states))
 
-    def _all_reach_zero(self, rounds: int) -> bool:
-        """Whether every state reaches state 0 along B within the given number
-        of steps; stops early once the states that reach it stop growing."""
+    def _all_reach_zero(self, step: Callable[[np.ndarray], np.ndarray]) -> bool:
+        """Whether every state reaches state 0 within REACH_ROUNDS steps along
+        B (step forward) or is reached from it (step backward); stops early
+        once the states found stop growing."""
         seen = np.zeros(self.n_states, dtype=bool)
         seen[0] = True
         count = 1
-        for _ in range(rounds):
+        for _ in range(REACH_ROUNDS):
             if count == self.n_states:
                 return True
-            seen |= self.forward(seen.astype(float)) > 0
+            seen |= step(seen.astype(float)) > 0
             before, count = count, np.count_nonzero(seen)
             if count == before:
                 return False
@@ -462,7 +463,7 @@ class Blocks:
         of B, so the states split into the same components.
         """
         S, C = self.n_states, self.n_blocks
-        if S and all(b._all_reach_zero(REACH_ROUNDS) for b in (self, self.reversed())):
+        if S and self._all_reach_zero(self.forward) and self._all_reach_zero(self.backward):
             return 1
         import scipy.sparse as sp
         from scipy.sparse.csgraph import connected_components
