@@ -24,7 +24,7 @@ import numpy as np
 from .beta import BetaSystem, GlsPartition
 from .errors import ConfigError, ConvergenceError
 from .gdms import Gdms, brentq, geometric_potential
-from .rng import task_rng
+from .rng import Columns, skip, task_rng
 from .shifts import (
     WALK_BLOCK,
     GibbsMarkovMeasure,
@@ -305,6 +305,7 @@ def _ball_counts_2d(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> 
     """
     order = np.argsort(pts[:, 0])  # ties in x may come in any order
     xs, ys = pts[order, 0], pts[order, 1]
+    del order
     cx, cy = centers[:, 0], centers[:, 1]
     half = radii[None, :] + 4.0 * np.finfo(float).eps * (np.abs(cx)[:, None] + radii.max())
     lo = np.searchsorted(xs, cx[:, None] - half, side="left")
@@ -314,8 +315,11 @@ def _ball_counts_2d(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> 
     counts = np.empty((centers.shape[0], radii.size), dtype=np.intp)
     for i in range(centers.shape[0]):
         a, b = lo[i, wide], hi[i, wide]
-        dx, dy = xs[a:b] - cx[i], ys[a:b] - cy[i]
-        d2 = dx * dx + dy * dy
+        # dx*dx + dy*dy in place, so a wide strip holds two arrays, not five
+        d2, dy = xs[a:b] - cx[i], ys[a:b] - cy[i]
+        d2 *= d2
+        dy *= dy
+        d2 += dy
         for j in range(radii.size):
             counts[i, j] = np.count_nonzero(d2[lo[i, j] - a:hi[i, j] - a] <= r2[j])
     return counts - 1
@@ -376,8 +380,8 @@ def local_dimension(
     pool = np.flatnonzero(interior)
     if pool.size < max(8, n_centers // 4):
         pool = np.arange(M)  # heavy trim, fall back to the whole cloud
-    idx = rng.choice(pool, size=min(n_centers, pool.size), replace=False)
-    centers = pts[idx]
+    centers = pts[rng.choice(pool, size=min(n_centers, pool.size), replace=False)]
+    del pool, interior  # M entries each, not needed while counting
 
     counts = (_ball_counts_2d if two_d else _ball_counts_1d)(pts, centers, radii)
 
@@ -432,25 +436,56 @@ def _state_cells(mu: GibbsMarkovMeasure, part: GlsPartition) -> np.ndarray:
     return np.array([[c.left for c in cells], [c.length for c in cells]])[:, first]
 
 
-def _fold_walk(chain, s, rng, n_steps: int, cells, offset, scale) -> np.ndarray:
-    """Walk n_steps from the states s and fold each state's cell into the
-    walkers' y-contraction as it is walked, outermost first.
+# Most walkers a cloud fold walks at a time (see _fold_walk). Golden chain,
+# M = 2e5, depth 91, fiber / joint cloud, median of 7 (2 vCPUs, numpy 2.4),
+# with the tracemalloc peak: 2**12 379 / 779 ms (49 chunks of 4,081 walkers,
+# under COUNT_WIDTH, so stepped by search); 2**13 162 / 332 ms, 2.85 / 6.05
+# MB; 2**14 164 / 329 ms, 3.20 / 6.40 MB; 2**16 158 / 334 ms, 5.42 / 8.62 MB;
+# all 2e5 walkers at once 191 / 377 ms, 16.7 / 19.9 MB. Equal chunks of a
+# wider walk hold more than FOLD_WIDTH / 2 walkers, past COUNT_WIDTH.
+FOLD_WIDTH = 2**14
 
-    A walker's contraction is y -> offset + scale * y; each step does
+
+def _fold_walk(chain, s, rng, n_steps: int, cells, out, from_cell: bool = False) -> None:
+    """Walk n_steps from the states s and fold each state's cell into the
+    walkers' y-contraction as it is walked, outermost first; out[i] gets
+    walker i's point.
+
+    A walker's contraction is y -> offset + scale * y, from the identity, or
+    from its start state's own cell when from_cell; each step does
     offset += scale * left and then scale *= length of the cell it reads,
-    in place, and the point is offset + scale / 2. So memory is a few
-    doubles per walker at every depth. Every entry indexes the per-entry
-    tables: clip mode skips the bounds check.
+    in place, and the point is offset + scale / 2. Every entry indexes the
+    per-entry tables: clip mode skips the bounds check.
+
+    The walkers go in equal chunks of at most FOLD_WIDTH, each walked through
+    every step before the next starts, so the fold's buffers and the walk's
+    uniforms, entries and needles are a few doubles per chunk walker and only
+    out grows with len(s). A chunk reads its columns of the step-major
+    stream of one rng.random(len(s)) per step (see rng.Columns), and rng ends
+    where that stream leaves it. A walker's path is the same on every route
+    of chain.blocks and at every chunk width, so the points equal those of
+    one walk of all the walkers bit for bit.
     """
     left, length = chain.per_entry(cells[0]), chain.per_entry(cells[1])
-    term = np.empty(offset.shape)
-    for block in chain.blocks(s, rng, n_steps):
-        for row in block:
-            offset += np.multiply(scale, np.take(left, row, out=term, mode="clip"), out=term)
-            scale *= np.take(length, row, out=term, mode="clip")
-    scale *= 0.5
-    offset += scale
-    return offset
+    W = s.size
+    n_chunks = max(1, -(-W // FOLD_WIDTH))
+    bounds = [W * i // n_chunks for i in range(n_chunks + 1)]
+    for c0, c1 in zip(bounds, bounds[1:]):
+        first = s[c0:c1]
+        if from_cell:
+            offset, scale = cells[0, first], cells[1, first]
+        else:
+            offset, scale = np.zeros(c1 - c0), np.ones(c1 - c0)
+        term = np.empty(c1 - c0)
+        stream = rng if n_chunks == 1 else Columns(rng, c0, c1, W)
+        for block in chain.blocks(first, stream, n_steps):
+            for row in block:
+                offset += np.multiply(scale, np.take(left, row, out=term, mode="clip"), out=term)
+                scale *= np.take(length, row, out=term, mode="clip")
+        scale *= 0.5
+        np.add(offset, scale, out=out[c0:c1])
+    if n_chunks > 1:
+        skip(rng, n_steps * W)
 
 
 def _fold_depth(beta: float) -> int:
@@ -469,17 +504,19 @@ def fiber_cloud(
 
     Runs the reversed chain from the most likely state and folds the past
     letters through the cells' y-contractions, most recent letter outermost,
-    as the walk yields them (see _fold_walk). Memory does not grow with
-    depth: on the golden chain at n = 50,000 the tracemalloc peak is 4.03 MiB
-    (10.6 doubles per point, the walk's buffers included) at depth 91 and
-    at depth 364 alike.
+    as the walk yields them (see _fold_walk). Memory is the (n,) result and
+    one chunk's buffers, at every depth: on the golden chain the tracemalloc
+    peak is 1.64 MiB at n = 50,000 and 3.05 MiB at n = 200,000 (2.0 doubles
+    per point, the result included), at depth 91 and at depth 364 alike.
     """
     cells = _state_cells(mu, part)
     if depth is None:
         depth = _fold_depth(part.beta)
     rng = task_rng(seed)
-    s0 = np.full(n, int(np.argmax(mu.pi)), dtype=np.intp)
-    return _fold_walk(mu.backward, s0, rng, depth, cells, np.zeros(n), np.ones(n))
+    s0 = np.broadcast_to(np.intp(np.argmax(mu.pi)), n)  # one state, held once
+    cloud = np.empty(n)
+    _fold_walk(mu.backward, s0, rng, depth, cells, cloud)
+    return cloud
 
 
 def joint_cloud(
@@ -495,19 +532,21 @@ def joint_cloud(
     reversed letters; given the present state the two walks are independent,
     which is exactly the Markov structure of the invariant measure. Each side
     is folded as it is walked (see _fold_walk), x from the present state's
-    cell, which is outermost, and y from the identity. Memory does not grow
-    with depth: on the golden chain at n = 50,000 the tracemalloc peak is
-    4.41 MiB (11.6 doubles per point, the (n, 2) result included) at depth
-    91 and at depth 364 alike.
+    cell, which is outermost, and y from the identity, into the two columns
+    of the result. Memory is the (n, 2) result, the n present states and one
+    chunk's buffers, at every depth: on the golden chain the tracemalloc peak
+    is 2.39 MiB at n = 50,000 and 6.10 MiB at n = 200,000 (4.0 doubles per
+    point), at depth 91 and at depth 364 alike.
     """
     cells = _state_cells(mu, part)
     if depth is None:
         depth = _fold_depth(part.beta)
     rng = task_rng(seed)
     s0 = mu.forward.start(rng, n)
-    xs = _fold_walk(mu.forward, s0, rng, depth, cells, cells[0, s0], cells[1, s0])
-    ys = _fold_walk(mu.backward, s0, rng, depth, cells, np.zeros(n), np.ones(n))
-    return np.column_stack([xs, ys])
+    cloud = np.empty((n, 2))
+    _fold_walk(mu.forward, s0, rng, depth, cells, cloud[:, 0], from_cell=True)
+    _fold_walk(mu.backward, s0, rng, depth, cells, cloud[:, 1])
+    return cloud
 
 
 # ---------------------------------------------------------------------------

@@ -972,13 +972,13 @@ class ChainSampler:
         walkers that the scan does not take walk in plain Python (see
         _scalar). More step one at a time, from COUNT_WIDTH walkers on over
         at most COUNT_ENTRIES cdf entries by a count (see _count), else by a
-        search.
+        search. No walkers take the scalar route, over empty (b, 0) blocks.
         """
         s = np.asarray(s, dtype=np.intp)
         W = s.size
-        rows = max(1, WALK_BLOCK // W)
+        rows = max(1, WALK_BLOCK // max(1, W))
         K, deg = self._n_blocks, self._deg
-        scan = W <= self.scan_walkers
+        scan = 0 < W <= self.scan_walkers
         scalar = W <= SCALAR_WALKERS and not scan
         count = W >= COUNT_WIDTH and self.flat.size <= COUNT_ENTRIES
         # the scan carries each walker's block, the serial walk twice it
@@ -1133,7 +1133,7 @@ class ChainSampler:
         longer.
         """
         W = np.size(s)
-        if 0 < n_steps <= max(1, WALK_BLOCK // W):
+        if 0 < n_steps <= max(1, WALK_BLOCK // max(1, W)):
             for block in self.blocks(s, rng, n_steps):
                 return self.states_of(block)
         path = np.empty((n_steps, W), dtype=np.intp)

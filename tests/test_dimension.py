@@ -542,15 +542,17 @@ def test_chain_orbit_memory_grows_with_transitions():
 @pytest.mark.parametrize("cloud", [fiber_cloud, joint_cloud])
 def test_cloud_peak_does_not_grow_with_depth(cloud):
     # 5e4 points: each walker folds its letters as it walks them, so depth 364
-    # peaks as depth 91 does (4.03 MiB fiber, 4.41 MiB joint); a depth x M
-    # letter array would grow by M bytes per letter or more
+    # peaks as depth 91 does (1.64 MiB fiber, 2.39 MiB joint; the bounds leave
+    # 15 % over that); a depth x M letter array would grow by M bytes per
+    # letter or more
+    bound = {fiber_cloud: 1.9, joint_cloud: 2.75}[cloud]  # MiB
     mu, part = induced_cell_chain(PHI, incidence="golden")
     mu.forward, mu.backward  # build the samplers outside the trace
     assert _fold_depth(part.beta) == 91
     M = 50_000
     shallow, deep = (_traced_peak(lambda: cloud(mu, part, M, d, 0)) for d in (91, 364))
     assert abs(deep - shallow) < 0.05 * shallow
-    assert shallow < 16 * 8 * M
+    assert shallow < bound * 2**20
 
 
 # --- block-stepped walks against the per-step loop
@@ -721,6 +723,17 @@ _ROUTES = {
 }
 
 
+def _spy_routes(monkeypatch) -> set:
+    """The set to which ChainSampler's scalar, scan and count routes add their
+    names as they run; a walk by search adds none."""
+    ran = set()
+    for name in ("_scalar", "_scan", "_count"):
+        method = getattr(ChainSampler, name)
+        monkeypatch.setattr(ChainSampler, name,
+                            lambda self, *a, _m=method, _n=name[1:]: ran.add(_n) or _m(self, *a))
+    return ran
+
+
 def _walk_matches_step_loop(chain, walkers, steps, monkeypatch):
     mu, sampler = _scan_chain(chain)
     route = _ROUTES[chain].get(walkers, "search")
@@ -731,11 +744,7 @@ def _walk_matches_step_loop(chain, walkers, steps, monkeypatch):
     elif walkers in ("narrow", "wide"):
         walkers = COUNT_WIDTH - (walkers == "narrow")
     steps = steps(walkers)
-    ran = set()
-    for name in ("_scalar", "_scan", "_count"):
-        method = getattr(ChainSampler, name)
-        monkeypatch.setattr(ChainSampler, name,
-                            lambda self, *a, _m=method, _n=name[1:]: ran.add(_n) or _m(self, *a))
+    ran = _spy_routes(monkeypatch)
     rng = task_rng(8)
     got = sampler.walk(sampler.start(rng, walkers), rng, steps)
     assert ran == ({route} - {"search"})
@@ -839,7 +848,11 @@ def test_words_and_clouds_match_per_step_loops(chain, chain400):
     future = mu.states[-1]
     for length in (0, 1, 5000):
         assert sample_past(mu, future, length, seed=4) == _per_step_past(mu, future, length, 4)
-    n, seed = 3000, 6
+    _assert_per_step_clouds(mu, part, 3000, 6)
+
+
+def _assert_per_step_clouds(mu, part, n, seed):
+    """The clouds of n points equal the fold of the per-step walks' letters."""
     letter_of = mu.states[:, 0]
     depth = _fold_depth(part.beta)
     rng = task_rng(seed)
@@ -853,14 +866,53 @@ def test_words_and_clouds_match_per_step_loops(chain, chain400):
                    (letter_of[np.column_stack([s0, fwd])], letter_of[bwd]))
 
 
+@pytest.mark.parametrize("chain,width,n,routes", [
+    ("golden", 10, 37, {"scan"}),  # chunks of 9, 9, 9 and 10 walkers
+    ("golden", 1000, 2501, set()),  # 833, 834, 834: by search
+    ("golden", 5000, 13_001, {"count"}),  # 4,333, 4,334, 4,334
+    ("memory2", 2, 7, {"scan", "scalar"}),  # 1, 2, 2, 2: one walker is scanned
+    ("memory2", 1000, 2501, set()),
+])
+def test_chunked_clouds_match_per_step_loops(chain, width, n, routes, chain400, monkeypatch):
+    # at least three equal chunks with a ragged last one, each walked through
+    # every step on its own route before the next, from its columns of the
+    # step-major uniforms
+    mu, part = induced_cell_chain(PHI, incidence="golden") if chain == "golden" else chain400
+    monkeypatch.setattr(dimension, "FOLD_WIDTH", width)
+    ran = _spy_routes(monkeypatch)
+    _assert_per_step_clouds(mu, part, n, 6)
+    assert ran == routes
+
+
+def test_zero_walkers_walk_to_empty_blocks_and_clouds(chain400):
+    for mu, part in (induced_cell_chain(PHI, incidence="golden"), chain400):
+        for sampler in (mu.forward, mu.backward):
+            s = sampler.start(task_rng(0), 0)
+            shapes = [b.shape for b in sampler.blocks(s, task_rng(0), WALK_BLOCK + 1)]
+            assert shapes == [(WALK_BLOCK, 0), (1, 0)]
+            for steps in (0, 5, WALK_BLOCK + 1):
+                assert sampler.walk(s, task_rng(0), steps).shape == (steps, 0)
+        assert fiber_cloud(mu, part, 0).shape == (0,)
+        assert joint_cloud(mu, part, 0).shape == (0, 2)
+
+
 def test_joint_cloud_peak_is_a_few_doubles_per_point():
-    # the README's 17.4 MiB at the bench's M = 200,000, about 11.4 doubles per
-    # point: the (M, 2) result, the x points while y is walked, each walk's
-    # offset, scale and term, and the walk's uniforms, entries and needles
+    # the README's 6.10 MiB at the bench's M = 200,000, 4.0 doubles per point:
+    # the (M, 2) result, the M present states, and one chunk's offset, scale
+    # and term and its walk's uniforms, entries and needles. The bound leaves
+    # 12 % over that
     mu, part = induced_cell_chain(PHI, incidence="golden")
     mu.forward, mu.backward  # build the samplers outside the trace
     M = 200_000
-    assert _traced_peak(lambda: joint_cloud(mu, part, M, None, 0)) < 16 * 8 * M
+    assert _traced_peak(lambda: joint_cloud(mu, part, M, None, 0)) < 4.5 * 8 * M
+
+
+def test_global_check_peak_at_the_bench_size():
+    # the clouds workload's global check: the (M, 2) cloud, then the 2-D ball
+    # counts' sorted coordinates and the squared distances over a center's
+    # widest strip, 8.42 MiB; the bound leaves 13 % over that
+    assert _traced_peak(lambda: global_dimension_check(
+        PHI, None, M=200_000, seed=0, incidence="golden")) < 9.5 * 2**20
 
 
 def test_scalar_walk_peak_is_its_entries_and_one_block():
