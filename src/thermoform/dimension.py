@@ -477,15 +477,13 @@ def _fold_walk(chain, s, rng, n_steps: int, cells, out, from_cell: bool = False)
         else:
             offset, scale = np.zeros(c1 - c0), np.ones(c1 - c0)
         term = np.empty(c1 - c0)
-        stream = rng if n_chunks == 1 else Columns(rng, c0, c1, W)
-        for block in chain.blocks(first, stream, n_steps):
+        for block in chain.blocks(first, Columns(rng, c0, c1, W), n_steps):
             for row in block:
                 offset += np.multiply(scale, np.take(left, row, out=term, mode="clip"), out=term)
                 scale *= np.take(length, row, out=term, mode="clip")
         scale *= 0.5
         np.add(offset, scale, out=out[c0:c1])
-    if n_chunks > 1:
-        skip(rng, n_steps * W)
+    skip(rng, n_steps * W)
 
 
 def _fold_depth(beta: float) -> int:

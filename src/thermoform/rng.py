@@ -44,12 +44,7 @@ class Columns:
 def skip(rng: Generator, n: int) -> None:
     """Move rng on by n doubles, to where rng.random(n) would leave it.
 
-    advance drops the 32-bit half-word the bit generator may hold back for
-    its next 32-bit draw, which doubles never use, so it is put back.
+    advance drops any 32-bit half-word the bit generator holds back for its
+    next 32-bit draw; the cloud folds only draw doubles, so none is held.
     """
-    bits = rng.bit_generator
-    held = bits.state
-    bits.advance(n)
-    moved = bits.state
-    moved["has_uint32"], moved["uinteger"] = held["has_uint32"], held["uinteger"]
-    bits.state = moved
+    rng.bit_generator.advance(n)

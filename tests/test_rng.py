@@ -10,16 +10,14 @@ W, ROWS = 11, 7
 
 def test_task_rng_can_jump_ahead():
     # the column streams jump over the other columns of each row; a bit
-    # generator without advance would break every fold of more than one chunk
+    # generator without advance would break every cloud fold
     assert callable(getattr(task_rng(0).bit_generator, "advance", None))
 
 
-@pytest.mark.parametrize("c0,c1", [(0, W), (4, 5), (8, W)])  # all, one column, a ragged last chunk
+@pytest.mark.parametrize("c0,c1", [(0, W), (4, 5), (8, W)])  # one chunk, one column, a ragged last chunk
 def test_columns_read_their_columns_of_the_full_draw(c0, c1):
-    rng = task_rng(3)
-    rng.integers(2**32, dtype=np.uint32)  # mid-stream, with a 32-bit half-word held back
-    ref = task_rng(3)
-    ref.integers(2**32, dtype=np.uint32)
+    rng, ref = task_rng(3), task_rng(3)
+    rng.random(5), ref.random(5)  # mid-stream
     start = rng.bit_generator.state
     stream = Columns(rng, c0, c1, W)
     # drawn as the walks draw them, a block of rows at a time
