@@ -185,20 +185,24 @@ def cmd_pressure(config: dict, seed: int):
     A = shifts.IncidenceMatrix.from_config(config.get("incidence"))
     N = int(config["n_letters"])
     n_max = int(config.setdefault("n_max", 12))
+    if n_max < psi.memory:  # a config error, reported before the state cap can fail
+        raise ConfigError(f"n_max={n_max} below potential memory {psi.memory}")
     state_cap = int(config.setdefault("state_cap", 200_000))
     # the level sums, the eigen route and the summability sums read one state graph
-    est, states, vals, eigendata = shifts._pressure_routes(psi, A, N, n_max, state_cap)
+    shift = shifts.TruncatedShift(psi.memory, A, N, state_cap)
+    vals = psi.table(shift.states)
+    est = shift.levels(vals, n_max)
     results = {
         "pressure": est.value,
         "levels": est.levels,
-        "n_start": est.n_start,
+        "n_start": est.memory,
         "ratio_gap": est.gap,
         "truncation": est.truncation,
         "memory": est.memory,
     }
     diagnostics = {}
     if config.setdefault("summability", True):
-        rep = shifts.summability_report(shifts.letter_sups(states, vals, N))
+        rep = shifts.summability_report(shifts.letter_sups(shift.states, vals, N))
         diagnostics["summability"] = {
             "truncations": rep.truncations,
             "partial_sums": rep.partial_sums,
@@ -206,7 +210,7 @@ def cmd_pressure(config: dict, seed: int):
         }
     if config.setdefault("eigendata", True):
         try:
-            eig = eigendata()
+            eig = shift.eigendata(vals)
         except (NotIrreducibleError, ConvergenceError) as exc:
             # the level sums stand without the eigen route
             diagnostics["eigen"] = {"error": type(exc).__name__, "message": str(exc)}

@@ -30,7 +30,7 @@ from .shifts import (
     GibbsMarkovMeasure,
     IncidenceMatrix,
     Potential,
-    _pressure_equation,
+    TruncatedShift,
     entropy_from_pressure,
     gibbs_measure,
     letter_sups,
@@ -244,13 +244,7 @@ def golden_lyapunov(w2: float) -> LyapunovEstimate:
 
 
 # ---------------------------------------------------------------------------
-# entropy of the induced chain
-
-
-def entropy_of_induced(mu: GibbsMarkovMeasure) -> float:
-    """Entropy rate of the cell chain; the skew product adds nothing since the
-    second coordinate is contracted."""
-    return entropy_from_pressure(mu)
+# cell weights of the induced chain
 
 
 def cell_weights(mu: GibbsMarkovMeasure) -> np.ndarray:
@@ -577,10 +571,11 @@ def induced_cell_chain(
 
 
 def _cell_summary(mu: GibbsMarkovMeasure, beta: float):
-    """The cell chain's stationary cell weights, its entropy h and the
+    """The cell chain's stationary cell weights, its entropy h (the skew
+    product adds nothing since the second coordinate is contracted) and the
     closed-form chi, whose tail mass must stay below 1e-9."""
     w = cell_weights(mu)
-    return w, entropy_of_induced(mu), lyapunov_gls_closed_form(w, beta, tail_tol=1e-9)
+    return w, entropy_from_pressure(mu), lyapunov_gls_closed_form(w, beta, tail_tol=1e-9)
 
 
 def conditional_dimension_check(
@@ -685,6 +680,9 @@ class TemperatureResult:
     residual: float
 
 
+TEMPERATURE_XTOL = 1e-13  # brentq's absolute tolerance on every temperature root
+
+
 def temperature(
     system: Gdms,
     theta: Potential | None = None,
@@ -694,7 +692,6 @@ def temperature(
     p_theta: float = 0.0,
     memory: int = 1,
     truncation: int | None = None,
-    xtol: float = 1e-13,
 ) -> TemperatureResult:
     """Root in t of the pressure of t*log|branch'| + q*(theta - p_theta).
 
@@ -706,13 +703,14 @@ def temperature(
     well defined, the ideal-system reading is what is shaky).
 
     Cost: log|branch'| at each state's coding point depends on neither t nor
-    q, so a root builds the state graph and computes one coding point per tail
-    word, once, from one image table; each tail ratio then only reweights the
-    states (a letter's term is its largest over the states it begins), and each
-    distinct t the solver asks for runs one eigensolve (or, on a full shift at
-    memory 1, the closed form). The pressure is kept per t, so the bracket
-    ends, which brentq evaluates again, and the returned root, which it has
-    already evaluated, cost nothing more.
+    q, so a root reads one TruncatedShift, whose state graph is built at most
+    once, and computes one coding point per tail word, once, from one image
+    table; each tail ratio then only reweights the states (a letter's term is
+    its largest over the states it begins), and each distinct t the solver
+    asks for runs one TruncatedShift.log_rho: the right power iteration alone
+    or, on a full shift at memory 1, the closed form. The pressure is kept
+    per t, so the bracket ends, which brentq evaluates again, and the
+    returned root, which it has already evaluated, cost nothing more.
     """
     a, b = float(bracket[0]), float(bracket[1])
     if not a < b:
@@ -724,11 +722,11 @@ def temperature(
         raise ConfigError("a countable edge set needs an explicit truncation")
     A = system.shift_view(N)
     base = geometric_potential(system, t=a, q=q, theta=theta, p_theta=p_theta, memory=memory)
-    states, pressure_of = _pressure_equation(base, A, N)
-    values = base.tabulate(states)
+    shift = TruncatedShift(base.memory, A, N)
+    values = base.tabulate(shift.states)
     if countable:
         for end in (a, b):
-            ratio = tail_ratio(letter_sups(states, values(end), N))
+            ratio = tail_ratio(letter_sups(shift.states, values(end), N))
             if ratio > 0.5:
                 raise ConvergenceError(
                     f"letter sums diverge at t={end}: tail ratio {ratio:.2f}"
@@ -738,7 +736,7 @@ def temperature(
 
     def f(t: float) -> float:
         if t not in pressures:
-            pressures[t] = pressure_of(values(t))
+            pressures[t] = shift.log_rho(values(t))
         return pressures[t]
 
     fa, fb = f(a), f(b)
@@ -747,12 +745,12 @@ def temperature(
         raise ConvergenceError(
             f"pressure does not change sign on the bracket: P({a})={fa:.4g}, P({b})={fb:.4g}"
         )
-    root = float(brentq(f, a, b, xtol=xtol))
+    root = float(brentq(f, a, b, xtol=TEMPERATURE_XTOL))
     residual = abs(f(root))
     if residual >= 1e-9:
         raise ConvergenceError(f"pressure residual {residual:.3g} at t={root}")
     if countable:
-        ratio = tail_ratio(letter_sups(states, values(root), N))
+        ratio = tail_ratio(letter_sups(shift.states, values(root), N))
         if ratio > 1e-6:
             warnings.warn(
                 f"slow letter-sum decay at the root t={root:.4g} "

@@ -560,56 +560,10 @@ class PressureEstimate:
     """
 
     levels: list[float]
-    n_start: int
     value: float
     truncation: int
     memory: int
     gap: float
-
-
-def pressure(
-    psi: Potential,
-    A: IncidenceMatrix,
-    N: int,
-    n_max: int = 10,
-    *,
-    state_cap: int = 200_000,
-) -> PressureEstimate:
-    """Topological pressure via level sums Lambda_n = sum_{|w|=n} exp(sup S_n psi|[w]).
-
-    The sup over a cylinder is exact for locally constant psi: the last m-1
-    Birkhoff terms are maximized over admissible extensions by dynamic
-    programming. Per-level values are (1/n) log Lambda_n, which converge like
-    C/n; the returned value is the ratio estimate log Lambda_n -
-    log Lambda_{n-1}, which converges geometrically for a mixing graph. All
-    accumulation is scaled/log-space.
-    """
-    return _pressure_routes(psi, A, N, n_max, state_cap)[0]
-
-
-def _pressure_routes(psi: Potential, A: IncidenceMatrix, N: int, n_max: int, state_cap: int):
-    """pressure(psi, A, N, n_max), the states (lexicographic m-words) and
-    psi's values on them, and a function returning rpf_eigendata(psi, A, N);
-    all read the same state graph, built once (the full-shift closed form
-    builds none until the eigen route asks for it)."""
-    m = psi.memory
-    if n_max < m:
-        raise ConfigError(f"n_max={n_max} below potential memory {m}")
-    if A.is_full and m == 1:
-        states = np.arange(N)[:, None]
-        vals = psi.table(states)
-        return (_full_shift_pressure(vals, N, n_max), states, vals,
-                lambda: _eigendata(_state_graph(m, A, N, state_cap), vals))
-    graph = _state_graph(m, A, N, state_cap)
-    vals = psi.table(graph.states)
-    return _level_pressure(graph, vals, n_max), graph.states, vals, lambda: _eigendata(graph, vals)
-
-
-def _full_shift_pressure(vals: np.ndarray, N: int, n_max: int) -> PressureEstimate:
-    """Lambda_n = (sum_e e^psi(e))^n exactly: every level equals log-sum-exp."""
-    top = vals.max()
-    lse = top + math.log(np.exp(vals - top).sum())
-    return PressureEstimate([lse] * n_max, 1, lse, N, 1, 0.0)
 
 
 def _level_pressure(graph: StateGraph, psi_vals: np.ndarray, n_max: int) -> PressureEstimate:
@@ -652,7 +606,7 @@ def _level_pressure(graph: StateGraph, psi_vals: np.ndarray, n_max: int) -> Pres
     levels = [lg / n for n, lg in zip(range(m, n_max + 1), log_lams)]
     estimates = [levels[0], *np.diff(log_lams).tolist()]
     gap = abs(estimates[-1] - estimates[-2]) if len(estimates) >= 2 else 0.0
-    return PressureEstimate(levels, m, estimates[-1], graph.truncation, m, gap)
+    return PressureEstimate(levels, estimates[-1], graph.truncation, m, gap)
 
 
 class BlockMatrix:
@@ -725,6 +679,120 @@ def _power_iteration(apply: Callable[[np.ndarray], np.ndarray], S: int, shift: f
     return rho, x, its
 
 
+class TruncatedShift:
+    """The shift on letters 0..N-1 under A, and the pressure of memory-m
+    potentials given by their values on its states, the admissible m-words.
+
+    On a full shift at memory 1 the states are the letters and levels and
+    log_rho read the closed form log sum_e exp(psi(e)) without a graph.
+    Otherwise the state graph is built on first need and every reading
+    shares it; eigendata always reads it.
+    """
+
+    def __init__(self, memory: int, A: IncidenceMatrix, N: int, state_cap: int = 200_000):
+        self.memory, self.A, self.N, self.state_cap = memory, A, N, state_cap
+        self.closed_form = A.is_full and memory == 1
+
+    @cached_property
+    def graph(self) -> StateGraph:
+        return _state_graph(self.memory, self.A, self.N, self.state_cap)
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        """The states in lexicographic order, one (memory,) row each."""
+        return np.arange(self.N)[:, None] if self.closed_form else self.graph.states
+
+    def levels(self, vals: np.ndarray, n_max: int) -> PressureEstimate:
+        """The level sums for levels memory..n_max, as pressure reports them;
+        on the closed form Lambda_n = (sum_e e^psi(e))^n, so every level is exact."""
+        if n_max < self.memory:
+            raise ConfigError(f"n_max={n_max} below potential memory {self.memory}")
+        if self.closed_form:
+            lse = self.log_rho(vals)
+            return PressureEstimate([lse] * n_max, lse, self.N, 1, 0.0)
+        return _level_pressure(self.graph, vals, n_max)
+
+    def log_rho(self, vals: np.ndarray) -> float:
+        """The pressure alone, bit for bit levels(vals, 1).value on the closed
+        form and else eigendata(vals).log_rho, from the right power iteration
+        alone (eigendata also runs the left one, for nu)."""
+        if self.closed_form:
+            top = vals.max()
+            return top + math.log(np.exp(vals - top).sum())
+        _, scale, _, rho_s, _, _ = self._right(vals)
+        return scale + math.log(rho_s)
+
+    def eigendata(self, vals: np.ndarray) -> EigenData:
+        """Leading (rho, h, nu) of the weighted transition matrix, as
+        rpf_eigendata reports them."""
+        M, scale, shift, rho_s, h, its_r = self._right(vals)
+        rho_l, nu, its_l = _power_iteration(M.rmatvec, len(h), shift, EIG_TOL, EIG_MAX_ITER)
+
+        nu = nu / nu.sum()
+        h = h / float(nu @ h)
+        resid_r = float(np.abs(M.matvec(h) - rho_s * h).max()) / rho_s
+        resid_l = float(np.abs(M.rmatvec(nu) - rho_l * nu).max()) / rho_l
+        return EigenData(
+            states=self.graph.states,
+            log_rho=scale + math.log(rho_s),
+            rho_scaled=rho_s,
+            scale=scale,
+            h=h,
+            nu=nu,
+            psi_vals=vals,
+            matrix=M,
+            residual=max(resid_r, resid_l),
+            iterations=its_r + its_l,
+            memory=self.memory,
+            truncation=self.N,
+        )
+
+    def _right(self, vals: np.ndarray):
+        """Check that the state graph is irreducible and run the right power
+        iteration: (M, scale, shift, rho_scaled, h, iterations), with M the
+        BlockMatrix of the weights over exp(scale), shift the one the iteration
+        added, and exp(scale) * rho_scaled the true leading eigenvalue."""
+        S, N, B = len(self.graph.states), self.N, self.graph.blocks
+        if S == 0:
+            raise ConvergenceError("no admissible states at this truncation")
+        ncomp = B.n_components
+        if ncomp != 1:
+            raise NotIrreducibleError(
+                f"state graph has {ncomp} strongly connected components at truncation {N}"
+            )
+        moves = B.out_degree > 0
+        if not moves.any():  # one state and no loop: strongly connected, but nilpotent
+            raise NotIrreducibleError(f"state graph has no transitions at truncation {N}")
+
+        scale = float(vals.max())
+        weights = np.exp(vals - scale)
+        M = BlockMatrix(B, weights)
+        shift = 0.5 * float(weights[moves].max())  # half the largest entry of M
+        rho_s, h, its = _power_iteration(M.matvec, S, shift, EIG_TOL, EIG_MAX_ITER)
+        return M, scale, shift, rho_s, h, its
+
+
+def pressure(
+    psi: Potential,
+    A: IncidenceMatrix,
+    N: int,
+    n_max: int = 10,
+    *,
+    state_cap: int = 200_000,
+) -> PressureEstimate:
+    """Topological pressure via level sums Lambda_n = sum_{|w|=n} exp(sup S_n psi|[w]).
+
+    The sup over a cylinder is exact for locally constant psi: the last m-1
+    Birkhoff terms are maximized over admissible extensions by dynamic
+    programming. Per-level values are (1/n) log Lambda_n, which converge like
+    C/n; the returned value is the ratio estimate log Lambda_n -
+    log Lambda_{n-1}, which converges geometrically for a mixing graph. All
+    accumulation is scaled/log-space.
+    """
+    shift = TruncatedShift(psi.memory, A, N, state_cap)
+    return shift.levels(psi.table(shift.states), n_max)
+
+
 def rpf_eigendata(
     psi: Potential,
     A: IncidenceMatrix,
@@ -738,79 +806,8 @@ def rpf_eigendata(
     admissible transition out of u. Requires the truncated state graph to be
     strongly connected.
     """
-    graph = _state_graph(psi.memory, A, N, state_cap)
-    return _eigendata(graph, psi.table(graph.states))
-
-
-def _right_eigen(graph: StateGraph, psi_vals: np.ndarray):
-    """Check that the state graph is irreducible, scale psi's weights and run
-    the right power iteration: (M, scale, shift, rho_scaled, h, iterations),
-    with M the scaled BlockMatrix, shift the one the iteration added, and the
-    true leading eigenvalue exp(scale) * rho_scaled."""
-    S, N, B = len(graph.states), graph.truncation, graph.blocks
-    if S == 0:
-        raise ConvergenceError("no admissible states at this truncation")
-    ncomp = B.n_components
-    if ncomp != 1:
-        raise NotIrreducibleError(
-            f"state graph has {ncomp} strongly connected components at truncation {N}"
-        )
-    moves = B.out_degree > 0
-    if not moves.any():  # one state and no loop: strongly connected, but nilpotent
-        raise NotIrreducibleError(f"state graph has no transitions at truncation {N}")
-
-    scale = float(psi_vals.max())
-    weights = np.exp(psi_vals - scale)
-    M = BlockMatrix(B, weights)
-    shift = 0.5 * float(weights[moves].max())  # half the largest entry of M
-    rho_s, h, its = _power_iteration(M.matvec, S, shift, EIG_TOL, EIG_MAX_ITER)
-    return M, scale, shift, rho_s, h, its
-
-
-def _eigendata(graph: StateGraph, psi_vals: np.ndarray) -> EigenData:
-    M, scale, shift, rho_s, h, its_r = _right_eigen(graph, psi_vals)
-    rho_l, nu, its_l = _power_iteration(M.rmatvec, len(graph.states), shift, EIG_TOL,
-                                        EIG_MAX_ITER)
-
-    nu = nu / nu.sum()
-    h = h / float(nu @ h)
-    resid_r = float(np.abs(M.matvec(h) - rho_s * h).max()) / rho_s
-    resid_l = float(np.abs(M.rmatvec(nu) - rho_l * nu).max()) / rho_l
-    return EigenData(
-        states=graph.states,
-        log_rho=scale + math.log(rho_s),
-        rho_scaled=rho_s,
-        scale=scale,
-        h=h,
-        nu=nu,
-        psi_vals=psi_vals,
-        matrix=M,
-        residual=max(resid_r, resid_l),
-        iterations=its_r + its_l,
-        memory=graph.memory,
-        truncation=graph.truncation,
-    )
-
-
-def _pressure_equation(psi: Potential, A: IncidenceMatrix, N: int, state_cap: int = 200_000):
-    """The states, and P as a function of psi's values on them, for many
-    reweightings of one state graph.
-
-    P is what pressure(., A, N, n_max=1).value gives on a full shift at
-    memory 1 and rpf_eigendata(., A, N).log_rho otherwise, bit for bit; the
-    graph is built once here instead of at every call, and each call runs
-    only the right power iteration, which log_rho reads (rpf_eigendata also
-    runs the left one, for nu).
-    """
-    if A.is_full and psi.memory == 1:
-        return np.arange(N)[:, None], lambda vals: _full_shift_pressure(vals, N, 1).value
-    graph = _state_graph(psi.memory, A, N, state_cap)
-
-    def log_rho(vals: np.ndarray) -> float:
-        _, scale, _, rho_s, _, _ = _right_eigen(graph, vals)
-        return scale + math.log(rho_s)
-
-    return graph.states, log_rho
+    shift = TruncatedShift(psi.memory, A, N, state_cap)
+    return shift.eigendata(psi.table(shift.graph.states))
 
 
 # doubles per uniform block drawn by ChainSampler.blocks (8 bytes each); time per

@@ -565,6 +565,18 @@ def test_pressure_on_reducible_graph_keeps_level_sums(tmp_path, capsys):
     }
 
 
+def test_pressure_n_max_below_memory_exits_3_before_the_state_cap(tmp_path, capsys):
+    from thermoform import cli
+
+    cfg = write_config(tmp_path, {
+        "psi": {"type": "memory2-table", "values": [[0.0]]},
+        "n_letters": 600, "n_max": 1, "state_cap": 100,
+        "incidence": {"forbidden_pairs": [[0, 0]]},
+    })
+    assert cli.main(["pressure", "--config", cfg, "--stable"]) == 3
+    assert capsys.readouterr().err == "config error: n_max=1 below potential memory 2\n"
+
+
 AFFINE = {"builtin": "affine", "branches": [[1 / 3, 0.0], [1 / 3, 2 / 3]]}
 # an explicit system of two labels, 0 and 1: with a neutral fixed point at 0
 # (parabolic) and without (hyperbolic)

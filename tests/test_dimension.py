@@ -18,7 +18,6 @@ from thermoform.dimension import (
     beta_orbit,
     cell_weights,
     conditional_dimension_check,
-    entropy_of_induced,
     fiber_cloud,
     gauss_acim_cloud,
     gauss_orbit,
@@ -52,6 +51,7 @@ from thermoform.shifts import (
     ChainSampler,
     Potential,
     cylinder_log_measure,
+    entropy_from_pressure,
     pressure,
     rpf_eigendata,
     sample_forward,
@@ -145,7 +145,7 @@ def test_chain_birkhoff_matches_closed_form():
 
 def test_entropy_of_induced_golden():
     mu, _ = induced_cell_chain(PHI, incidence="golden")
-    assert entropy_of_induced(mu) == pytest.approx(math.log(PHI), abs=1e-12)
+    assert entropy_from_pressure(mu) == pytest.approx(math.log(PHI), abs=1e-12)
 
 
 def test_induced_chain_weights_sum_to_one():
@@ -1138,7 +1138,9 @@ def test_odd_truncation_roots(N, root):
 def _reference_root(system, theta=None, q=0.0, bracket=(1e-3, 2.0), *,
                     p_theta=0.0, memory=1, truncation=None):
     """The per-step route: a fresh geometric potential, and so fresh coding
-    points and a fresh incidence view, at every solver step."""
+    points, a fresh incidence view and a fresh state graph, at every solver
+    step, read through pressure and rpf_eigendata instead of one
+    TruncatedShift's log_rho."""
     N = truncation if truncation is not None else system.n_edges
 
     def f(t):
@@ -1341,7 +1343,7 @@ def test_shared_images_change_no_coding_point(monkeypatch, make, truncation, mem
     # greedy tails
     S = make()
     psi = geometric_potential(S, t=1.0, memory=memory)
-    states, _ = shifts._pressure_equation(psi, S.shift_view(truncation), truncation)
+    states = shifts.TruncatedShift(psi.memory, S.shift_view(truncation), truncation).states
     tables = _tail_tables(monkeypatch)
     with _image_of_calls() as shared:
         values = psi.tabulate(states)(1.0)

@@ -496,7 +496,7 @@ def _reference_pressure(psi, A, N, n_max, state_cap=200_000):
     levels = [lg / n for n, lg in zip(range(m, n_max + 1), log_lams)]
     estimates = [levels[0], *np.diff(log_lams).tolist()]
     gap = abs(estimates[-1] - estimates[-2]) if len(estimates) >= 2 else 0.0
-    return shifts.PressureEstimate(levels, m, estimates[-1], N, m, gap)
+    return shifts.PressureEstimate(levels, estimates[-1], N, m, gap)
 
 
 def _reference_eigendata(psi, A, N, tol=1e-13, max_iter=10**6, state_cap=200_000):
@@ -559,7 +559,7 @@ def test_pressure_matches_scatter_reference(kind, N, m):
         assert _close(got.value, ref.value)
         # a difference of two estimates: its error is theirs, not its own size
         assert abs(got.gap - ref.gap) <= RTOL * max(map(abs, ref.levels))
-        assert (got.n_start, got.truncation, got.memory) == (ref.n_start, ref.truncation, ref.memory)
+        assert (got.truncation, got.memory) == (ref.truncation, ref.memory)
 
 
 @pytest.mark.parametrize("kind,N,m", [c for c in ROUTE_GRID if c != ("one-pair", 2, 2)])
@@ -708,6 +708,35 @@ def test_eigendata_rejects_graph_without_transitions():
         psi = Potential(lambda w: np.zeros(len(w)), memory=m)
         with pytest.raises(shifts.NotIrreducibleError, match="no transitions"):
             rpf_eigendata(psi, A, N)
+
+
+@pytest.mark.parametrize("A,N,m", [
+    (IncidenceMatrix.full(), 4, 1),
+    (IncidenceMatrix.golden_mean(), 2, 1),
+    (IncidenceMatrix.from_forbidden_pairs([(0, 1), (2, 2)]), 3, 2),
+], ids=["full-m1", "golden-m1", "forbidden-m2"])
+def test_truncated_shift_reads_one_graph(monkeypatch, A, N, m):
+    # the front's three readings equal the public routes bit for bit, and a
+    # front builds its state graph at most once, only when a reading needs it
+    psi = _poly_potential(m)
+    closed = A.is_full and m == 1
+    ref = pressure(psi, A, N, n_max=6)
+    ref_rho = pressure(psi, A, N, n_max=1).value if closed else rpf_eigendata(psi, A, N).log_rho
+
+    builds, real = [], shifts._state_graph
+    monkeypatch.setattr(shifts, "_state_graph", lambda *a: builds.append(a) or real(*a))
+    front = shifts.TruncatedShift(m, A, N, 200_000)
+    vals = psi.table(front.states)
+    est, rho = front.levels(vals, 6), front.log_rho(vals)
+    assert len(builds) == (0 if closed else 1)
+    eig = front.eigendata(vals)
+    assert front.levels(vals, 6) == est and front.log_rho(vals) == rho
+    assert len(builds) == 1
+
+    for field in ("levels", "value", "truncation", "memory", "gap"):
+        assert getattr(est, field) == getattr(ref, field), field
+    assert rho.hex() == ref_rho.hex()
+    assert eig.log_rho.hex() == rpf_eigendata(psi, A, N).log_rho.hex()
 
 
 def _count_scipy_calls(monkeypatch) -> list:
@@ -1141,8 +1170,9 @@ def test_pressure_routes_memory_grows_with_states():
     out = {}
 
     def routes():
-        est, _, _, eigendata = shifts._pressure_routes(psi, A, 120, 12, 200_000)
-        out["est"], out["eig"] = est, eigendata()
+        shift = shifts.TruncatedShift(psi.memory, A, 120, 200_000)
+        vals = psi.table(shift.states)
+        out["est"], out["eig"] = shift.levels(vals, 12), shift.eigendata(vals)
 
     assert _traced_peak(routes) < 10 * 2**20
     ref = math.log(np.abs(np.linalg.eigvals(np.exp(table) * allow)).max())
