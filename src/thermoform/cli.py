@@ -185,11 +185,10 @@ def cmd_pressure(config: dict, seed: int):
     A = shifts.IncidenceMatrix.from_config(config.get("incidence"))
     N = int(config["n_letters"])
     n_max = int(config.setdefault("n_max", 12))
-    if n_max < psi.memory:  # a config error, reported before the state cap can fail
-        raise ConfigError(f"n_max={n_max} below potential memory {psi.memory}")
     state_cap = int(config.setdefault("state_cap", 200_000))
     # the level sums, the eigen route and the summability sums read one state graph
     shift = shifts.TruncatedShift(psi.memory, A, N, state_cap)
+    shift.check_levels(n_max)  # a config error, reported before the state cap can fail
     vals = psi.table(shift.states)
     est = shift.levels(vals, n_max)
     results = {

@@ -56,7 +56,8 @@ class MapOrbit:
     The map comes as an in-place step: step(x, row, scratch) writes T(x) into
     row, with scratch a free buffer of x's shape. gauss_orbit and beta_orbit
     step by two ufuncs each, np.reciprocal or np.multiply into row and then
-    np.modf(row, out=(row, scratch)); they equal the expressions
+    np.modf(row, row, scratch), outputs passed positionally; they equal the
+    expressions
     (1.0 / x) % 1.0 and (beta * x) % 1.0 bit for bit, since np.reciprocal is
     the correctly rounded 1/x and, for finite x >= 0, the fraction from modf
     and x % 1.0 are both exact and both +0.0 on integers.
@@ -113,7 +114,7 @@ def gauss_orbit() -> MapOrbit:
     """x -> 1/x mod 1 with log|T'| = -2 log x."""
 
     def step(x, row, scratch):
-        np.modf(np.reciprocal(x, out=row), out=(row, scratch))
+        np.modf(np.reciprocal(x, row), row, scratch)
 
     return MapOrbit(step, lambda x: -2.0 * np.log(x))
 
@@ -123,7 +124,7 @@ def beta_orbit(beta: float) -> MapOrbit:
     b = float(beta)
 
     def step(x, row, scratch):
-        np.modf(np.multiply(x, b, out=row), out=(row, scratch))
+        np.modf(np.multiply(x, b, row), row, scratch)
 
     return MapOrbit(step, lambda x: np.full(x.shape, math.log(b)))
 
@@ -177,10 +178,13 @@ def lyapunov_birkhoff(
     rng = task_rng(seed)
     state = driver.start(rng, n_orbits)
     block = max(1, WALK_BLOCK // n_orbits)
-    # row 0 carries the running sum and rows 1.. a block of observables; time
-    # runs down each contiguous column, so accumulate adds one step at a time
-    # in order and the sum equals a per-step acc += vals bit for bit
-    buf = np.empty((n_orbits, block + 1)).T
+    # row 0 carries the running sum and rows 1.. a block of observables, one
+    # contiguous row per step. numpy sums pairwise only along the fast axis,
+    # so a reduce over the rows of two or more orbits adds one row at a time
+    # in order, and the sum equals a per-step acc += vals bit for bit; one
+    # orbit's rows are one contiguous column, which a reduce would sum
+    # pairwise and accumulate adds in order
+    buf = np.empty((block + 1, n_orbits))
     for done in range(0, burn_in, block):
         state = driver.advance(state, rng, buf[1 : 1 + min(block, burn_in - done)])
     acc = np.zeros(n_orbits)
@@ -188,7 +192,10 @@ def lyapunov_birkhoff(
         rows = buf[: 1 + min(block, n_steps - done)]
         rows[0] = acc
         state = driver.advance(state, rng, rows[1:])
-        acc = np.add.accumulate(rows, axis=0, out=rows)[-1].copy()
+        if n_orbits > 1:
+            acc = np.add.reduce(rows, axis=0)
+        else:
+            acc = np.add.accumulate(rows, axis=0, out=rows)[-1].copy()
     per_orbit = acc / n_steps
     value = float(per_orbit.mean())
     stderr = float(per_orbit.std(ddof=1) / math.sqrt(n_orbits)) if n_orbits > 1 else 0.0
@@ -345,9 +352,13 @@ def local_dimension(
     if M < 4 * min_count:
         raise ConfigError(f"cloud of {M} points is too small for min_count={min_count}")
 
-    spread = float(np.max(pts.max(axis=0) - pts.min(axis=0))) if two_d else float(
-        pts.max() - pts.min()
-    )
+    # each coordinate's bounds, one column at a time: min and max over a
+    # strided column give the floats the axis-0 reductions give, and cost
+    # less than reducing over length-2 rows
+    cols = pts.T if two_d else pts[None]
+    lo = np.array([c.min() for c in cols])
+    hi = np.array([c.max() for c in cols])
+    spread = float(np.max(hi - lo))
     if spread < 1e-12:
         # atomic measure: every ball holds everything, the slope is exactly 0
         return LocalDimensionEstimate(
@@ -365,12 +376,9 @@ def local_dimension(
 
     rng = task_rng(seed)
     r_max = radii[0]
-    if two_d:
-        lo, hi = pts.min(axis=0), pts.max(axis=0)
-        interior = np.all((pts >= lo + r_max) & (pts <= hi - r_max), axis=1)
-    else:
-        lo, hi = pts.min(), pts.max()
-        interior = (pts >= lo + r_max) & (pts <= hi - r_max)
+    interior = np.ones(M, dtype=bool)  # at least r_max inside the bounds in every coordinate
+    for c, a, b in zip(cols, lo, hi):
+        interior &= (c >= a + r_max) & (c <= b - r_max)
     pool = np.flatnonzero(interior)
     if pool.size < max(8, n_centers // 4):
         pool = np.arange(M)  # heavy trim, fall back to the whole cloud
@@ -431,12 +439,13 @@ def _state_cells(mu: GibbsMarkovMeasure, part: GlsPartition) -> np.ndarray:
 
 
 # Most walkers a cloud fold walks at a time (see _fold_walk). Golden chain,
-# M = 2e5, depth 91, fiber / joint cloud, median of 7 (2 vCPUs, numpy 2.4),
-# with the tracemalloc peak: 2**12 379 / 779 ms (49 chunks of 4,081 walkers,
-# under COUNT_WIDTH, so stepped by search); 2**13 162 / 332 ms, 2.85 / 6.05
-# MB; 2**14 164 / 329 ms, 3.20 / 6.40 MB; 2**16 158 / 334 ms, 5.42 / 8.62 MB;
-# all 2e5 walkers at once 191 / 377 ms, 16.7 / 19.9 MB. Equal chunks of a
-# wider walk hold more than FOLD_WIDTH / 2 walkers, past COUNT_WIDTH.
+# M = 2e5, depth 91, fiber / joint cloud, median of 5 runs of a median of 7
+# (2 vCPUs, numpy 2.4), with the tracemalloc peak: 2**12 387 / 780 ms (49
+# chunks of 4,081 walkers, under COUNT_WIDTH, so stepped by search); 2**13
+# 154 / 337 ms, 2.66 / 5.71 MiB; 2**14 165 / 287 ms, 3.00 / 6.05 MiB; 2**16
+# 153 / 325 ms, 5.16 / 8.21 MiB; all 2e5 walkers at once 181 / 361 ms, 16.0
+# / 19.1 MiB. Equal chunks of a wider walk hold more than FOLD_WIDTH / 2
+# walkers, past COUNT_WIDTH.
 FOLD_WIDTH = 2**14
 
 
@@ -498,7 +507,7 @@ def fiber_cloud(
     letters through the cells' y-contractions, most recent letter outermost,
     as the walk yields them (see _fold_walk). Memory is the (n,) result and
     one chunk's buffers, at every depth: on the golden chain the tracemalloc
-    peak is 1.64 MiB at n = 50,000 and 3.05 MiB at n = 200,000 (2.0 doubles
+    peak is 1.59 MiB at n = 50,000 and 3.00 MiB at n = 200,000 (2.0 doubles
     per point, the result included), at depth 91 and at depth 364 alike.
     """
     cells = _state_cells(mu, part)
@@ -527,7 +536,7 @@ def joint_cloud(
     cell, which is outermost, and y from the identity, into the two columns
     of the result. Memory is the (n, 2) result, the n present states and one
     chunk's buffers, at every depth: on the golden chain the tracemalloc peak
-    is 2.39 MiB at n = 50,000 and 6.10 MiB at n = 200,000 (4.0 doubles per
+    is 2.34 MiB at n = 50,000 and 6.05 MiB at n = 200,000 (4.0 doubles per
     point), at depth 91 and at depth 364 alike.
     """
     cells = _state_cells(mu, part)

@@ -702,11 +702,18 @@ class TruncatedShift:
         """The states in lexicographic order, one (memory,) row each."""
         return np.arange(self.N)[:, None] if self.closed_form else self.graph.states
 
+    def check_levels(self, n_max: int) -> None:
+        """Raise ConfigError unless levels can read level n_max: the levels
+        start at the memory. It reads no state, so a caller that checks
+        before tabulating its potential on states rejects a bad n_max before
+        the state graph is built or found over the state cap."""
+        if n_max < self.memory:
+            raise ConfigError(f"n_max={n_max} below potential memory {self.memory}")
+
     def levels(self, vals: np.ndarray, n_max: int) -> PressureEstimate:
         """The level sums for levels memory..n_max, as pressure reports them;
         on the closed form Lambda_n = (sum_e e^psi(e))^n, so every level is exact."""
-        if n_max < self.memory:
-            raise ConfigError(f"n_max={n_max} below potential memory {self.memory}")
+        self.check_levels(n_max)
         if self.closed_form:
             lse = self.log_rho(vals)
             return PressureEstimate([lse] * n_max, lse, self.N, 1, 0.0)
@@ -790,6 +797,7 @@ def pressure(
     accumulation is scaled/log-space.
     """
     shift = TruncatedShift(psi.memory, A, N, state_cap)
+    shift.check_levels(n_max)
     return shift.levels(psi.table(shift.states), n_max)
 
 
@@ -832,14 +840,15 @@ SCAN_WORK = 640
 SCAN_TABLE = 2**14
 # Most cdf entries, and fewest walkers, for which ChainSampler.blocks counts
 # the entries below each needle instead of searching for it; COUNT_WIDTH is
-# past any scanned width. Per walker-step, search -> count (2 vCPUs, numpy
-# 2.4, median of 5), by cdf entries: at 2e5 walkers 3: 31.6 -> 11.8 ns, 16:
-# 52.4 -> 27.2, 25: 58.4 -> 32.6, 36: 61.8 -> 43.9, 64: 76.2 -> 75.0; at
-# 4,096 walkers 3: 26.5 -> 11.9, 16: 48.8 -> 22.9, 25: 55.1 -> 34.1, 36:
-# 64.8 -> 45.7, 64: 70.8 -> 72.5. Below about 2,700 walkers the broadcast
-# comparison runs several times slower per entry: at 2,048 walkers 25
-# entries 60.1 -> 56.3 ns and 36 entries 61.0 -> 72.6, at 64 walkers 3
-# entries 62.7 -> 115.4 ns.
+# past any scanned width, and COUNT_ENTRIES < 256 keeps every count in one
+# byte (see _count). Per walker-step, search -> count with the counts summed
+# in bytes (2 vCPUs, numpy 2.4, median of 3 runs of a median of 5), by cdf
+# entries: at 2e5 walkers 3: 21.2 -> 5.8 ns, 16: 38.7 -> 10.2, 25: 42.5 ->
+# 13.1, 36: 47.6 -> 14.7, 64: 58.6 -> 19.7; at 4,096 walkers 3: 18.1 -> 6.3,
+# 16: 41.1 -> 7.4, 25: 40.4 -> 8.7, 36: 49.2 -> 14.3, 64: 57.5 -> 15.5.
+# Below about 2,700 walkers the broadcast comparison runs several times
+# slower per entry: at 2,048 walkers 25 entries 43.4 -> 30.9 ns and 36
+# entries 46.6 -> 35.6, at 64 walkers 3 entries 42.4 -> 81.9 ns.
 COUNT_ENTRIES = 32
 COUNT_WIDTH = 4096
 # Most walkers that ChainSampler.blocks walks in plain Python (_scalar) when
@@ -998,7 +1007,10 @@ class ChainSampler:
             needles = np.empty((K, sub, W))
             tables = (buf, work, needles, first, below, self._next * buf[0].size)
         elif count:
-            counts = (np.empty(W), np.empty((self.flat.size, W), dtype=bool))
+            counts = (np.empty(W), np.empty((self.flat.size, W), dtype=bool),
+                      np.empty(W, dtype=np.uint8))
+        else:
+            needle = np.empty(W)
         for t0 in range(0, n_steps, rows):
             u = rng.random((min(rows, n_steps - t0), W))
             block = np.empty(u.shape, dtype=np.intp) if out is None else out[t0 : t0 + len(u)]
@@ -1012,8 +1024,8 @@ class ChainSampler:
                     if count:
                         self._count(y, u[j], block[j], *counts)
                     else:
-                        block[j] = self.flat.searchsorted(y + u[j])
-                        y = self.target2[block[j]]
+                        block[j] = self.flat.searchsorted(np.add(y, u[j], out=needle))
+                        self.target2.take(block[j], out=y, mode="clip")
             del u  # spent: never hold two blocks of uniforms, nor one while the caller has the block
             yield block
 
@@ -1044,14 +1056,21 @@ class ChainSampler:
             k[w] = nxt[e]
         return k
 
-    def _count(self, y, u, out, needle, below) -> None:
+    def _count(self, y, u, out, needle, below, count) -> None:
         """Step the walkers at twice their blocks y with the uniforms u: write
         to out the count of flat's entries below each needle y + u, the entry
         each finds, and twice the blocks they read next to y. needle is (W,)
-        doubles and below (flat.size, W) bools."""
+        doubles, below (flat.size, W) bools and count (W,) bytes.
+
+        The comparisons are summed as bytes, each bool read as a 0 or 1 byte,
+        and cast to intp once: a count is at most flat.size, and blocks counts
+        only over at most COUNT_ENTRIES < 256 entries, so a byte holds every
+        count exactly, and summing bytes costs less than half of summing bools
+        into intp."""
         np.add(y, u, out=needle)
         np.less(self.flat[:, None], needle, out=below)
-        below.sum(axis=0, out=out)
+        np.add.reduce(below.view(np.uint8), axis=0, dtype=np.uint8, out=count)
+        out[...] = count
         self.target2.take(out, out=y, mode="clip")
 
     def _scan(self, k, u, out, buf, work, needles, first, below, next_scaled) -> np.ndarray:

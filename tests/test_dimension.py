@@ -1,6 +1,7 @@
 """Lyapunov exponents, pointwise-dimension slopes, and pressure roots."""
 
 import contextlib
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -182,10 +183,46 @@ def test_cantor_cloud_slope():
 
 
 def test_atomic_cloud_short_circuits():
-    pts = np.full(500, 0.25)
-    est = local_dimension(pts)
-    assert est.mean == 0.0
-    assert est.method == "degenerate"
+    for shape in ((500,), (500, 2)):
+        est = local_dimension(np.full(shape, 0.25))
+        assert est.mean == 0.0
+        assert est.method == "degenerate"
+
+
+def _all_axis1_slopes(pts, n_centers=64, min_count=50, max_frac=0.2, seed=0):
+    """local_dimension's centers and slopes on a 2-D cloud at its default
+    radii, with the interior trimmed by one np.all over the rows."""
+    radii = 2.0 ** -np.arange(3.0, 10.0)
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    interior = np.all((pts >= lo + radii[0]) & (pts <= hi - radii[0]), axis=1)
+    pool = np.flatnonzero(interior)
+    assert pool.size >= max(8, n_centers // 4)
+    centers = pts[task_rng(seed).choice(pool, size=min(n_centers, pool.size), replace=False)]
+    slopes = []
+    for row in dimension._ball_counts_2d(pts, centers, radii):
+        valid = (row >= min_count) & (row <= max_frac * len(pts))
+        if valid.sum() >= 3:
+            slopes.append(np.polyfit(np.log(radii[valid]), np.log(row[valid] / (len(pts) - 1)), 1)[0])
+    return centers, np.array(slopes)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_2d_interior_trimmed_in_one_coordinate_matches_row_reference(axis, monkeypatch):
+    # one coordinate uniform on [0, 1], so its trim drops a quarter of the
+    # cloud; the other bunched around 1/2 between two outliers at 0 and 1,
+    # so its trim drops little more than the outliers
+    rng = task_rng(15)
+    pts = np.empty((20_000, 2))
+    pts[:, axis] = rng.random(20_000)
+    pts[:, 1 - axis] = np.clip(0.5 + 0.05 * rng.standard_normal(20_000), 0.2, 0.8)
+    pts[:2, 1 - axis] = 0.0, 1.0
+    centers, slopes = _all_axis1_slopes(pts, seed=3)
+    seen, counts = [], dimension._ball_counts_2d
+    monkeypatch.setattr(dimension, "_ball_counts_2d", lambda p, c, r: seen.append(c) or counts(p, c, r))
+    est = local_dimension(pts, seed=3)
+    assert np.array_equal(seen[0], centers)
+    assert np.array_equal(est.slopes, slopes)
+    assert est.method == "strip-2d"
 
 
 def test_local_dimension_guards():
@@ -431,6 +468,35 @@ def test_counted_step_matches_search_at_edges(chain, u, monkeypatch):
     assert (_dense(kernel)[path[:-1], path[1:]] > 0).all()
 
 
+@pytest.mark.parametrize("uniforms", ["random", "top"])
+def test_counted_entries_at_count_entries_match_search(uniforms, monkeypatch):
+    # the widest table the count takes: six letters with the pairs 0-1, 1-2,
+    # 2-3 and 3-4 forbidden leave exactly COUNT_ENTRIES cdf entries. Counts
+    # are summed as bytes, so every count must fit in one; uniforms just
+    # below 1 send each walker to its block's last entry, up to entry 31
+    assert COUNT_ENTRIES <= np.iinfo(np.uint8).max
+    forbidden = [[0, 1], [1, 2], [2, 3], [3, 4]]
+    mu, _ = induced_cell_chain(1.8, Potential.memory1(np.linspace(-1, 0, 6)), 6,
+                               {"forbidden_pairs": forbidden})
+    sampler = mu.forward
+    assert sampler.flat.size == COUNT_ENTRIES
+
+    def rng():
+        return task_rng(3) if uniforms == "random" else _ConstantRng(np.nextafter(1.0, 0.0))
+
+    ran = _spy_routes(monkeypatch)
+    s = np.resize(np.arange(mu.n_states), COUNT_WIDTH)
+    got = np.vstack(list(sampler.blocks(s, rng(), 40)))
+    assert ran == {"count"}
+    ref, y = rng(), 2.0 * sampler.cls[s]
+    for t in range(40):
+        entries = sampler.flat.searchsorted(y + ref.random(s.size))
+        assert np.array_equal(got[t], entries)
+        y = sampler.target2[entries]
+    if uniforms == "top":
+        assert got.max() == COUNT_ENTRIES - 1
+
+
 @pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)])
 def test_scalar_step_matches_search_at_equal_entries(u, monkeypatch):
     # "early_one" again: each block's last two cdf entries are equal, and
@@ -642,6 +708,16 @@ def test_birkhoff_burn_in_and_one_orbit_match_per_step_loop(driver, n_orbits, bu
     est = lyapunov_birkhoff(_driver(driver, chain400), n_steps, n_orbits, seed=5,
                             burn_in=burn_in)
     ref = _per_step_birkhoff(_reference(driver, chain400), n_steps, n_orbits, 5, burn_in)
+    assert (est.value, est.stderr) == ref
+
+
+@pytest.mark.parametrize("driver", ["golden", "gauss"])
+def test_birkhoff_two_orbits_match_per_step_loop(driver, chain400):
+    # two orbits are the narrowest rows the Birkhoff sum reduces over; two
+    # full blocks and five steps more
+    n_steps = 2 * (WALK_BLOCK // 2) + 5
+    est = lyapunov_birkhoff(_driver(driver, chain400), n_steps, 2, seed=4)
+    ref = _per_step_birkhoff(_reference(driver, chain400), n_steps, 2, 4)
     assert (est.value, est.stderr) == ref
 
 
@@ -884,6 +960,22 @@ def test_chunked_clouds_match_per_step_loops(chain, width, n, routes, chain400, 
     assert ran == routes
 
 
+# sha256 of the golden clouds' bytes at M = 20,000, seed 0, as the fold
+# walked them before its count was summed in bytes: any change to the fold
+# kernel must keep them
+GOLDEN_CLOUD_SHA256 = {
+    "fiber": "62d4308e25ef2eb3d00ebe876d8c1b0f70435225e3b492378ff1353731f2ab1f",
+    "joint": "fa25717a9e5c40e5526fde4542e887cec5daca6da8fa6ffc6a9024c706248342",
+}
+
+
+@pytest.mark.parametrize("kind", ["fiber", "joint"])
+def test_golden_cloud_bits_frozen(kind):
+    mu, part = induced_cell_chain(PHI, incidence="golden")
+    cloud = (fiber_cloud if kind == "fiber" else joint_cloud)(mu, part, 20_000, seed=0)
+    assert hashlib.sha256(cloud.tobytes()).hexdigest() == GOLDEN_CLOUD_SHA256[kind]
+
+
 def test_zero_walkers_walk_to_empty_blocks_and_clouds(chain400):
     for mu, part in (induced_cell_chain(PHI, incidence="golden"), chain400):
         for sampler in (mu.forward, mu.backward):
@@ -897,7 +989,7 @@ def test_zero_walkers_walk_to_empty_blocks_and_clouds(chain400):
 
 
 def test_joint_cloud_peak_is_a_few_doubles_per_point():
-    # the README's 6.10 MiB at the bench's M = 200,000, 4.0 doubles per point:
+    # the README's 6.05 MiB at the bench's M = 200,000, 4.0 doubles per point:
     # the (M, 2) result, the M present states, and one chunk's offset, scale
     # and term and its walk's uniforms, entries and needles. The bound leaves
     # 12 % over that

@@ -739,6 +739,18 @@ def test_truncated_shift_reads_one_graph(monkeypatch, A, N, m):
     assert eig.log_rho.hex() == rpf_eigendata(psi, A, N).log_rho.hex()
 
 
+def test_pressure_rejects_n_max_below_memory_before_the_graph(monkeypatch):
+    # 600 letters at memory 2 make more states than the cap of 100: the bad
+    # n_max is a ConfigError, found before any state graph is built
+    builds, real = [], shifts._state_graph
+    monkeypatch.setattr(shifts, "_state_graph", lambda *a: builds.append(a) or real(*a))
+    psi = Potential.memory2(np.zeros((600, 600)))
+    A = IncidenceMatrix.from_forbidden_pairs([[0, 1]])
+    with pytest.raises(ConfigError, match="n_max=1 below potential memory 2"):
+        pressure(psi, A, 600, n_max=1, state_cap=100)
+    assert builds == []
+
+
 def _count_scipy_calls(monkeypatch) -> list:
     import scipy.sparse.csgraph as csgraph
 
