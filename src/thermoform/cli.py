@@ -15,6 +15,8 @@ import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 
 from . import __version__
 from .errors import ConfigError, ThermoformError
@@ -171,6 +173,48 @@ def _json_default(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return obj.to_dict() if hasattr(obj, "to_dict") else dataclasses.asdict(obj)
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+_encode_scalar = json.JSONEncoder().encode
+
+
+def _encode(o, pad: str = "\n") -> str:
+    """json.dumps(o, sort_keys=True, indent=2, default=_json_default), byte for
+    byte, with ``pad`` the newline and indent o sits at. Before Python 3.12,
+    json runs its pure-Python encoder whenever indent is set; here scalars go
+    through the C encoder and a list of exact ints or finite floats is one
+    str.join."""
+    t = type(o)
+    if t is str:
+        return encode_basestring_ascii(o)
+    if t is int or t is float and isfinite(o):
+        return repr(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = pad + "  "
+        kinds = set(map(type, o))
+        if kinds == {int} or kinds == {float} and all(map(isfinite, o)):
+            items = map(repr, o)  # the repr of an exact int or float is json's text
+        else:
+            items = [_encode(v, inner) for v in o]
+        return f"[{inner}{(',' + inner).join(items)}{pad}]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = pad + "  "
+        items = []
+        for key, value in sorted(o.items()):  # json sorts on the keys as given
+            if not isinstance(key, str):
+                if not (isinstance(key, (int, float)) or key is None):
+                    raise TypeError("keys must be str, int, float, bool or None, "
+                                    f"not {type(key).__name__}")
+                key = _encode_scalar(key)
+            items.append(f"{encode_basestring_ascii(key)}: {_encode(value, inner)}")
+        return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
+    if isinstance(o, (str, int, float)) or o is None:
+        return _encode_scalar(o)
+    return _encode(_json_default(o), pad)
 
 
 # ---------------------------------------------------------------------------
@@ -544,12 +588,16 @@ def main(argv=None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
 
-    text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
-    if args.output:
+    text = _encode(payload) + "\n"
+    if not args.output:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:  # a report path that cannot be written, like a missing config
+        print(f"config error: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -1,5 +1,7 @@
 """End-to-end runs of the command line driver in a subprocess."""
 
+import enum
+import hashlib
 import json
 import math
 import os
@@ -104,6 +106,16 @@ def test_output_file(tmp_path):
     proc = run_cli("beta", "--config", cfg, "-o", str(dest))
     assert proc.stdout == ""
     assert json.loads(dest.read_text())["command"] == "beta"
+
+
+@pytest.mark.parametrize("dest", ["missing/report.json", "."])
+def test_unwritable_report_path_exits_3(tmp_path, dest):
+    cfg = write_config(tmp_path, {"beta": 2.0, "depth": 8})
+    proc = run_cli("beta", "--config", cfg, "-o", str(tmp_path / dest), check=False)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("config error: ") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_emit_cloud_csv_1d(tmp_path):
@@ -719,3 +731,168 @@ def test_json_default_matches_the_recursive_copy():
     assert "slopes" not in want and '"bracket": [\n' in want
     with pytest.raises(TypeError):
         json.dumps({"x": object()}, default=cli._json_default)
+
+
+def _assert_json_parity(tree):
+    from thermoform import cli
+
+    want = json.dumps(tree, sort_keys=True, indent=2, default=cli._json_default)
+    assert cli._encode(tree) == want
+
+
+def _result_tree():
+    """The tree of test_json_default_matches_the_recursive_copy."""
+    import numpy as np
+
+    from thermoform.dimension import LocalDimensionEstimate, LyapunovEstimate, TemperatureResult
+
+    local = LocalDimensionEstimate(np.array([0.9, 1.1]), np.float64(1.0), 0.1, 0.07,
+                                   np.float64(0.98), (3, 9), np.int64(2), "sorted-1d")
+    return {
+        "array": np.arange(6, dtype=np.int32).reshape(2, 3),
+        "floats": np.array([0.1, np.nan, -np.inf]),
+        "int64": np.int64(2**40),
+        "float32": np.float32(0.1),
+        "bool": np.bool_(True),
+        "bools": np.array([True, False]),
+        "non_finite": [math.nan, math.inf, -math.inf, np.float64(np.nan)],
+        "tuple": (1, np.float64(2.5), "x"),
+        "local": local,
+        "lyapunov": LyapunovEstimate(np.float64(0.48), 1e-3, "birkhoff", 1000, np.int64(4)),
+        "temperature": TemperatureResult(0.5, np.float64(0.62), (1e-3, 2.0), 0.0),
+        "nested": [{"estimates": [local, (np.int64(1), None)]}],
+    }
+
+
+class _Label(str):
+    pass
+
+
+class _Letter(enum.IntEnum):
+    A = 1
+    B = 10
+
+
+ODD_TEXT = "caf\u00e9 \x00\x1f\t\n\"\\ \u2028 \U0001f600 \x7f"
+
+
+@pytest.mark.parametrize("tree", [
+    {10: "ten", 9: "nine", -1: "minus one"},  # sorted as ints, not as "10" < "9"
+    {2.5: 0, 1: 1, False: 2, -0.0: 3, math.inf: 4, -math.inf: 5},
+    {None: ()},
+    {True: 1, 0.5: 2},
+    {math.nan: 1},
+    [1.0, math.nan, 2.0],
+    [math.inf, 1.0, -math.inf],
+    [-0.0, 0.0, 1e300, 5e-324, 0.1],
+    [1, True, 2, False],
+    [True, False, None],
+    [1, 2.0, 3],
+    [2**70, -(2**70), 0],
+    {_Label("k"): _Label("v"), "j": [_Label("w")]},
+    {_Letter.B: _Letter.A, _Letter.A: [_Letter.A, _Letter.B]},
+    [_Letter.A, 1],
+    ((1, 2), (), [()], {"t": (3.5, "x")}),
+    [[], {}, [[]], [{}], {"a": []}, {"a": {}}],
+    {ODD_TEXT: ODD_TEXT, "\u00e9": ["\x00", "\ud800"]},
+    "top-level string",
+    3,
+    math.nan,
+    None,
+    [],
+    {},
+])
+def test_encoder_matches_json_dumps(tree):
+    _assert_json_parity(tree)
+
+
+def test_encoder_matches_json_dumps_on_numpy_and_results():
+    import numpy as np
+
+    _assert_json_parity(_result_tree())
+    _assert_json_parity([np.float64(0.1), np.float64(-0.0), np.float64(np.inf), 1.5])
+    _assert_json_parity({"empty": np.array([]), "zero_d": np.array(2.5),
+                         "ints": np.arange(3, dtype=np.uint8), "f32": np.float32(1e-8),
+                         "rows": np.array([[np.nan, 1.0], [2.0, -np.inf]])})
+
+
+@pytest.mark.parametrize("tree", [
+    {"x": object()},
+    [1, object()],
+    {(1, 2): 1},
+    {"a": 1, 2: 3},
+    {None: 1, 2: 3},
+])
+def test_encoder_raises_type_error_where_json_does(tree):
+    from thermoform import cli
+
+    with pytest.raises(TypeError):
+        json.dumps(tree, sort_keys=True, indent=2, default=cli._json_default)
+    with pytest.raises(TypeError):
+        cli._encode(tree)
+
+
+def test_encoder_matches_json_dumps_on_random_trees():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    import numpy as np
+
+    text = st.one_of(st.text(), st.text().map(_Label))
+    numbers = st.one_of(st.integers(), st.floats(), st.sampled_from(list(_Letter)),
+                        st.floats().map(np.float64))
+    scalars = st.one_of(st.none(), st.booleans(), numbers, text,
+                        st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_))
+    # the keys of one dict must sort against each other, as sort_keys needs
+    key_strategies = st.sampled_from([text, st.none(), st.one_of(
+        st.integers(), st.floats(), st.booleans(), st.sampled_from(list(_Letter)))])
+
+    def containers(children):
+        return st.one_of(
+            st.lists(children, max_size=6),
+            st.lists(children, max_size=6).map(tuple),
+            st.lists(st.integers(), max_size=8),
+            st.lists(st.floats(), max_size=8),
+            st.lists(st.floats(allow_nan=False), max_size=8).map(np.array),
+            key_strategies.flatmap(lambda k: st.dictionaries(k, children, max_size=5)),
+        )
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+    @hypothesis.given(tree=st.recursive(scalars, containers, max_leaves=30))
+    def check(tree):
+        _assert_json_parity(tree)
+
+    check()
+
+
+# sha256 of --stable reports as json.dumps(report, sort_keys=True, indent=2)
+# wrote them: a forbidden-pair memory-2 pressure run, and a dimension run whose
+# results hold numpy arrays, numpy scalars and result dataclasses
+FROZEN_REPORTS = {
+    "pressure": ({
+        "n_letters": 5,
+        "incidence": {"forbidden_pairs": [[0, 0], [1, 3], [2, 4], [4, 1]]},
+        "psi": {"type": "memory2-table",
+                "values": [[((3 * a + 5 * b) % 7) / 10 - 0.3 for b in range(5)]
+                           for a in range(5)]},
+        "n_max": 8,
+    }, "222d5fc9f43e9e8af81e33a5772d2d5a685c63cc58a3e00a25af8b7961babe6d"),
+    "dimension": ({
+        "beta": PHI,
+        "incidence": "golden",
+        "lyapunov": {"n_steps": 2000, "n_orbits": 4},
+        "conditional": {"M": 2000, "n_centers": 8},
+        "temperature": {"system": {"builtin": "affine",
+                                   "branches": [[1 / 3, 0.0], [1 / 3, 2 / 3]]}},
+    }, "006e6a79e4286be65ae8c4aa6b938f6db6284083b896041f88adcef401bbc4fc"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FROZEN_REPORTS))
+def test_stable_report_bytes_frozen(tmp_path, command):
+    from thermoform import cli
+
+    config, sha = FROZEN_REPORTS[command]
+    out = tmp_path / "report.json"
+    assert cli.main([command, "--config", write_config(tmp_path, config), "--stable",
+                     "--seed", "3", "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
