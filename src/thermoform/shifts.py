@@ -347,11 +347,6 @@ def _group(keys: np.ndarray, vals: np.ndarray, n: int) -> tuple[np.ndarray, np.n
     return ptr, vals[np.argsort(keys, kind="stable")]
 
 
-# steps of B, forward and back, that n_components walks from state 0 before
-# it leaves the count to scipy; E2 at memory 10 needs 10
-REACH_ROUNDS = 64
-
-
 class Blocks:
     """A 0/1 matrix on states whose rows are shared: B[u, v] = [v in block cls[u]].
 
@@ -433,48 +428,25 @@ class Blocks:
         # that hold v, one per entry of the incidence column
         return Blocks(np.arange(self.n_states), *_group(self.members, holder, self.n_states))
 
-    def _all_reach_zero(self, step: Callable[[np.ndarray], np.ndarray]) -> bool:
-        """Whether every state reaches state 0 within REACH_ROUNDS steps along
-        B (step forward) or is reached from it (step backward); stops early
-        once the states found stop growing."""
-        seen = np.zeros(self.n_states, dtype=bool)
-        seen[0] = True
-        count = 1
-        for _ in range(REACH_ROUNDS):
-            if count == self.n_states:
-                return True
-            seen |= step(seen.astype(float)) > 0
-            before, count = count, np.count_nonzero(seen)
-            if count == before:
-                return False
-        return count == self.n_states
-
     @cached_property
-    def n_components(self) -> int:
-        """Strongly connected components of the state graph B, counted once
-        however often the structure is reweighted.
-
-        A graph in which every state reaches state 0 and is reached from it is
-        one component; that is settled by at most REACH_ROUNDS steps forward
-        along B and along B^T. Otherwise (a reducible graph, or one whose
-        paths to and from state 0 are longer) the components are counted by
-        scipy on the graph of states and blocks, with the edges u -> cls[u]
-        and b -> each member of b. A path between two states there is a path
-        of B, so the states split into the same components.
-        """
-        S, C = self.n_states, self.n_blocks
-        if S and self._all_reach_zero(self.forward) and self._all_reach_zero(self.backward):
-            return 1
-        import scipy.sparse as sp
-        from scipy.sparse.csgraph import connected_components
-
-        live = self.cls >= 0
-        members = np.arange(S) if self.members is None else self.members
-        indptr = np.concatenate(([0], np.cumsum(np.concatenate((live, self.sizes)))))
-        indices = np.concatenate((S + self.cls[live], members))
-        graph = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(S + C, S + C))
-        _, labels = connected_components(graph, directed=True, connection="strong")
-        return np.unique(labels[:S]).size
+    def reach(self) -> tuple[int, int]:
+        """How many states the first state reaches along B, and how many it is
+        reached from, itself counted in both: the graph is irreducible when
+        both are n_states. Counted once however often the structure is
+        reweighted. A step of B^T (backward) adds the successors of the states
+        seen, a step of B (forward) their predecessors; each closure stops when
+        every state is seen or a step adds none."""
+        counts = []
+        for step in (self.backward, self.forward):
+            seen = np.arange(self.n_states) == 0
+            count = np.count_nonzero(seen)
+            while count < self.n_states:
+                seen |= step(seen.astype(float)) > 0
+                before, count = count, np.count_nonzero(seen)
+                if count == before:
+                    break
+            counts.append(int(count))
+        return counts[0], counts[1]
 
 
 @dataclass
@@ -762,10 +734,11 @@ class TruncatedShift:
         S, N, B = len(self.graph.states), self.N, self.graph.blocks
         if S == 0:
             raise ConvergenceError("no admissible states at this truncation")
-        ncomp = B.n_components
-        if ncomp != 1:
+        reached, reaching = B.reach
+        if reached < S or reaching < S:
             raise NotIrreducibleError(
-                f"state graph has {ncomp} strongly connected components at truncation {N}"
+                f"state graph is not strongly connected at truncation {N}: its first "
+                f"state reaches {reached} of {S} states and is reached from {reaching}"
             )
         moves = B.out_degree > 0
         if not moves.any():  # one state and no loop: strongly connected, but nilpotent

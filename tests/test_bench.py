@@ -63,7 +63,7 @@ print(json.dumps({"new": new,
 @pytest.mark.parametrize("workload", ["symbolic", "walks", "clouds", "interval"])
 def test_workload_tasks_import_nothing_and_no_scipy(workload):
     # a module first imported inside the tasks would be timed as wall_s, not
-    # setup_s; scipy is left to the reducible-graph fallback and the tests
+    # setup_s; scipy is imported only by the tests, as their reference
     proc = subprocess.run(
         [sys.executable, "-c", GUARD, str(TRACING.parent), workload, *WORKER_IMPORTS],
         capture_output=True, text=True, timeout=300,

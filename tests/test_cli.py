@@ -552,15 +552,21 @@ def test_pressure_flags_route_gap_beyond_ratio_gap(tmp_path, capsys):
     assert results["eigen"]["route_gap_exceeds_ratio_gap"] is True
 
 
+# letters 0 and 1 never reach 2: two strongly connected components, and
+# state 0 reaches states 0 and 1 and is reached from all three
+REDUCIBLE = {
+    "n_letters": 3,
+    "incidence": {"forbidden_pairs": [[0, 2], [1, 2]]},
+    "psi": {"type": "memory1-table", "values": [0.1, 0.2, 0.3]},
+}
+REDUCIBLE_MESSAGE = ("state graph is not strongly connected at truncation 3: "
+                     "its first state reaches 2 of 3 states and is reached from 3")
+
+
 def test_pressure_on_reducible_graph_keeps_level_sums(tmp_path, capsys):
     from thermoform import cli
 
-    # letters 0 and 1 never reach 2: two strongly connected components
-    cfg = write_config(tmp_path, {
-        "n_letters": 3,
-        "incidence": {"forbidden_pairs": [[0, 2], [1, 2]]},
-        "psi": {"type": "memory1-table", "values": [0.1, 0.2, 0.3]},
-    })
+    cfg = write_config(tmp_path, REDUCIBLE)
     assert cli.main(["pressure", "--config", cfg, "--stable"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["config"]["eigendata"] is True
@@ -573,8 +579,43 @@ def test_pressure_on_reducible_graph_keeps_level_sums(tmp_path, capsys):
     assert len(out["results"]["levels"]) == 12
     assert out["diagnostics"]["eigen"] == {
         "error": "NotIrreducibleError",
-        "message": "state graph has 2 strongly connected components at truncation 3",
+        "message": REDUCIBLE_MESSAGE,
     }
+
+
+def test_reducible_graph_runs_with_scipy_unimportable(tmp_path, capsys, no_scipy):
+    from thermoform import cli
+
+    cfg = write_config(tmp_path, REDUCIBLE)
+    assert cli.main(["pressure", "--config", cfg, "--stable"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["diagnostics"]["eigen"] == {"error": "NotIrreducibleError",
+                                           "message": REDUCIBLE_MESSAGE}
+    assert cli.main(["gibbs", "--config", cfg, "--stable"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"numeric failure: {REDUCIBLE_MESSAGE}\n"
+
+
+def test_package_imports_no_scipy():
+    # every import statement, at module level or inside a function
+    import ast
+    from pathlib import Path
+
+    import thermoform
+
+    found = []
+    for path in sorted(Path(thermoform.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names
+                      if n.split(".")[0] == "scipy"]
+    assert found == []
 
 
 def test_pressure_n_max_below_memory_exits_3_before_the_state_cap(tmp_path, capsys):

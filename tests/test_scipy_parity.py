@@ -1,7 +1,8 @@
-"""thermoform's own Brent loop, strip ball counts and irreducibility check
-give what the scipy routines they stand in for give: the same float and
-the same counts; test_scipy_parity_fuzz.py fuzzes the Brent loop and the
-irreducibility verdict. scipy is imported here as the reference."""
+"""thermoform's own Brent loop and strip ball counts give what the scipy
+routines they stand in for give: the same float and the same counts;
+test_scipy_parity_fuzz.py fuzzes the Brent loop and checks the state graph's
+reach counts against scipy's breadth-first orders. scipy is imported here as
+the reference."""
 
 import math
 

@@ -1,6 +1,8 @@
 """Fuzzed parity with scipy: thermoform's Brent loop returns the float, or
-raises the error, that scipy.optimize.brentq does, and its irreducibility
-check gives scipy's component count. scipy is imported here as the reference."""
+raises the error, that scipy.optimize.brentq does, and its reach counts are
+the sizes of scipy's breadth-first orders from the first state, which call a
+graph irreducible exactly when scipy finds one strongly connected component.
+scipy is imported here as the reference."""
 
 import math
 
@@ -12,7 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from scipy.optimize import brentq as scipy_brentq  # noqa: E402
-from scipy.sparse.csgraph import connected_components  # noqa: E402
+from scipy.sparse.csgraph import breadth_first_order, connected_components  # noqa: E402
 
 from thermoform import gdms, shifts  # noqa: E402
 
@@ -62,15 +64,12 @@ def test_brentq_equals_scipy_bit_for_bit(shape, c, s, p, left, right, flip, swap
 # --- irreducibility
 
 
-def _reference_components(graph, allowed) -> int:
-    """scipy's count of strongly connected components of the dense
-    transition matrix, built from the states themselves."""
+def _reference_adjacency(graph, allowed) -> np.ndarray:
+    """The dense transition matrix, built from the states themselves."""
     states = graph.states
     if graph.memory == 1:
-        adj = allowed[np.ix_(states[:, 0], states[:, 0])]
-    else:
-        adj = (states[:, None, 1:] == states[None, :, :-1]).all(axis=2)
-    return int(connected_components(adj, directed=True, connection="strong")[0])
+        return allowed[np.ix_(states[:, 0], states[:, 0])]
+    return (states[:, None, 1:] == states[None, :, :-1]).all(axis=2)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -83,8 +82,10 @@ def test_reachability_verdict_equals_scipy(data, N, m, density):
     S = len(graph.states)
     if S == 0:
         return
-    ref = _reference_components(graph, allowed)
-    blocks = graph.blocks
-    proved = blocks._all_reach_zero(blocks.forward) and blocks._all_reach_zero(blocks.backward)
-    assert proved == (ref == 1)
-    assert blocks.n_components == ref
+    adj = _reference_adjacency(graph, allowed)
+    ref = tuple(breadth_first_order(g, 0, return_predecessors=False).size
+                for g in (adj, adj.T))
+    reach = graph.blocks.reach
+    assert reach == ref
+    ncomp = int(connected_components(adj, directed=True, connection="strong")[0])
+    assert (reach == (S, S)) == (ncomp == 1)

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order
 
 from thermoform import shifts
 from thermoform.errors import BudgetError, ConfigError, ThermoformError
@@ -505,10 +505,13 @@ def _reference_eigendata(psi, A, N, tol=1e-13, max_iter=10**6, state_cap=200_000
     S = len(states)
     if S == 0:
         raise shifts.ConvergenceError("no admissible states at this truncation")
-    ncomp, _ = connected_components(adj, directed=True, connection="strong")
-    if ncomp != 1:
+    # breadth-first from state 0 along the transitions and against them
+    reached, reaching = (breadth_first_order(g, 0, return_predecessors=False).size
+                         for g in (adj, adj.T))
+    if reached < S or reaching < S:
         raise shifts.NotIrreducibleError(
-            f"state graph has {ncomp} strongly connected components at truncation {N}"
+            f"state graph is not strongly connected at truncation {N}: its first "
+            f"state reaches {reached} of {S} states and is reached from {reaching}"
         )
     scale = float(psi_vals.max())
     weights = np.exp(psi_vals - scale)
@@ -751,15 +754,6 @@ def test_pressure_rejects_n_max_below_memory_before_the_graph(monkeypatch):
     assert builds == []
 
 
-def _count_scipy_calls(monkeypatch) -> list:
-    import scipy.sparse.csgraph as csgraph
-
-    calls, real = [], csgraph.connected_components
-    monkeypatch.setattr(csgraph, "connected_components",
-                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
-    return calls
-
-
 def _cycles(*lengths) -> IncidenceMatrix:
     """Letters on disjoint cycles a -> a + 1 of the given lengths, in order."""
     N = sum(lengths)
@@ -772,8 +766,7 @@ def _cycles(*lengths) -> IncidenceMatrix:
     return IncidenceMatrix.from_table(allowed)
 
 
-def test_bench_state_graphs_are_irreducible_without_scipy(monkeypatch):
-    calls = _count_scipy_calls(monkeypatch)
+def test_bench_state_graphs_are_irreducible_without_scipy(no_scipy):
     rng = np.random.default_rng(3)
     allow = rng.random((150, 150)) >= 0.10
     allow[np.arange(150), (np.arange(150) + 1) % 150] = True
@@ -781,22 +774,23 @@ def test_bench_state_graphs_are_irreducible_without_scipy(monkeypatch):
              (60, IncidenceMatrix.full(), 2), (2, IncidenceMatrix.golden_mean(), 1),
              (150, IncidenceMatrix.from_table(allow), 2), (100, IncidenceMatrix.full(), 2)]
     for N, A, m in cases:
-        assert shifts._state_graph(m, A, N, 10**6).blocks.n_components == 1
-    assert calls == []
+        blocks = shifts._state_graph(m, A, N, 10**6).blocks
+        assert blocks.reach == (blocks.n_states, blocks.n_states)
 
 
-@pytest.mark.parametrize("lengths,count", [
-    ((shifts.REACH_ROUNDS + 2,), 1),  # one cycle, longer than the round bound
-    ((3, 2), 2),  # reducible: the bound is never reached
-    ((shifts.REACH_ROUNDS + 2, 1), 2),
+@pytest.mark.parametrize("lengths,reach", [
+    ((66,), (66, 66)),  # one cycle: its last state is 65 steps from the first
+    ((3, 2), (3, 3)),  # reducible: the first state's cycle only
+    ((66, 1), (66, 66)),
 ])
-def test_components_past_the_round_bound_are_counted_by_scipy(monkeypatch, lengths, count):
-    calls = _count_scipy_calls(monkeypatch)
+def test_reach_walks_long_cycles_without_scipy(no_scipy, lengths, reach):
     A = _cycles(*lengths)
     N = sum(lengths)
     for m in (1, 2):
-        assert shifts._state_graph(m, A, N, 10**6).blocks.n_components == count
-    assert len(calls) == 2
+        blocks = shifts._state_graph(m, A, N, 10**6).blocks
+        assert blocks.n_states == N  # one m-word per letter on a cycle
+        assert blocks.reach == reach
+        assert all(type(c) is int for c in blocks.reach)
 
 
 # --- Gibbs chains
